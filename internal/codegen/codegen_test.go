@@ -240,3 +240,27 @@ func TestOptimisticVsPreciseRanges(t *testing.T) {
 			span(true), span(false))
 	}
 }
+
+// TestCoalesceHintChainInVRegOrder: for the moves b←a, c←b, d←c the
+// chained hints must send a to the far end of the chain, d. Walking the
+// chains in map order collapsed a's hint to c or d depending on which
+// vreg was visited first.
+func TestCoalesceHintChainInVRegOrder(t *testing.T) {
+	const a, b, c, d = 0, 1, 2, 3
+	// Each move hints its two ends at each other, later moves
+	// overwriting: a→b, b→c, c→d, d→c.
+	hint := []int{b, c, d, c}
+	chainHints(hint)
+	if hint[a] != d {
+		t.Fatalf("a's hint = %d, want %d (hints %v)", hint[a], d, hint)
+	}
+	if want := []int{d, d, d, c}; !reflect.DeepEqual(hint, want) {
+		t.Fatalf("hints %v, want %v", hint, want)
+	}
+	// A vreg without a move partner keeps no hint; a two-cycle stays.
+	hint = []int{-1, 2, 1}
+	chainHints(hint)
+	if want := []int{-1, 2, 1}; !reflect.DeepEqual(hint, want) {
+		t.Fatalf("hints %v, want %v", hint, want)
+	}
+}

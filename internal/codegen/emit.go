@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"debugtuner/internal/ast"
@@ -11,10 +13,12 @@ import (
 )
 
 // Compile lowers an optimized IR program all the way to an executable
-// binary with its debug-information section. The IR program is consumed
-// (critical edges are split in place). With telemetry enabled, each
-// optional backend stage reports its wall time and debug damage to the
-// ledger under the toggle name that enabled it.
+// binary with its debug-information section. The IR program is not
+// modified — critical edges are split on the machine IR during lowering
+// — so one module can be compiled again and again, as verify-each does
+// after every middle-end pass. With telemetry enabled, each optional
+// backend stage reports its wall time and debug damage to the ledger
+// under the toggle name that enabled it.
 func Compile(prog *ir.Program, opts Options) *vm.Binary {
 	snk := telemetry.Active()
 	span := telemetry.Begin("codegen", "compile")
@@ -68,6 +72,7 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 		})
 	}
 	dbg := &debuginfo.Table{ForProfiling: opts.ForProfiling}
+	locs := &locLists{local: make([]int32, len(prog.Symbols)), precise: !opts.OptimisticRanges}
 
 	type fixup struct {
 		idx    int
@@ -95,59 +100,12 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 				}
 			}
 		}
-		varRec := map[int]*debuginfo.Variable{}
-		getVar := func(sym *ast.Symbol) *debuginfo.Variable {
-			r := varRec[sym.ID]
-			if r == nil {
-				r = &debuginfo.Variable{
-					SymID: int32(sym.ID), Name: sym.Name, FuncIdx: int32(fi),
-				}
-				varRec[sym.ID] = r
-			}
-			return r
-		}
-		open := map[int]*debuginfo.LocEntry{} // symID -> open entry
-		closeEntry := func(symID, addr int) {
-			if e := open[symID]; e != nil {
-				e.End = uint32(addr)
-				delete(open, symID)
-			}
-		}
-		openEntry := func(sym *ast.Symbol, addr int, kind debuginfo.LocKind, operand int64) {
-			closeEntry(sym.ID, addr)
-			r := getVar(sym)
-			r.Entries = append(r.Entries, debuginfo.LocEntry{
-				Start: uint32(addr), End: uint32(addr), Kind: kind, Operand: operand,
-			})
-			open[sym.ID] = &r.Entries[len(r.Entries)-1]
-		}
-		// Precise-policy clobber: close register entries when the
-		// register is overwritten.
-		clobberReg := func(r, addr int) {
-			if opts.OptimisticRanges {
-				return
-			}
-			for sid, e := range open {
-				if e.Kind == debuginfo.LocReg && e.Operand == int64(r) {
-					closeEntry(sid, addr+1)
-				}
-			}
-		}
-		clobberSlot := func(s, addr int) {
-			if opts.OptimisticRanges {
-				return
-			}
-			for sid, e := range open {
-				if e.Kind == debuginfo.LocSpill && e.Operand == int64(s) {
-					closeEntry(sid, addr+1)
-				}
-			}
-		}
+		locs.begin(int32(fi))
 
 		prologueEnd := start
 		var lastEmitted *vm.Instr
 		var pendingPre []vm.OwnerTag
-		for _, b := range mf.Blocks {
+		for bi, b := range mf.Blocks {
 			blockAddr[b] = len(bin.Code)
 			lastEmitted = nil
 			for _, in := range b.Instrs {
@@ -159,9 +117,9 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 					addr := len(bin.Code)
 					switch in.Sub {
 					case dbgNone:
-						openEntry(sym, addr, debuginfo.LocNone, 0)
+						locs.open(sym, addr, debuginfo.LocNone, 0)
 					case dbgVReg:
-						openEntry(sym, addr, debuginfo.LocReg, int64(in.A))
+						locs.open(sym, addr, debuginfo.LocReg, int64(in.A))
 						tag := vm.OwnerTag{Reg: int8(in.A), Slot: -1, Var: int32(sym.ID) + 1}
 						if lastEmitted != nil {
 							lastEmitted.Own = append(lastEmitted.Own, tag)
@@ -170,9 +128,9 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 							pendingPre = append(pendingPre, tag)
 						}
 					case dbgConst:
-						openEntry(sym, addr, debuginfo.LocConst, in.Imm)
+						locs.open(sym, addr, debuginfo.LocConst, in.Imm)
 					case dbgSpill:
-						openEntry(sym, addr, debuginfo.LocSpill, in.Imm)
+						locs.open(sym, addr, debuginfo.LocSpill, in.Imm)
 						tag := vm.OwnerTag{Reg: -1, Slot: int32(in.Imm), Var: int32(sym.ID) + 1}
 						if lastEmitted != nil {
 							lastEmitted.Own = append(lastEmitted.Own, tag)
@@ -204,10 +162,10 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 				case vm.OpBr:
 				}
 				if d := defOf(in); d >= 0 {
-					clobberReg(d, addr)
+					locs.clobberReg(d, addr)
 				}
 				if in.Op == vm.OpStoreSlot {
-					clobberSlot(int(in.Imm), addr)
+					locs.clobberSlot(in.Imm, addr)
 				}
 				if in.Op == vm.OpJmp || in.Op == vm.OpBr {
 					// emit with fixup below
@@ -230,7 +188,10 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 			// branch (jump-if-zero to the false side) so the hot edge
 			// falls through; otherwise append a jump for the false side.
 			if t := b.Term(); t != nil && t.Op == vm.OpBr {
-				next := nextBlock(mf, b)
+				var next *MBlock
+				if bi+1 < len(mf.Blocks) {
+					next = mf.Blocks[bi+1]
+				}
 				brIdx := len(bin.Code) - 1
 				switch {
 				case next == b.Succs[1]:
@@ -252,7 +213,7 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 		for _, fx := range fixups {
 			bin.Code[fx.idx].Imm = int64(blockAddr[fx.target])
 		}
-		compactFallthroughs(bin, start, &end, varRec, dbg)
+		compactFallthroughs(bin, start, &end, locs.vars)
 
 		bin.Funcs = append(bin.Funcs, vm.FuncInfo{
 			Name: mf.Name, Start: start, End: end,
@@ -274,8 +235,8 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 		dbg.Funcs = append(dbg.Funcs, fd)
 
 		// Close open entries at function end and register variables.
-		for sid := range open {
-			closeEntry(sid, end)
+		for n := range locs.vars {
+			locs.close(n, end)
 		}
 		// Home-slot variables: whole-function slot locations (the DWARF
 		// -O0 whole-scope defect, intentionally reproduced).
@@ -286,18 +247,15 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 			if homeSlot[sym.ID] != slot {
 				continue
 			}
-			r := getVar(sym)
-			r.Entries = append(r.Entries, debuginfo.LocEntry{
-				Start: uint32(start), End: uint32(end),
-				Kind: debuginfo.LocSlot, Operand: int64(slot),
-			})
-		}
-		// Deterministic variable order: by symbol ID.
-		for sid := 0; sid < len(prog.Symbols); sid++ {
-			if r := varRec[sid]; r != nil && len(r.Entries) > 0 {
-				dbg.Vars = append(dbg.Vars, *r)
+			if n := locs.num(sym); n >= 0 {
+				r := locs.vars[n]
+				r.Entries = append(r.Entries, debuginfo.LocEntry{
+					Start: uint32(start), End: uint32(end),
+					Kind: debuginfo.LocSlot, Operand: int64(slot),
+				})
 			}
 		}
+		dbg.Vars = locs.finish(dbg.Vars)
 	}
 
 	// Globals: static storage, always readable.
@@ -328,18 +286,9 @@ func emit(prog *ir.Program, mfuncs []*MFunc, opts *Options) *vm.Binary {
 	return bin
 }
 
-func nextBlock(mf *MFunc, b *MBlock) *MBlock {
-	for i, x := range mf.Blocks {
-		if x == b && i+1 < len(mf.Blocks) {
-			return mf.Blocks[i+1]
-		}
-	}
-	return nil
-}
-
 // compactFallthroughs removes jumps whose target is the next address,
 // remapping all addresses (jump targets, location entries) accordingly.
-func compactFallthroughs(bin *vm.Binary, start int, end *int, varRec map[int]*debuginfo.Variable, dbg *debuginfo.Table) {
+func compactFallthroughs(bin *vm.Binary, start int, end *int, vars []*debuginfo.Variable) {
 	n := *end - start
 	drop := make([]bool, n)
 	for i := start; i < *end; i++ {
@@ -387,11 +336,131 @@ func compactFallthroughs(bin *vm.Binary, start int, end *int, varRec map[int]*de
 	}
 	bin.Code = out
 	// Rewrite open location entries built so far for this function.
-	for _, r := range varRec {
+	for _, r := range vars {
 		for k := range r.Entries {
 			r.Entries[k].Start = uint32(mapAddr(int(r.Entries[k].Start)))
 			r.Entries[k].End = uint32(mapAddr(int(r.Entries[k].End)))
 		}
 	}
 	*end = w
+}
+
+// locLists builds one function's location lists at a time. A variable
+// gets a dense local number when first seen; local maps symbol IDs to
+// those numbers plus one (0: not seen in this function) and is cleared
+// for the next function by finish. Symbols outside the program's table
+// are not described.
+type locLists struct {
+	local   []int32
+	precise bool // close entries when their storage is written
+	fi      int32
+	vars    []*debuginfo.Variable // by local number
+	openAt  []int                 // by local number: index of the open entry, or -1
+	// Under the precise policy a register or spill-slot write closes the
+	// entries open on it: regOpen[r] and slotOpen[s] list the local
+	// numbers whose entries were opened there since the last write,
+	// checked against openAt when the write comes.
+	regOpen  [vm.NumRegs][]int
+	slotOpen [][]int
+}
+
+// begin starts the lists of function fi.
+func (l *locLists) begin(fi int32) {
+	l.fi = fi
+	l.vars, l.openAt = l.vars[:0], l.openAt[:0]
+	for r := range l.regOpen {
+		l.regOpen[r] = l.regOpen[r][:0]
+	}
+	l.slotOpen = l.slotOpen[:0]
+}
+
+// num returns the local number of sym, creating its record, or -1 for a
+// symbol outside the table.
+func (l *locLists) num(sym *ast.Symbol) int {
+	if sym.ID < 0 || sym.ID >= len(l.local) {
+		return -1
+	}
+	if l.local[sym.ID] == 0 {
+		l.vars = append(l.vars, &debuginfo.Variable{
+			SymID: int32(sym.ID), Name: sym.Name, FuncIdx: l.fi,
+		})
+		l.openAt = append(l.openAt, -1)
+		l.local[sym.ID] = int32(len(l.vars))
+	}
+	return int(l.local[sym.ID]) - 1
+}
+
+// close ends variable n's open entry, if any, at addr.
+func (l *locLists) close(n, addr int) {
+	if e := l.openAt[n]; e >= 0 {
+		l.vars[n].Entries[e].End = uint32(addr)
+		l.openAt[n] = -1
+	}
+}
+
+// open starts a new entry for sym at addr, closing its previous one.
+func (l *locLists) open(sym *ast.Symbol, addr int, kind debuginfo.LocKind, operand int64) {
+	n := l.num(sym)
+	if n < 0 {
+		return
+	}
+	l.close(n, addr)
+	r := l.vars[n]
+	r.Entries = append(r.Entries, debuginfo.LocEntry{
+		Start: uint32(addr), End: uint32(addr), Kind: kind, Operand: operand,
+	})
+	l.openAt[n] = len(r.Entries) - 1
+	if !l.precise {
+		return
+	}
+	switch kind {
+	case debuginfo.LocReg:
+		l.regOpen[operand] = append(l.regOpen[operand], n)
+	case debuginfo.LocSpill:
+		for int64(len(l.slotOpen)) <= operand {
+			l.slotOpen = append(l.slotOpen, nil)
+		}
+		l.slotOpen[operand] = append(l.slotOpen[operand], n)
+	}
+}
+
+// clobber closes, after addr, the entries of list still open on the
+// given storage, and returns the emptied list.
+func (l *locLists) clobber(list []int, kind debuginfo.LocKind, operand int64, addr int) []int {
+	for _, n := range list {
+		if e := l.openAt[n]; e >= 0 {
+			if le := &l.vars[n].Entries[e]; le.Kind == kind && le.Operand == operand {
+				l.close(n, addr+1)
+			}
+		}
+	}
+	return list[:0]
+}
+
+// clobberReg applies a write of register r at addr (precise policy).
+func (l *locLists) clobberReg(r, addr int) {
+	if l.precise {
+		l.regOpen[r] = l.clobber(l.regOpen[r], debuginfo.LocReg, int64(r), addr)
+	}
+}
+
+// clobberSlot applies a store to frame slot s at addr (precise policy).
+func (l *locLists) clobberSlot(s int64, addr int) {
+	if l.precise && s >= 0 && s < int64(len(l.slotOpen)) {
+		l.slotOpen[s] = l.clobber(l.slotOpen[s], debuginfo.LocSpill, s, addr)
+	}
+}
+
+// finish appends the function's variables with at least one entry to
+// out in symbol-ID order, and clears the local numbering.
+func (l *locLists) finish(out []debuginfo.Variable) []debuginfo.Variable {
+	slices.SortFunc(l.vars, func(a, b *debuginfo.Variable) int { return cmp.Compare(a.SymID, b.SymID) })
+	out = slices.Grow(out, len(l.vars))
+	for _, r := range l.vars {
+		l.local[r.SymID] = 0
+		if len(r.Entries) > 0 {
+			out = append(out, *r)
+		}
+	}
+	return out
 }

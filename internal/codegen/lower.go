@@ -17,37 +17,6 @@ var binSubFor = map[ir.Op]uint8{
 	ir.OpGe: vm.BinGe,
 }
 
-// splitCriticalEdges inserts forwarding blocks on edges from multi-succ
-// predecessors into multi-pred blocks with phis, so phi-elimination moves
-// have a home that affects only their own edge.
-func splitCriticalEdges(f *ir.Func) {
-	for _, s := range append([]*ir.Block(nil), f.Blocks...) {
-		if len(s.Preds) < 2 || len(s.Phis()) == 0 {
-			continue
-		}
-		for pi := 0; pi < len(s.Preds); pi++ {
-			p := s.Preds[pi]
-			if len(p.Succs) < 2 {
-				continue
-			}
-			mid := f.NewBlock()
-			jmp := f.NewValue(mid, ir.OpJmp, 0)
-			mid.Instrs = append(mid.Instrs, jmp)
-			// Rewire exactly this edge occurrence: p's succ entry and
-			// s's pred entry at pi.
-			for si, ps := range p.Succs {
-				if ps == s {
-					p.Succs[si] = mid
-					break
-				}
-			}
-			mid.Preds = append(mid.Preds, p)
-			mid.Succs = append(mid.Succs, s)
-			s.Preds[pi] = mid
-		}
-	}
-}
-
 // lowerer carries per-function lowering state.
 type lowerer struct {
 	prog *ir.Program
@@ -55,11 +24,27 @@ type lowerer struct {
 	mf   *MFunc
 	vreg []int // ir value ID -> vreg
 	fidx map[string]int64
+	byID []*MBlock // ir block ID -> machine block
+	// split[b.ID][si] is the forwarding block on b's si-th successor
+	// edge, or nil when that edge is not split.
+	split [][]*MBlock
 }
 
-// lowerFunc converts one IR function to machine IR.
+// forward is a machine block inserted on a critical edge: an edge from a
+// multi-successor predecessor into a multi-predecessor block with phis,
+// so the phi-elimination moves have a home that affects only that edge.
+// pi is the edge's index in the target's predecessor list.
+type forward struct {
+	mb     *MBlock
+	target *ir.Block
+	pi     int
+}
+
+// lowerFunc converts one IR function to machine IR. The IR function is
+// not modified: critical edges are split on the machine side, with the
+// forwarding blocks numbered from f.NumBlockIDs() and laid out after the
+// function's own blocks, in edge order.
 func lowerFunc(prog *ir.Program, f *ir.Func, opts *Options, fidx map[string]int64) *MFunc {
-	splitCriticalEdges(f)
 	mf := &MFunc{
 		Name: f.Name, NumSlots: f.NumSlots, NParams: f.NParams,
 		StartLine: f.StartLine, Pure: f.Pure,
@@ -71,11 +56,37 @@ func lowerFunc(prog *ir.Program, f *ir.Func, opts *Options, fidx map[string]int6
 		lo.vreg[i] = -1
 	}
 
-	blockMap := make(map[*ir.Block]*MBlock, len(f.Blocks))
+	lo.byID = make([]*MBlock, f.NumBlockIDs())
 	for _, b := range f.Blocks {
 		mb := &MBlock{ID: b.ID, Freq: b.Freq, Prob: b.Prob}
-		blockMap[b] = mb
+		lo.byID[b.ID] = mb
 		mf.Blocks = append(mf.Blocks, mb)
+	}
+	var fwds []forward
+	for _, s := range f.Blocks {
+		if len(s.Preds) < 2 || len(s.Phis()) == 0 {
+			continue
+		}
+		for pi, p := range s.Preds {
+			if len(p.Succs) < 2 {
+				continue
+			}
+			if lo.split == nil {
+				lo.split = make([][]*MBlock, f.NumBlockIDs())
+			}
+			if lo.split[p.ID] == nil {
+				lo.split[p.ID] = make([]*MBlock, len(p.Succs))
+			}
+			mb := &MBlock{ID: f.NumBlockIDs() + len(fwds), Freq: 1, Prob: 0.5}
+			for si, ps := range p.Succs {
+				if ps == s && lo.split[p.ID][si] == nil {
+					lo.split[p.ID][si] = mb
+					break
+				}
+			}
+			fwds = append(fwds, forward{mb, s, pi})
+			mf.Blocks = append(mf.Blocks, mb)
+		}
 	}
 	// Pre-assign vregs for phis so moves can target them.
 	for _, b := range f.Blocks {
@@ -85,22 +96,58 @@ func lowerFunc(prog *ir.Program, f *ir.Func, opts *Options, fidx map[string]int6
 			}
 		}
 	}
+	var pairs []phiPair
 	for _, b := range f.Blocks {
-		mb := blockMap[b]
+		mb := lo.byID[b.ID]
 		for _, v := range b.Instrs {
-			if v.Op.IsTerminator() {
-				// Phi moves for each successor happen before the
-				// terminator; on split edges the pred is single-succ.
-				lo.emitPhiMoves(b, mb)
-				lo.lowerTerm(b, mb, v, blockMap)
+			if !v.Op.IsTerminator() {
+				lo.lowerValue(mb, v)
 				continue
 			}
-			lo.lowerValue(mb, v)
+			// Phi moves for each successor happen before the
+			// terminator; a split edge's moves live in its forwarding
+			// block instead.
+			pairs = pairs[:0]
+			for si, s := range b.Succs {
+				if lo.fwdOn(b, si) != nil {
+					continue
+				}
+				pi := -1
+				for i, p := range s.Preds {
+					if p == b {
+						pi = i
+						break
+					}
+				}
+				pairs = lo.phiMoves(pairs, s, pi)
+			}
+			lo.emitParallelCopy(mb, pairs)
+			lo.lowerTerm(b, mb, v)
 		}
+	}
+	for _, fw := range fwds {
+		lo.emitParallelCopy(fw.mb, lo.phiMoves(pairs[:0], fw.target, fw.pi))
+		lo.emit(fw.mb, &MInstr{Op: vm.OpJmp, A: -1, B: -1, C: -1, D: -1})
+		link(fw.mb, lo.byID[fw.target.ID])
 	}
 	runTER(mf, opts.TER)
 	mirDCE(mf)
 	return mf
+}
+
+// fwdOn returns the forwarding block on b's si-th successor edge, or
+// nil when that edge is not split.
+func (lo *lowerer) fwdOn(b *ir.Block, si int) *MBlock {
+	if lo.split == nil || lo.split[b.ID] == nil {
+		return nil
+	}
+	return lo.split[b.ID][si]
+}
+
+// link appends the control-flow edge from -> to.
+func link(from, to *MBlock) {
+	from.Succs = append(from.Succs, to)
+	to.Preds = append(to.Preds, from)
 }
 
 func (lo *lowerer) v(val *ir.Value) int {
@@ -192,7 +239,8 @@ func (lo *lowerer) lowerValue(mb *MBlock, v *ir.Value) {
 	}
 }
 
-func (lo *lowerer) lowerTerm(b *ir.Block, mb *MBlock, v *ir.Value, blockMap map[*ir.Block]*MBlock) {
+func (lo *lowerer) lowerTerm(b *ir.Block, mb *MBlock, v *ir.Value) {
+	nsucc := 0
 	switch v.Op {
 	case ir.OpRet:
 		in := &MInstr{Op: vm.OpRet, A: -1, B: -1, C: -1, D: -1, Line: v.Line}
@@ -203,48 +251,47 @@ func (lo *lowerer) lowerTerm(b *ir.Block, mb *MBlock, v *ir.Value, blockMap map[
 		lo.emit(mb, in)
 	case ir.OpJmp:
 		lo.emit(mb, &MInstr{Op: vm.OpJmp, A: -1, B: -1, C: -1, D: -1, Line: v.Line})
-		mb.Succs = []*MBlock{blockMap[b.Succs[0]]}
+		nsucc = 1
 	case ir.OpBr:
 		lo.emit(mb, &MInstr{Op: vm.OpBr, A: lo.v(v.Args[0]), B: -1, C: -1, D: -1, Line: v.Line})
-		mb.Succs = []*MBlock{blockMap[b.Succs[0]], blockMap[b.Succs[1]]}
+		nsucc = 2
 	}
-	for _, s := range mb.Succs {
-		s.Preds = append(s.Preds, mb)
+	for si, s := range b.Succs[:nsucc] {
+		to := lo.fwdOn(b, si)
+		if to == nil {
+			to = lo.byID[s.ID]
+		}
+		link(mb, to)
 	}
 }
 
-// emitPhiMoves lowers the phi semantics of b's successors into parallel
-// copies at the end of b (before its terminator position — the caller
-// emits the terminator afterwards). Critical edges were split, so when a
-// successor has phis either b is its only predecessor source of conflict
-// or b is a dedicated forwarding block.
-func (lo *lowerer) emitPhiMoves(b *ir.Block, mb *MBlock) {
-	type pair struct{ dst, src int }
-	var pairs []pair
-	for _, s := range b.Succs {
-		pi := -1
-		for i, p := range s.Preds {
-			if p == b {
-				pi = i
-				break
-			}
+// phiPair is one parallel-copy move of phi elimination.
+type phiPair struct{ dst, src int }
+
+// phiMoves appends the copies that materialize s's phis along its pi-th
+// incoming edge.
+func (lo *lowerer) phiMoves(pairs []phiPair, s *ir.Block, pi int) []phiPair {
+	for _, phi := range s.Instrs {
+		if phi.Op != ir.OpPhi {
+			break
 		}
-		for _, phi := range s.Instrs {
-			if phi.Op != ir.OpPhi {
-				break
-			}
-			dst := lo.v(phi)
-			src := lo.v(phi.Args[pi])
-			if dst != src {
-				pairs = append(pairs, pair{dst, src})
-			}
+		dst := lo.v(phi)
+		src := lo.v(phi.Args[pi])
+		if dst != src {
+			pairs = append(pairs, phiPair{dst, src})
 		}
 	}
-	if len(pairs) == 0 {
-		return
-	}
-	// Parallel copy resolution: emit copies whose destination is not a
-	// pending source; break cycles with a temporary.
+	return pairs
+}
+
+// emitParallelCopy lowers the phi semantics of a block's successors into
+// parallel copies at the end of mb (before its terminator position — the
+// caller emits the terminator afterwards). Critical edges were split, so
+// when a successor has phis either the block is its only predecessor
+// source of conflict or it is a dedicated forwarding block.
+func (lo *lowerer) emitParallelCopy(mb *MBlock, pairs []phiPair) {
+	// Emit copies whose destination is not a pending source; break
+	// cycles with a temporary.
 	for len(pairs) > 0 {
 		emitted := false
 		for i, p := range pairs {
@@ -331,14 +378,26 @@ func commutative(sub uint8) bool {
 // markers; markers referencing other removed values become "optimized
 // out".
 func mirDCE(mf *MFunc) {
+	markers := make([][]*MInstr, mf.NumVRegs) // vreg -> markers bound to it
+	for _, b := range mf.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == mDbg && in.Sub == dbgVReg && in.A >= 0 {
+				markers[in.A] = append(markers[in.A], in)
+			}
+		}
+	}
+	used := make([]bool, mf.NumVRegs)
+	var reads []int
 	for {
-		used := map[int]bool{}
-		var reads []int
+		clear(used)
 		for _, b := range mf.Blocks {
 			for _, in := range b.Instrs {
+				if in.Op == mDbg {
+					continue
+				}
 				reads = readsOf(in, reads[:0])
 				for _, r := range reads {
-					if r >= 0 && in.Op != mDbg {
+					if r >= 0 {
 						used[r] = true
 					}
 				}
@@ -349,26 +408,21 @@ func mirDCE(mf *MFunc) {
 			kept := b.Instrs[:0]
 			for _, in := range b.Instrs {
 				d := defOf(in)
-				removable := d >= 0 && !used[d] && !hasSideEffect(in)
-				if !removable {
+				if d < 0 || used[d] || hasSideEffect(in) {
 					kept = append(kept, in)
 					continue
 				}
 				// Fix markers bound to the removed value.
-				for _, bb := range mf.Blocks {
-					for _, mk := range bb.Instrs {
-						if mk.Op == mDbg && mk.Sub == dbgVReg && mk.A == d {
-							if in.Op == vm.OpConst {
-								mk.Sub = dbgConst
-								mk.Imm = in.Imm
-								mk.A = -1
-							} else {
-								mk.Sub = dbgNone
-								mk.A = -1
-							}
-						}
+				for _, mk := range markers[d] {
+					if in.Op == vm.OpConst {
+						mk.Sub = dbgConst
+						mk.Imm = in.Imm
+					} else {
+						mk.Sub = dbgNone
 					}
+					mk.A = -1
 				}
+				markers[d] = nil
 				changed = true
 			}
 			b.Instrs = kept

@@ -127,10 +127,6 @@ type MFunc struct {
 	StartLine int
 	Pure      bool
 
-	// spillSlotOf maps spilled vregs to their frame slot; filled by the
-	// register allocator and consumed by the emitter for LocSpill
-	// entries.
-	spillSlotOf map[int]int
 	// prologBlock receives the OpProlog instruction (entry by default,
 	// moved by shrink-wrapping).
 	prologBlock *MBlock

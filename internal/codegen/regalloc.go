@@ -3,6 +3,7 @@ package codegen
 import (
 	"sort"
 
+	"debugtuner/internal/dataflow"
 	"debugtuner/internal/vm"
 )
 
@@ -27,51 +28,48 @@ const dbgSpill = 3
 
 type interval struct {
 	vreg       int
+	live       bool // the vreg is defined or read by real code
 	start, end int
 	uses       float64 // frequency-weighted use count, for spill choice
 	reg        int     // assigned register, or -1 when spilled
 	spillSlot  int
-	hint       int // move-related vreg for coalescing, or -1
 }
 
-// regalloc assigns physical registers, rewrites the code in place, and
-// records spill slots in mf.spillSlotOf.
+// regalloc assigns physical registers and rewrites the code in place;
+// spilled operands go through the scratch registers with explicit slot
+// traffic.
 func regalloc(mf *MFunc, opts *Options) {
 	order := mf.Blocks
 	// Linear positions: each instruction gets an index in layout order.
 	// Half-position numbering: instruction k reads at 2k and defines at
 	// 2k+1, so a move's source interval ends strictly before its
 	// destination begins and the two can share a register.
-	pos := map[*MInstr]int{}
-	blockStart := map[*MBlock]int{}
-	blockEnd := map[*MBlock]int{}
+	blockStart := make([]int, len(order))
+	blockEnd := make([]int, len(order))
 	n := 0
-	for _, b := range order {
-		blockStart[b] = 2 * n
+	for bi, b := range order {
+		blockStart[bi] = 2 * n
 		for _, in := range b.Instrs {
-			if in.Op == mDbg {
-				continue
+			if in.Op != mDbg {
+				n++
 			}
-			pos[in] = n
-			n++
 		}
-		blockEnd[b] = 2 * n
+		blockEnd[bi] = 2 * n
 	}
 
 	liveIn, liveOut := liveness(mf)
 
-	// Build single-range intervals.
-	ivs := map[int]*interval{}
-	get := func(v int) *interval {
-		iv := ivs[v]
-		if iv == nil {
-			iv = &interval{vreg: v, start: 1 << 30, end: -1, reg: -1, hint: -1}
-			ivs[v] = iv
-		}
-		return iv
+	// Build single-range intervals, indexed by vreg, and each vreg's
+	// move-related partner for coalescing (-1: none).
+	ivs := make([]interval, mf.NumVRegs)
+	hint := make([]int, mf.NumVRegs)
+	for v := range ivs {
+		ivs[v] = interval{vreg: v, start: 1 << 30, end: -1, reg: -1}
+		hint[v] = -1
 	}
 	extend := func(v, from, to int) {
-		iv := get(v)
+		iv := &ivs[v]
+		iv.live = true
 		if from < iv.start {
 			iv.start = from
 		}
@@ -80,31 +78,28 @@ func regalloc(mf *MFunc, opts *Options) {
 		}
 	}
 	var reads []int
-	for _, b := range order {
-		for v := range liveIn[b] {
-			extend(v, blockStart[b], blockStart[b])
-		}
-		for v := range liveOut[b] {
-			extend(v, blockStart[b], blockEnd[b])
-		}
+	p := 0
+	for bi, b := range order {
+		liveIn[bi].ForEach(func(v int) { extend(v, blockStart[bi], blockStart[bi]) })
+		liveOut[bi].ForEach(func(v int) { extend(v, blockStart[bi], blockEnd[bi]) })
+		w := 1 + b.Freq
 		for _, in := range b.Instrs {
 			if in.Op == mDbg {
 				continue
 			}
-			p := pos[in]
-			if d := defOf(in); d >= 0 {
+			d := defOf(in)
+			if d >= 0 {
 				extend(d, 2*p+1, 2*p+1)
 			}
 			reads = readsOf(in, reads[:0])
-			w := 1 + b.Freq
 			for _, r := range reads {
 				if r >= 0 {
 					extend(r, 2*p, 2*p)
-					get(r).uses += w
+					ivs[r].uses += w
 				}
 			}
-			if d := defOf(in); d >= 0 {
-				get(d).uses += w
+			if d >= 0 {
+				ivs[d].uses += w
 			}
 			if in.Op == vm.OpMov {
 				// Move-related intervals prefer one register (basic
@@ -113,36 +108,21 @@ func regalloc(mf *MFunc, opts *Options) {
 				// merging storage of distinct source variables —
 				// gcc's tree-coalesce-vars, with its measured debug
 				// cost.
-				get(in.D).hint = in.A
-				get(in.A).hint = in.D
+				hint[in.D] = in.A
+				hint[in.A] = in.D
 			}
+			p++
 		}
 	}
 
 	if opts.CoalesceVars {
-		// Transitive hint chaining: a->b->c moves all prefer one home.
-		for _, iv := range ivs {
-			seen := map[int]bool{iv.vreg: true}
-			h := iv.hint
-			for h >= 0 && !seen[h] {
-				seen[h] = true
-				next := -1
-				if hv := ivs[h]; hv != nil {
-					next = hv.hint
-				}
-				if next < 0 || seen[next] {
-					break
-				}
-				h = next
-			}
-			if h >= 0 {
-				iv.hint = h
-			}
-		}
+		chainHints(hint)
 	}
 	list := make([]*interval, 0, len(ivs))
-	for _, iv := range ivs {
-		list = append(list, iv)
+	for v := range ivs {
+		if ivs[v].live {
+			list = append(list, &ivs[v])
+		}
 	}
 	sort.Slice(list, func(i, j int) bool {
 		if list[i].start != list[j].start {
@@ -187,8 +167,8 @@ func regalloc(mf *MFunc, opts *Options) {
 	for _, iv := range list {
 		expire(iv.start)
 		// Try the coalescing hint first.
-		if iv.hint >= 0 {
-			if h := ivs[iv.hint]; h != nil && h.reg >= 0 && freeRegs[h.reg] {
+		if hv := hint[iv.vreg]; hv >= 0 {
+			if h := &ivs[hv]; h.live && h.reg >= 0 && freeRegs[h.reg] {
 				iv.reg = h.reg
 				freeRegs[h.reg] = false
 				active = append(active, iv)
@@ -232,19 +212,13 @@ func regalloc(mf *MFunc, opts *Options) {
 		}
 	}
 
-	mf.spillSlotOf = map[int]int{}
-	for _, iv := range list {
-		if iv.reg < 0 {
-			mf.spillSlotOf[iv.vreg] = iv.spillSlot
-		}
-	}
 	mf.NumSlots = nextSpill
 
 	// Rewrite: replace vregs with registers; spilled operands go through
 	// the scratch registers with explicit slot traffic.
 	regOf := func(v int) (int, bool) {
-		iv := ivs[v]
-		if iv == nil {
+		iv := &ivs[v]
+		if !iv.live {
 			return 0, true // never-used vreg; any register will do
 		}
 		if iv.reg >= 0 {
@@ -353,60 +327,95 @@ func spillScore(iv *interval) float64 {
 	return iv.uses / length
 }
 
+// chainHints makes each vreg's coalescing hint the far end of its move
+// chain (a->b->c moves all prefer one home). hint[v] is -1 for a vreg
+// with no move partner. Vregs are visited in ascending order and each
+// rewrite is visible to the chains walked after it, so the order is part
+// of the result.
+func chainHints(hint []int) {
+	stamp := make([]int, len(hint)) // stamp[x] == v+1: x seen on v's chain
+	for v, h := range hint {
+		if h < 0 {
+			continue
+		}
+		stamp[v] = v + 1
+		for stamp[h] != v+1 {
+			stamp[h] = v + 1
+			next := hint[h]
+			if next < 0 || stamp[next] == v+1 {
+				break
+			}
+			h = next
+		}
+		hint[v] = h
+	}
+}
+
 // liveness computes per-block live-in/out vreg sets over the machine IR,
-// ignoring debug markers.
-func liveness(mf *MFunc) (liveIn, liveOut map[*MBlock]map[int]bool) {
-	liveIn = map[*MBlock]map[int]bool{}
-	liveOut = map[*MBlock]map[int]bool{}
-	use := map[*MBlock]map[int]bool{}
-	def := map[*MBlock]map[int]bool{}
+// ignoring debug markers; both are indexed by position in mf.Blocks.
+func liveness(mf *MFunc) (liveIn, liveOut []*dataflow.BitSet) {
+	g := newMIRGraph(mf)
+	use := make([]*dataflow.BitSet, len(mf.Blocks))
+	def := make([]*dataflow.BitSet, len(mf.Blocks))
 	var reads []int
-	for _, b := range mf.Blocks {
-		u, d := map[int]bool{}, map[int]bool{}
+	for bi, b := range mf.Blocks {
+		u, d := dataflow.NewBitSet(mf.NumVRegs), dataflow.NewBitSet(mf.NumVRegs)
 		for _, in := range b.Instrs {
 			if in.Op == mDbg {
 				continue
 			}
 			reads = readsOf(in, reads[:0])
 			for _, r := range reads {
-				if r >= 0 && !d[r] {
-					u[r] = true
+				if r >= 0 && !d.Has(r) {
+					u.Set(r)
 				}
 			}
 			if dd := defOf(in); dd >= 0 {
-				d[dd] = true
+				d.Set(dd)
 			}
 		}
-		use[b], def[b] = u, d
-		liveIn[b], liveOut[b] = map[int]bool{}, map[int]bool{}
+		use[bi], def[bi] = u, d
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(mf.Blocks) - 1; i >= 0; i-- {
-			b := mf.Blocks[i]
-			out := liveOut[b]
-			for _, s := range b.Succs {
-				for v := range liveIn[s] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
-				}
-			}
-			in := liveIn[b]
-			for v := range use[b] {
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-			for v := range out {
-				if !def[b][v] && !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return liveIn, liveOut
+	sol := dataflow.Solve(g, dataflow.Problem{
+		Bits: mf.NumVRegs,
+		Dir:  dataflow.Backward,
+		Meet: dataflow.Union,
+		Transfer: func(n int, atExit, atEntry *dataflow.BitSet) {
+			atEntry.Copy(atExit)
+			atEntry.AndNot(def[n])
+			atEntry.UnionWith(use[n])
+		},
+	})
+	// Backward: In is the fact at the block's exit, Out at its entry.
+	return sol.Out, sol.In
 }
+
+// mirGraph adapts a machine function's block list to dataflow.Graph;
+// nodes are positions in mf.Blocks, the entry first.
+type mirGraph struct {
+	succs, preds [][]int
+}
+
+func newMIRGraph(mf *MFunc) *mirGraph {
+	at := make(map[*MBlock]int, len(mf.Blocks))
+	for i, b := range mf.Blocks {
+		at[b] = i
+	}
+	g := &mirGraph{
+		succs: make([][]int, len(mf.Blocks)),
+		preds: make([][]int, len(mf.Blocks)),
+	}
+	for i, b := range mf.Blocks {
+		for _, s := range b.Succs {
+			if si, ok := at[s]; ok {
+				g.succs[i] = append(g.succs[i], si)
+				g.preds[si] = append(g.preds[si], i)
+			}
+		}
+	}
+	return g
+}
+
+func (g *mirGraph) NumNodes() int     { return len(g.succs) }
+func (g *mirGraph) Succs(n int) []int { return g.succs[n] }
+func (g *mirGraph) Preds(n int) []int { return g.preds[n] }

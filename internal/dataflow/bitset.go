@@ -105,6 +105,13 @@ func (s *BitSet) UnionWith(o *BitSet) bool {
 	return changed
 }
 
+// AndNot removes o's bits from s.
+func (s *BitSet) AndNot(o *BitSet) {
+	for i, w := range o.words {
+		s.words[i] &^= w
+	}
+}
+
 // IntersectWith keeps only bits present in both and reports change.
 func (s *BitSet) IntersectWith(o *BitSet) bool {
 	changed := false
@@ -137,9 +144,26 @@ func (s *BitSet) ForEach(fn func(i int)) {
 	}
 }
 
-// ClearRange clears bits [lo, hi).
+// ClearRange clears bits [lo, hi), a word at a time. Like Clear it
+// ignores the part of the range outside the set's words.
 func (s *BitSet) ClearRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.Clear(i)
+	if lo < 0 {
+		lo = 0
 	}
+	if top := len(s.words) * 64; hi > top {
+		hi = top
+	}
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)      // bits >= lo in the first word
+	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63) // bits < hi in the last word
+	if first == last {
+		s.words[first] &^= loMask & hiMask
+		return
+	}
+	s.words[first] &^= loMask
+	clear(s.words[first+1 : last])
+	s.words[last] &^= hiMask
 }

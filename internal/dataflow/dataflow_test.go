@@ -298,3 +298,31 @@ func TestEmptyAndCorruptInput(t *testing.T) {
 	}
 	_ = NewOwnerFacts(bin2, 0)
 }
+
+// TestClearRangeMatchesBitByBit: the word-at-a-time ClearRange must
+// equal clearing bit by bit for every range over a three-word set,
+// including ranges that start below zero or run past the last word.
+func TestClearRangeMatchesBitByBit(t *testing.T) {
+	const width = 192
+	fill := func() *BitSet {
+		s := NewBitSet(width)
+		for i := 0; i < width; i++ {
+			if i%3 != 1 {
+				s.Set(i)
+			}
+		}
+		return s
+	}
+	for lo := -2; lo <= 194; lo++ {
+		for hi := -2; hi <= 194; hi++ {
+			got, want := fill(), fill()
+			got.ClearRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				want.Clear(i)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("ClearRange(%d, %d) = %x, want %x", lo, hi, got.words, want.words)
+			}
+		}
+	}
+}

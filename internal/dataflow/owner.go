@@ -43,21 +43,35 @@ func SlotStorage(s int) Storage { return Storage{Reg: -1, Slot: s} }
 // Must-availability needs no second solve: ownership writes are strong
 // updates to singletons, so a cell is must-owned by v exactly when its
 // may-set collapsed to {v}.
+//
+// The solution keeps one may-state per basic block (its in-state);
+// queries replay the block's instructions from there to the queried
+// address through a forward cursor, so a run of queries in address order
+// within a block costs one replay step each. The cursor makes an
+// OwnerFacts unsafe for concurrent queries: every caller builds its own.
 type OwnerFacts struct {
 	cfg      *BinCFG
 	numSlots int
 	nOwners  int
-	ownerIdx map[int32]int // owner value -> dense index; anonymous 0 -> 0
-	reach    []bool        // per addr-Start
-	inAddr   []*BitSet     // per addr-Start: may-state entering the address
-	mustProl []bool        // per addr-Start: prologue done on every path
+	ownerIdx map[int32]int          // owner value -> dense index; anonymous 0 -> 0
+	owners   []int32                // dense index -> owner value
+	reach    []bool                 // per addr-Start
+	blockIn  []*BitSet              // per block: may-state entering the block
+	apply    func(s *BitSet, a int) // the transfer function of the instruction at a
+	mustProl []bool                 // per addr-Start: prologue done on every path
+
+	// The replay cursor: cur is the may-state entering curAddr, an
+	// address of block curBlock (-1 before the first query).
+	cur      *BitSet
+	curBlock int
+	curAddr  int
 }
 
 // NewOwnerFacts solves the owner analysis for function fnIdx of the
 // binary. It never panics on corrupt input: out-of-range function
 // records yield an empty fact set whose queries all return false.
 func NewOwnerFacts(bin *vm.Binary, fnIdx int) *OwnerFacts {
-	of := &OwnerFacts{ownerIdx: map[int32]int{0: 0}, nOwners: 1}
+	of := &OwnerFacts{ownerIdx: map[int32]int{0: 0}, owners: []int32{0}, nOwners: 1, curBlock: -1}
 	if fnIdx < 0 || fnIdx >= len(bin.Funcs) {
 		of.cfg = NewBinCFG(nil, 0, 0)
 		return of
@@ -102,6 +116,7 @@ func NewOwnerFacts(bin *vm.Binary, fnIdx int) *OwnerFacts {
 	intern := func(v int32) {
 		if _, ok := of.ownerIdx[v]; !ok {
 			of.ownerIdx[v] = of.nOwners
+			of.owners = append(of.owners, v)
 			of.nOwners++
 		}
 	}
@@ -216,6 +231,7 @@ func NewOwnerFacts(bin *vm.Binary, fnIdx int) *OwnerFacts {
 			}
 		},
 	})
+	of.blockIn, of.apply, of.cur = sol.In, applyInstr, NewBitSet(bitsWidth)
 
 	prol := Solve(g, Problem{
 		Bits: 1,
@@ -232,27 +248,34 @@ func NewOwnerFacts(bin *vm.Binary, fnIdx int) *OwnerFacts {
 		},
 	})
 
-	// Per-address snapshots: walk each block from its solved in-state.
 	of.reach = g.ReachableAddrs()
-	of.inAddr = make([]*BitSet, g.End-g.Start)
 	of.mustProl = make([]bool, g.End-g.Start)
-	cur := NewBitSet(bitsWidth)
 	for n := 0; n < g.NumNodes(); n++ {
 		lo, hi := g.BlockRange(n)
-		cur.Copy(sol.In[n])
 		prolDone := prol.In[n].Has(0)
 		for a := lo; a < hi; a++ {
-			snap := NewBitSet(bitsWidth)
-			snap.Copy(cur)
-			of.inAddr[a-g.Start] = snap
 			of.mustProl[a-g.Start] = prolDone
-			applyInstr(cur, a)
 			if bin.Code[a].Op == vm.OpProlog {
 				prolDone = true
 			}
 		}
 	}
 	return of
+}
+
+// stateAt returns the may-state entering addr (inside the function
+// range): the cursor, advanced to addr or replayed from the block's
+// in-state. It stays valid until the next query.
+func (of *OwnerFacts) stateAt(addr int) *BitSet {
+	n := of.cfg.BlockOf(addr)
+	if n != of.curBlock || addr < of.curAddr {
+		of.cur.Copy(of.blockIn[n])
+		of.curBlock, of.curAddr = n, of.cfg.blocks[n][0]
+	}
+	for ; of.curAddr < addr; of.curAddr++ {
+		of.apply(of.cur, of.curAddr)
+	}
+	return of.cur
 }
 
 // CFG returns the function's recovered control-flow graph.
@@ -289,7 +312,7 @@ func (of *OwnerFacts) MayOwn(addr int, st Storage, symID int32) bool {
 	if !ok {
 		return false
 	}
-	return of.inAddr[addr-of.cfg.Start].Has(si*of.nOwners + oi)
+	return of.stateAt(addr).Has(si*of.nOwners + oi)
 }
 
 // MustOwn reports whether every path to addr leaves storage st owned
@@ -304,7 +327,7 @@ func (of *OwnerFacts) MustOwn(addr int, st Storage, symID int32) bool {
 	if !ok {
 		return false
 	}
-	set := of.inAddr[addr-of.cfg.Start]
+	set := of.stateAt(addr)
 	for o := 0; o < of.nOwners; o++ {
 		if set.Has(si*of.nOwners+o) != (o == oi) {
 			return false
@@ -353,15 +376,11 @@ func (of *OwnerFacts) MayOwners(addr int, st Storage) []int32 {
 	if si < 0 || addr < of.cfg.Start || addr >= of.cfg.End {
 		return nil
 	}
-	rev := make([]int32, of.nOwners)
-	for v, i := range of.ownerIdx {
-		rev[i] = v
-	}
 	var out []int32
-	set := of.inAddr[addr-of.cfg.Start]
+	set := of.stateAt(addr)
 	for o := 0; o < of.nOwners; o++ {
 		if set.Has(si*of.nOwners + o) {
-			out = append(out, rev[o])
+			out = append(out, of.owners[o])
 		}
 	}
 	sortInt32(out)

@@ -40,8 +40,10 @@ func runMem2Reg(ctx *Context, f *ir.Func) bool {
 		}
 	}
 
-	// Insert phis at iterated dominance frontiers.
+	// Insert phis at iterated dominance frontiers. phis keeps creation
+	// order so the debug bindings below are planted deterministically.
 	phiSlot := map[*ir.Value]int{}
+	var phis []*ir.Value
 	for slot := 0; slot < f.NumSlots; slot++ {
 		work := append([]*ir.Block(nil), defBlocks[slot]...)
 		hasPhi := map[*ir.Block]bool{}
@@ -61,6 +63,7 @@ func runMem2Reg(ctx *Context, f *ir.Func) bool {
 				phi.Args = make([]*ir.Value, len(d.Preds))
 				d.Instrs = append([]*ir.Value{phi}, d.Instrs...)
 				phiSlot[phi] = slot
+				phis = append(phis, phi)
 				if !inWork[d] {
 					inWork[d] = true
 					work = append(work, d)
@@ -139,8 +142,8 @@ func runMem2Reg(ctx *Context, f *ir.Func) bool {
 
 	// Describe promoted variables across merges: a phi for a variable's
 	// slot defines the variable at the merge point.
-	for phi, slot := range phiSlot {
-		sym := f.SlotVars[slot]
+	for _, phi := range phis {
+		sym := f.SlotVars[phiSlot[phi]]
 		if sym == nil {
 			continue
 		}

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"debugtuner/internal/codegen"
 	"debugtuner/internal/ir"
 	"debugtuner/internal/staticdbg"
@@ -71,9 +73,9 @@ func (r *VerifyReport) VerifyErrs() []string {
 // clone (synthetic 100% baseline, see staticdbg.Inject); otherwise the
 // module's real front-end metadata is the baseline.
 //
-// Back-end stages cannot be observed mid-flight (codegen consumes its
-// input), so they are attributed by prefix compilation: the final IR is
-// compiled once per enabled backend toggle, each compile enabling one
+// Back-end stages cannot be observed mid-flight (one Compile call runs
+// them all), so they are attributed by prefix compilation: the final IR
+// is compiled once per enabled backend toggle, each compile enabling one
 // more toggle in pipeline order, and successive debug sections are
 // diffed. The always-on remainder (lowering, register allocation,
 // emission) is the "codegen" step. The extra compiles are the price of
@@ -116,11 +118,12 @@ func BuildVerifiedTamper(ir0 *ir.Program, cfg Config, debugify bool,
 	// "codegen" base step would take the blame. After each pass that
 	// actually changed the module (gated by a cheap structural
 	// fingerprint: an unchanged module compiles to the same binary), the
-	// live IR is compiled once at base options and the dataflow-rule
-	// findings diffed against the previous compile's. The input module's
-	// own compile seeds the set, so pre-existing debt charges to the
-	// front-end bucket, and the backend chain below starts from the
-	// mid-chain's final set rather than empty.
+	// live IR is compiled once at base options — Compile leaves it
+	// untouched — and only the flow-sensitive rules run on the binary;
+	// their findings are diffed against the previous compile's. The
+	// input module's own compile seeds the set, so pre-existing debt
+	// charges to the front-end bucket, and the backend chain below
+	// starts from the mid-chain's final set rather than empty.
 	baseOpts := codegen.Options{
 		OptimisticRanges: cfg.Profile == GCC,
 		ForProfiling:     cfg.ForProfiling,
@@ -130,7 +133,7 @@ func BuildVerifiedTamper(ir0 *ir.Program, cfg Config, debugify bool,
 	}
 	lastFP := irFingerprint(work)
 	midSet := map[string]bool{}
-	for _, v := range dataflowRules(staticdbg.CheckBinary(codegen.Compile(work.Clone(), baseOpts))) {
+	for _, v := range dataflowRules(staticdbg.CheckBinaryDataflow(codegen.Compile(work, baseOpts))) {
 		midSet[v.String()] = true
 		rep.InitialViolations = append(rep.InitialViolations, v)
 	}
@@ -152,7 +155,7 @@ func BuildVerifiedTamper(ir0 *ir.Program, cfg Config, debugify bool,
 		prevSet = violSet(vs)
 		if fp := irFingerprint(prog); fp != lastFP {
 			lastFP = fp
-			dfv := dataflowRules(staticdbg.CheckBinary(codegen.Compile(prog.Clone(), baseOpts)))
+			dfv := dataflowRules(staticdbg.CheckBinaryDataflow(codegen.Compile(prog, baseOpts)))
 			for _, v := range dfv {
 				if !midSet[v.String()] {
 					st.NewViolations = append(st.NewViolations, v)
@@ -195,12 +198,12 @@ func BuildVerifiedTamper(ir0 *ir.Program, cfg Config, debugify bool,
 	}
 	binPrevSurv := prevSurv
 	binPrevCode := 0
-	bin := codegen.Compile(prog.Clone(), mkOpts(0))
+	bin := codegen.Compile(prog, mkOpts(0))
 	step := backendStep("codegen", bl, bin, &binPrevSet, &binPrevSurv, &binPrevCode)
 	step.InstrDelta = 0 // lowering expansion is not churn
 	rep.Steps = append(rep.Steps, step)
 	for i := range toggles {
-		bin = codegen.Compile(prog.Clone(), mkOpts(i+1))
+		bin = codegen.Compile(prog, mkOpts(i+1))
 		rep.Steps = append(rep.Steps,
 			backendStep(toggles[i], bl, bin, &binPrevSet, &binPrevSurv, &binPrevCode))
 	}
@@ -269,12 +272,16 @@ func dataflowRules(vs []staticdbg.Violation) []staticdbg.Violation {
 }
 
 // irFingerprint hashes the module structure that codegen consumes —
-// function shapes, block order and edges, each value's op, operands,
-// line, and bound variable. Two modules with equal fingerprints compile
-// to the same base-options binary, so the mid-chain attribution loop
-// skips recompiling after passes that changed nothing (analysis-only
-// passes, no-op cleanups). Branch probabilities are deliberately
-// excluded: base options enable no frequency-driven backend stage.
+// function shapes, block order, edges and frequencies, each value's op,
+// operands, line, and bound variable. Two modules with equal
+// fingerprints compile to the same base-options binary, so the
+// mid-chain attribution loop skips recompiling after passes that
+// changed nothing (analysis-only passes, no-op cleanups). Block
+// frequencies are included because the always-on register allocator
+// weights its spill choice by them; a pass that only re-estimates them
+// (guess-branch-probability) can change the base binary. Branch
+// probabilities are excluded: only the optional block placement reads
+// them, and base options leave it off.
 func irFingerprint(prog *ir.Program) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -305,6 +312,7 @@ func irFingerprint(prog *ir.Program) uint64 {
 		mixInt(int64(f.NumSlots))
 		for _, b := range f.Blocks {
 			mixInt(int64(b.ID))
+			mix(math.Float64bits(b.Freq))
 			for _, s := range b.Succs {
 				mixInt(int64(s.ID))
 			}

@@ -1,12 +1,17 @@
 package pipeline
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"debugtuner/internal/codegen"
 	"debugtuner/internal/ir"
 	"debugtuner/internal/passes"
+	"debugtuner/internal/staticdbg"
 )
 
 const verifySrc = `
@@ -156,6 +161,55 @@ func TestBackendTogglesRespectDisabled(t *testing.T) {
 	for _, st := range rep0.Steps {
 		if st.Backend && st.Label != "codegen" {
 			t.Fatalf("O0 attributed backend toggle %q", st.Label)
+		}
+	}
+}
+
+// TestFingerprintGateSkipsOnlyNoOps: verify-each skips the mid-chain
+// compile after a pass whose module fingerprint equals the last
+// compiled one, on the promise that the base-options binary would be the
+// same. Check the promise on every step of a debugified build: each
+// skipped step must compile to the code and debug bytes of the last
+// compiled step. Block frequencies must be in the fingerprint — the
+// always-on register allocator weights spill choice by them — or steps
+// right after guess-branch-probability break it.
+func TestFingerprintGateSkipsOnlyNoOps(t *testing.T) {
+	src, err := os.ReadFile("../testsuite/programs/zlib.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := Frontend("zlib.mc", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir0, err := BuildIR(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Profile{GCC, Clang} {
+		cfg := verifyCfg(t, p, "O2")
+		work, _ := staticdbg.Inject(ir0)
+		opts := codegen.Options{OptimisticRanges: p == GCC}
+		digest := func(prog *ir.Program) string {
+			bin := codegen.Compile(prog, opts)
+			return codeDigest(bin) + fmt.Sprintf(" %x", sha256.Sum256(bin.Debug))
+		}
+		lastFP, lastBin := irFingerprint(work), digest(work)
+		skipped := 0
+		optimizeIR(work, cfg, func(label string, prog *ir.Program) {
+			fp, bin := irFingerprint(prog), digest(prog)
+			if fp != lastFP {
+				lastFP, lastBin = fp, bin
+				return
+			}
+			skipped++
+			if bin != lastBin {
+				t.Errorf("%s: gate skips %s, but its binary differs from the last compiled step's",
+					cfg.Name(), label)
+			}
+		})
+		if skipped == 0 {
+			t.Errorf("%s: the gate skipped no step", cfg.Name())
 		}
 	}
 }

@@ -30,14 +30,34 @@ func checkFunc(prog *ir.Program, f *ir.Func) []Violation {
 	}
 
 	// Positions of every value for same-block dominance, plus the value
-	// set for dangling-reference detection.
-	pos := map[*ir.Value]int{}
-	inFunc := map[*ir.Value]bool{}
+	// set for dangling-reference detection: dense by value ID, with the
+	// value whose ID is out of range or taken by another value (corrupt
+	// IR only) kept in an overflow map.
+	byID := make([]*ir.Value, f.NumValueIDs())
+	idPos := make([]int32, f.NumValueIDs())
+	var overflow map[*ir.Value]int
 	for _, b := range f.Blocks {
 		for i, v := range b.Instrs {
-			pos[v] = i
-			inFunc[v] = true
+			if v.ID >= 0 && v.ID < len(byID) && (byID[v.ID] == nil || byID[v.ID] == v) {
+				byID[v.ID], idPos[v.ID] = v, int32(i)
+				continue
+			}
+			if overflow == nil {
+				overflow = map[*ir.Value]int{}
+			}
+			overflow[v] = i
 		}
+	}
+	pos := func(v *ir.Value) (int, bool) {
+		if v.ID >= 0 && v.ID < len(byID) && byID[v.ID] == v {
+			return int(idPos[v.ID]), true
+		}
+		i, ok := overflow[v]
+		return i, ok
+	}
+	inFunc := func(v *ir.Value) bool {
+		_, ok := pos(v)
+		return ok
 	}
 	// Dominators and reachability are computed lazily: most modules have
 	// few dbg.values relative to instructions, and unreachable blocks
@@ -74,7 +94,7 @@ func checkFunc(prog *ir.Program, f *ir.Func) []Violation {
 				switch {
 				case a == nil:
 					bad(RuleDbgOrphan, v.String(), "dbg.value with nil bound value")
-				case !inFunc[a]:
+				case !inFunc(a):
 					bad(RuleDbgOrphan, v.String(),
 						"dangling reference to %v (value no longer in %s)", a, f.Name)
 				case !a.Op.HasResult():
@@ -89,7 +109,8 @@ func checkFunc(prog *ir.Program, f *ir.Func) []Violation {
 						break // dominance is meaningless off the CFG
 					}
 					if a.Block == v.Block {
-						if pos[a] > pos[v] {
+						pa, _ := pos(a)
+						if pv, _ := pos(v); pa > pv {
 							bad(RuleDbgDominance, v.String(),
 								"bound value %v defined after its binding in %v", a, v.Block)
 						}

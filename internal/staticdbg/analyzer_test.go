@@ -184,3 +184,24 @@ func TestViolationStringModuleLevel(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
+
+// TestValueIndexToleratesCollidingIDs: values are indexed by ID, and a
+// value whose ID another placed value already holds (a foreign value
+// spliced in by a buggy pass) must still count as placed, with its own
+// position: a binding to it is neither dangling nor out of order.
+func TestValueIndexToleratesCollidingIDs(t *testing.T) {
+	prog, f, b, sym := newModule()
+	c := f.NewValue(b, ir.OpConst, 1)
+	twin := &ir.Value{Op: ir.OpConst, ID: c.ID, Block: b, Line: 1}
+	d := f.NewValue(b, ir.OpDbgValue, 0, twin)
+	d.Var = sym
+	ret := f.NewValue(b, ir.OpRet, 1, c)
+	b.Instrs = append(b.Instrs, c, twin, d, ret)
+	if vs := staticdbg.CheckModule(prog); len(vs) != 0 {
+		t.Fatalf("colliding IDs misjudged: %v", staticdbg.Strings(vs))
+	}
+	// Bound before its definition: still caught through the overflow.
+	b.Instrs = []*ir.Value{c, d, twin, ret}
+	one(t, prog, staticdbg.RuleDbgDominance,
+		"[dbg-dominance] f v1: bound value v0 defined after its binding in b0")
+}

@@ -29,15 +29,32 @@ type LocVerdict struct {
 // materialize a value a Stale verdict constrains, and must always
 // materialize an extendable verdict's value at its Entry.End.
 func DataflowVerdicts(bin *vm.Binary) []LocVerdict {
+	_, vds := decodeDataflow(bin)
+	return vds
+}
+
+// CheckBinaryDataflow runs only the flow-sensitive rules of CheckBinary
+// (loc-stale, loc-extendable, line-unreachable), in the order CheckBinary
+// reports them. A binary whose debug section is missing or does not
+// decode yields nothing: that is CheckBinary's RuleSection finding.
+// Verify-each's mid-chain steps compare only these rules and call this
+// instead of the whole CheckBinary.
+func CheckBinaryDataflow(bin *vm.Binary) []Violation {
+	vs, _ := decodeDataflow(bin)
+	return vs
+}
+
+// decodeDataflow decodes the debug section and runs the flow-sensitive
+// rule set on it; nil results when there is no decodable section.
+func decodeDataflow(bin *vm.Binary) ([]Violation, []LocVerdict) {
 	if bin.Debug == nil {
-		return nil
+		return nil, nil
 	}
 	table, err := debuginfo.Decode(bin.Debug)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	_, vds := checkBinaryDataflow(bin, table)
-	return vds
+	return checkBinaryDataflow(bin, table)
 }
 
 // checkBinaryDataflow runs the flow-sensitive rule set — loc-stale,

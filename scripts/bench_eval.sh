@@ -3,7 +3,9 @@
 #
 # Three sections, all against `experiments -quick all`:
 #   compute   — wall-clock serial (-j 1) vs parallel (-j N) with the
-#               persistent cache disabled, plus telemetry overhead.
+#               persistent cache disabled, plus telemetry overhead: a
+#               -j 1 run with -trace and -metrics against the serial one,
+#               so the overhead holds no parallel speedup.
 #               The parallel-speedup claim is only emitted when the
 #               machine actually has more than one CPU; on a 1-CPU
 #               container the honest number is "extra workers cannot
@@ -59,8 +61,8 @@ else
     "$TMP/experiments" -quick -j "$JOBS" -cachedir off all >"$TMP/parallel.txt"
 fi
 
-echo "telemetry run (-j $JOBS -trace, cache off)..." >&2
-TELEMETRY=$(time_run "$TMP/telemetry.txt" -j "$JOBS" -cachedir off \
+echo "telemetry run (-j 1 -trace, cache off)..." >&2
+TELEMETRY=$(time_run "$TMP/telemetry.txt" -j 1 -cachedir off \
     -trace "$TMP/trace.json" -metrics "$TMP/metrics.json")
 OVERHEAD=$(awk -v s="$SERIAL" -v t="$TELEMETRY" \
     'BEGIN { printf "%.1f", 100 * (t - s) / s }')
@@ -88,12 +90,12 @@ fi
 # on, against the same matrix built plainly (-dbg-verify=false).
 echo "debugify run (verify-each on)..." >&2
 DSTART=$(date +%s.%N 2>/dev/null || date +%s)
-"$TMP/experiments" -j "$JOBS" debugify >"$TMP/debugify.txt"
+"$TMP/experiments" -j "$JOBS" -cachedir off debugify >"$TMP/debugify.txt"
 DEND=$(date +%s.%N 2>/dev/null || date +%s)
 VERIFY=$(awk -v a="$DSTART" -v b="$DEND" 'BEGIN { printf "%.1f", b - a }')
 echo "debugify baseline (plain builds)..." >&2
 DSTART=$(date +%s.%N 2>/dev/null || date +%s)
-"$TMP/experiments" -j "$JOBS" -dbg-verify=false debugify >/dev/null
+"$TMP/experiments" -j "$JOBS" -cachedir off -dbg-verify=false debugify >/dev/null
 DEND=$(date +%s.%N 2>/dev/null || date +%s)
 PLAIN=$(awk -v a="$DSTART" -v b="$DEND" 'BEGIN { printf "%.1f", b - a }')
 VERIFY_OVERHEAD=$(awk -v p="$PLAIN" -v v="$VERIFY" \
