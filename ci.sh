@@ -1,10 +1,11 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite, then the race detector on every
+# CI gate: gofmt, vet, build, full test suite, then the race detector on every
 # package that participates in the parallel evaluation engine, and
 # finally a bounded differential-testing smoke that must be byte-stable
 # across worker counts.
 set -eux
 
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
@@ -19,6 +20,7 @@ go test -race -count=1 \
     ./internal/evalcache/ \
     ./internal/resilience/ \
     ./internal/tuner/ \
+    ./internal/serve/ \
     ./internal/experiments/ \
     ./internal/specsuite/ \
     ./internal/testsuite/ \

@@ -119,7 +119,7 @@ func main() {
 			Name:     cfg.Name(),
 			Disabled: api.SortedNames(cfg.Disabled),
 			Product:  avg,
-			DeltaPct: 100 * (avg - ref) / ref,
+			DeltaPct: api.DeltaPct(avg, ref),
 		}
 		if *perf {
 			_, spd, err := specsuite.SuiteSpeedup(cfg, nil)

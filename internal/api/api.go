@@ -140,6 +140,17 @@ type TunedConfig struct {
 	Speedup *float64 `json:"speedup,omitempty"`
 }
 
+// DeltaPct returns TunedConfig.DeltaPct for a configuration whose
+// suite-average product is avg, against the reference product ref. A
+// reference that is not positive admits no relative change; the delta
+// is then 0.
+func DeltaPct(avg, ref float64) float64 {
+	if ref <= 0 {
+		return 0
+	}
+	return 100 * (avg - ref) / ref
+}
+
 // TuneResult is the /v1/tune response payload.
 type TuneResult struct {
 	Profile string `json:"profile"`

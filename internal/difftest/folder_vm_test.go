@@ -71,9 +71,9 @@ func TestFolderEdgeCaseAnchors(t *testing.T) {
 		{ir.OpRem, 7, 0, 0},
 		{ir.OpDiv, math.MinInt64, -1, math.MinInt64},
 		{ir.OpRem, math.MinInt64, -1, 0},
-		{ir.OpShl, 1, 64, 1},         // count masked to 0
-		{ir.OpShl, 1, 65, 2},         // count masked to 1
-		{ir.OpShr, -1, 63, -1},       // arithmetic shift
+		{ir.OpShl, 1, 64, 1},             // count masked to 0
+		{ir.OpShl, 1, 65, 2},             // count masked to 1
+		{ir.OpShr, -1, 63, -1},           // arithmetic shift
 		{ir.OpShl, 3, -1, math.MinInt64}, // -1 masks to 63; low set bit survives
 		{ir.OpMul, math.MaxInt64, 2, -2}, // wrapping
 	}

@@ -114,10 +114,10 @@ func TestDiskVersionMismatch(t *testing.T) {
 // and deletes the bad file instead of crashing or returning junk.
 func TestDiskCorruptEntries(t *testing.T) {
 	corruptions := map[string]func([]byte) []byte{
-		"truncated":  func(b []byte) []byte { return b[:len(b)/2] },
-		"empty":      func([]byte) []byte { return nil },
-		"not-json":   func([]byte) []byte { return []byte("%%%") },
-		"bad-sum":    func(b []byte) []byte { return []byte(strings.Replace(string(b), `"sum":"`, `"sum":"0`, 1)) },
+		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+		"empty":     func([]byte) []byte { return nil },
+		"not-json":  func([]byte) []byte { return []byte("%%%") },
+		"bad-sum":   func(b []byte) []byte { return []byte(strings.Replace(string(b), `"sum":"`, `"sum":"0`, 1)) },
 		"wrong-key": func(b []byte) []byte {
 			var env envelope
 			if err := json.Unmarshal(b, &env); err != nil {

@@ -74,6 +74,15 @@ type Context struct {
 	SampleMax int64
 }
 
+// Clone returns a copy of the context over a deep copy of its module,
+// so a paused pipeline can be resumed more than once. The settings are
+// copied by value; the sample profile is read-only and shared.
+func (ctx *Context) Clone() *Context {
+	c := *ctx
+	c.Prog = ctx.Prog.Clone()
+	return &c
+}
+
 // CallHeat classifies a call site's line under the sample profile:
 // +1 hot, -1 cold, 0 unknown/no profile.
 func (ctx *Context) CallHeat(line int) int {

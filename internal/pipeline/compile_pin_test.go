@@ -74,19 +74,20 @@ func blockShape(prog *ir.Program) []int {
 	return out
 }
 
-// TestCompileDigestsPinned builds every test-suite subject at O0 and at
-// every level of both profiles and compares the SHA-256 of each binary's
-// code (owner tags included) and of its debug section with the committed
-// list. It also asserts that codegen.Compile leaves its input module
-// untouched. Regenerate the list with `go test ./internal/pipeline -run
-// TestCompileDigestsPinned -update`; any change to it must be explained.
-func TestCompileDigestsPinned(t *testing.T) {
+type suiteSubject struct {
+	name string
+	ir0  *ir.Program
+}
+
+// loadSuite front-ends every test-suite subject, in name order.
+func loadSuite(t *testing.T) []suiteSubject {
+	t.Helper()
 	srcs, err := filepath.Glob("../testsuite/programs/*.mc")
 	if err != nil || len(srcs) == 0 {
 		t.Fatalf("no test-suite sources: %v", err)
 	}
 	sort.Strings(srcs)
-	var got []string
+	var out []suiteSubject
 	for _, path := range srcs {
 		name := strings.TrimSuffix(filepath.Base(path), ".mc")
 		src, err := os.ReadFile(path)
@@ -101,6 +102,21 @@ func TestCompileDigestsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, suiteSubject{name, ir0})
+	}
+	return out
+}
+
+// TestCompileDigestsPinned builds every test-suite subject at O0 and at
+// every level of both profiles and compares the SHA-256 of each binary's
+// code (owner tags included) and of its debug section with the committed
+// list. It also asserts that codegen.Compile leaves its input module
+// untouched. Regenerate the list with `go test ./internal/pipeline -run
+// TestCompileDigestsPinned -update`; any change to it must be explained.
+func TestCompileDigestsPinned(t *testing.T) {
+	var got []string
+	for _, s := range loadSuite(t) {
+		name, ir0 := s.name, s.ir0
 		for _, p := range []Profile{GCC, Clang} {
 			for _, level := range append([]string{"O0"}, Levels(p)...) {
 				cfg, err := NewConfig(p, level)

@@ -371,13 +371,17 @@ func OptimizeIR(ir0 *ir.Program, cfg Config) (*ir.Program, codegen.Options) {
 	return optimizeIR(ir0, cfg, nil)
 }
 
-// optimizeIR is OptimizeIR with an optional observation hook, called
-// after every executed middle-end pass with the ledger-style label
-// ("cleanup/<name>" for always-on runs) and the program in its
-// post-pass state. The verify-each mode hangs the static analyzer here;
-// a nil hook is the ordinary build path, unchanged.
+// optimizeIR is OptimizeIR with an optional observation hook (see
+// runPasses). The verify-each mode hangs the static analyzer there; a
+// nil hook is the ordinary build path.
 func optimizeIR(ir0 *ir.Program, cfg Config, hook func(label string, prog *ir.Program)) (*ir.Program, codegen.Options) {
-	prog := ir0.Clone()
+	ctx := newContext(ir0.Clone(), cfg)
+	runPasses(ctx, cfg, 0, nil, hook)
+	return ctx.Prog, backendOptions(cfg, backendToggles(cfg))
+}
+
+// newContext is the pass context a build of cfg starts from, over prog.
+func newContext(prog *ir.Program, cfg Config) *passes.Context {
 	ctx := &passes.Context{
 		Prog:    prog,
 		Salvage: cfg.Profile == Clang,
@@ -389,6 +393,71 @@ func optimizeIR(ir0 *ir.Program, cfg Config, hook func(label string, prog *ir.Pr
 		ctx.SampleLines = cfg.FDO.LineSamples
 		ctx.SampleMax = cfg.FDO.MaxLine()
 	}
+	if cfg.Level != "O0" {
+		configureInliner(ctx, cfg)
+	}
+	return ctx
+}
+
+// runPasses is the middle end's one pass loop. It runs cfg's enabled
+// middle-end entries from index from to the end of the pipeline on
+// ctx.Prog, then applies the FDO profile. before, when set, sees the
+// state ahead of every entry i >= from, run or skipped; hook, when set,
+// is called after every executed pass with the ledger-style label
+// ("cleanup/<name>" for always-on runs) and the program in its
+// post-pass state.
+func runPasses(ctx *passes.Context, cfg Config, from int,
+	before func(i int), hook func(label string, prog *ir.Program)) {
+	es := pipelines(cfg.Profile, cfg.Level)
+	for i := from; i < len(es); i++ {
+		if before != nil {
+			before(i)
+		}
+		e := es[i]
+		if e.backend || !e.enabled(cfg) {
+			continue
+		}
+		p := passes.Lookup(e.name)
+		if p == nil {
+			panic(fmt.Sprintf("pipeline: unknown pass %q", e.name))
+		}
+		label := e.name
+		if e.internal && telemetry.Enabled() {
+			// Ledger attribution for always-on cleanup runs is kept
+			// apart from the user-visible toggle of the same name.
+			label = "cleanup/" + e.name
+			ctx.RunLabel = label
+		}
+		ps := telemetry.Begin("pass", label)
+		p.Run(ctx)
+		ps.End()
+		ctx.RunLabel = ""
+		if hook != nil {
+			hl := e.name
+			if e.internal {
+				hl = "cleanup/" + e.name
+			}
+			hook(hl, ctx.Prog)
+		}
+	}
+	if cfg.FDO != nil {
+		autofdo.ApplyToIR(ctx.Prog, cfg.FDO)
+	}
+}
+
+// enabled reports whether the entry runs under cfg: a disabled toggle
+// removes all of its occurrences, "expensive-opts" removes every
+// expensive entry, and always-on entries cannot be disabled by name.
+func (e entry) enabled(cfg Config) bool {
+	if !e.internal && cfg.Disabled[e.name] {
+		return false
+	}
+	return !e.expensive || !cfg.Disabled["expensive-opts"]
+}
+
+// backendOptions returns cfg's code-generation options with the named
+// back-end toggles enabled.
+func backendOptions(cfg Config, toggles []string) codegen.Options {
 	opts := codegen.Options{
 		OptimisticRanges: cfg.Profile == GCC,
 		ForProfiling:     cfg.ForProfiling,
@@ -396,49 +465,22 @@ func optimizeIR(ir0 *ir.Program, cfg Config, hook func(label string, prog *ir.Pr
 	if cfg.OptimisticOverride != nil {
 		opts.OptimisticRanges = *cfg.OptimisticOverride
 	}
-	if cfg.Level != "O0" {
-		configureInliner(ctx, cfg)
-		disabled := func(name string) bool { return cfg.Disabled[name] }
-		expensiveOff := disabled("expensive-opts")
-		for _, e := range pipelines(cfg.Profile, cfg.Level) {
-			if !e.internal && disabled(e.name) {
-				continue
-			}
-			if e.expensive && expensiveOff {
-				continue
-			}
-			if e.backend {
-				enableBackend(&opts, e.name)
-				continue
-			}
-			p := passes.Lookup(e.name)
-			if p == nil {
-				panic(fmt.Sprintf("pipeline: unknown pass %q", e.name))
-			}
-			label := e.name
-			if e.internal && telemetry.Enabled() {
-				// Ledger attribution for always-on cleanup runs is kept
-				// apart from the user-visible toggle of the same name.
-				label = "cleanup/" + e.name
-				ctx.RunLabel = label
-			}
-			ps := telemetry.Begin("pass", label)
-			p.Run(ctx)
-			ps.End()
-			ctx.RunLabel = ""
-			if hook != nil {
-				hl := e.name
-				if e.internal {
-					hl = "cleanup/" + e.name
-				}
-				hook(hl, prog)
-			}
+	for _, name := range toggles {
+		enableBackend(&opts, name)
+	}
+	return opts
+}
+
+// backendToggles returns the enabled backend toggle names of the
+// configuration, in pipeline order.
+func backendToggles(cfg Config) []string {
+	var names []string
+	for _, e := range pipelines(cfg.Profile, cfg.Level) {
+		if e.backend && e.enabled(cfg) {
+			names = append(names, e.name)
 		}
 	}
-	if cfg.FDO != nil {
-		autofdo.ApplyToIR(prog, cfg.FDO)
-	}
-	return prog, opts
+	return names
 }
 
 // configureInliner sets the Context inlining knobs for the level,

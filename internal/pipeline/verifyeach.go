@@ -124,13 +124,7 @@ func BuildVerifiedTamper(ir0 *ir.Program, cfg Config, debugify bool,
 	// input module's own compile seeds the set, so pre-existing debt
 	// charges to the front-end bucket, and the backend chain below
 	// starts from the mid-chain's final set rather than empty.
-	baseOpts := codegen.Options{
-		OptimisticRanges: cfg.Profile == GCC,
-		ForProfiling:     cfg.ForProfiling,
-	}
-	if cfg.OptimisticOverride != nil {
-		baseOpts.OptimisticRanges = *cfg.OptimisticOverride
-	}
+	baseOpts := backendOptions(cfg, nil)
 	lastFP := irFingerprint(work)
 	midSet := map[string]bool{}
 	for _, v := range dataflowRules(staticdbg.CheckBinaryDataflow(codegen.Compile(work, baseOpts))) {
@@ -179,31 +173,18 @@ func BuildVerifiedTamper(ir0 *ir.Program, cfg Config, debugify bool,
 	// start from an empty set: the "codegen" base step owns everything
 	// the always-on stages introduce.
 	toggles := backendToggles(cfg)
-	mkOpts := func(n int) codegen.Options {
-		o := codegen.Options{
-			OptimisticRanges: cfg.Profile == GCC,
-			ForProfiling:     cfg.ForProfiling,
-		}
-		if cfg.OptimisticOverride != nil {
-			o.OptimisticRanges = *cfg.OptimisticOverride
-		}
-		for _, name := range toggles[:n] {
-			enableBackend(&o, name)
-		}
-		return o
-	}
 	binPrevSet := make(map[string]bool, len(midSet))
 	for s := range midSet {
 		binPrevSet[s] = true
 	}
 	binPrevSurv := prevSurv
 	binPrevCode := 0
-	bin := codegen.Compile(prog, mkOpts(0))
+	bin := codegen.Compile(prog, baseOpts)
 	step := backendStep("codegen", bl, bin, &binPrevSet, &binPrevSurv, &binPrevCode)
 	step.InstrDelta = 0 // lowering expansion is not churn
 	rep.Steps = append(rep.Steps, step)
 	for i := range toggles {
-		bin = codegen.Compile(prog, mkOpts(i+1))
+		bin = codegen.Compile(prog, backendOptions(cfg, toggles[:i+1]))
 		rep.Steps = append(rep.Steps,
 			backendStep(toggles[i], bl, bin, &binPrevSet, &binPrevSurv, &binPrevCode))
 	}
@@ -233,29 +214,6 @@ func backendStep(label string, bl *staticdbg.Baseline, bin *vm.Binary,
 	st.InstrDelta = len(bin.Code) - *prevCode
 	*prevCode = len(bin.Code)
 	return st
-}
-
-// backendToggles returns the enabled backend toggle names of the
-// configuration, in pipeline order.
-func backendToggles(cfg Config) []string {
-	if cfg.Level == "O0" {
-		return nil
-	}
-	expensiveOff := cfg.Disabled["expensive-opts"]
-	var names []string
-	for _, e := range pipelines(cfg.Profile, cfg.Level) {
-		if !e.backend {
-			continue
-		}
-		if !e.internal && cfg.Disabled[e.name] {
-			continue
-		}
-		if e.expensive && expensiveOff {
-			continue
-		}
-		names = append(names, e.name)
-	}
-	return names
 }
 
 // dataflowRules keeps only the flow-sensitive non-advisory binary

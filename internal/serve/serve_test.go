@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"debugtuner/internal/api"
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/telemetry"
 )
 
@@ -305,5 +307,54 @@ func TestDrain(t *testing.T) {
 	}
 	if err := <-drained; err != nil {
 		t.Errorf("drain: %v", err)
+	}
+}
+
+// loopThenTail spends its first few hundred VM steps in a loop, so a
+// small step budget truncates its traces before the tail runs.
+const loopThenTail = `func main() {
+	var acc: int = 0;
+	for (var i: int = 0; i < 200; i = i + 1) {
+		acc = acc + i * 3;
+	}
+	var tail: int = acc % 7;
+	var more: int = tail * tail + acc;
+	print(tail);
+	print(more);
+}
+`
+
+// TestTuneBudgetKeyed: the step budget changes trace truncation and so
+// the answer. A response, measurement or matrix cell computed under one
+// budget must not answer the same request under another, in memory or
+// through a shared disk store.
+func TestTuneBudgetKeyed(t *testing.T) {
+	d, err := evalcache.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(d)
+	body := fmt.Sprintf(`{"v":1,"profile":"gcc","level":"O2","units":[{"name":"budgeted","source":%q}]}`,
+		loopThenTail)
+	tune := func(budget int64) *api.TuneResult {
+		t.Helper()
+		resp, raw := post(t, New(Options{Budget: budget}).Handler(), "/v1/tune", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("budget %d: HTTP %d: %s", budget, resp.StatusCode, raw)
+		}
+		env, err := api.DecodeEnvelope(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.Tune
+	}
+	full, short := tune(0), tune(500)
+	if full.Reference.Product == short.Reference.Product {
+		t.Fatalf("budgets 500 and default share reference product %.4f: a cached answer crossed budgets",
+			full.Reference.Product)
+	}
+	if again := tune(500); !reflect.DeepEqual(again, short) {
+		t.Fatal("a restarted budget-500 server answered differently from its disk store")
 	}
 }

@@ -122,14 +122,15 @@ type Server struct {
 
 // New returns a server over a fresh Service. When a default disk store
 // is bound (evalcache.SetDefaultDisk), responses persist across
-// restarts under a version-scoped namespace.
+// restarts under a namespace scoped by API version and step budget.
 func New(opts Options) *Server {
 	s := &Server{
 		Svc:   &Service{Budget: opts.Budget},
 		opts:  opts,
 		slots: make(chan struct{}, opts.maxInflight()),
 	}
-	s.resp.SetDisk(evalcache.DefaultDisk(), fmt.Sprintf("tunerd.resp.v%d", api.Version))
+	s.resp.SetDisk(evalcache.DefaultDisk(),
+		fmt.Sprintf("tunerd.resp.v%d.b%d", api.Version, s.Svc.budget()))
 	return s
 }
 

@@ -141,15 +141,11 @@ func (sv *Service) Tune(req *api.TuneRequest) (*api.TuneResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		delta := 0.0
-		if ref > 0 {
-			delta = 100 * (avg - ref) / ref
-		}
 		res.Configs = append(res.Configs, api.TunedConfig{
 			Name:     cfg.Name(),
 			Disabled: api.SortedNames(cfg.Disabled),
 			Product:  avg,
-			DeltaPct: delta,
+			DeltaPct: api.DeltaPct(avg, ref),
 		})
 	}
 	return res, nil

@@ -38,9 +38,9 @@ type Program struct {
 	mu       sync.Mutex
 	baseline *dbgtrace.Trace
 	stmt     map[int]bool
-	// scores content-addresses full measurements by config fingerprint,
-	// so table generators revisiting the same Ox-dy configuration reuse
-	// one build+trace. Safe because builds are deterministic and the VM
+	// scores content-addresses full measurements by cell key (config
+	// fingerprint and step budget), so table generators revisiting the
+	// same Ox-dy configuration reuse one build+trace. Safe because builds are deterministic and the VM
 	// is cycle-exact.
 	scores evalcache.Cache[Measurement]
 }
@@ -69,11 +69,10 @@ func LoadProgram(name string, src []byte, inputs map[string][][]int64) (*Program
 		Inputs: inputs, Entry: "main", Budget: 1 << 26,
 	}
 	// Persist measurements across processes when a disk store is bound.
-	// The namespace carries the subject identity and source hash; with
-	// the config fingerprint as the in-memory key, a disk entry is valid
-	// exactly when a recompute would reproduce it.
-	p.scores.SetDisk(evalcache.DefaultDisk(),
-		fmt.Sprintf("tuner|%s#%016x", name, resilience.HashBytes(src)))
+	// Keys are cell keys (subject, source hash, step budget, config
+	// fingerprint), so a disk entry is valid exactly when a recompute
+	// would reproduce it.
+	p.scores.SetDisk(evalcache.DefaultDisk(), "tuner.scores")
 	return p, nil
 }
 
@@ -172,20 +171,21 @@ func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
 				return p.measure(cfg)
 			})
 	}
-	return p.scores.Do(fp, func() (Measurement, error) {
+	key := p.CellKey(fp)
+	return p.scores.Do(key, func() (Measurement, error) {
 		return resilience.Run(resilience.Active(), context.Background(),
-			p.CellKey(fp), func(context.Context) (Measurement, error) {
+			key, func(context.Context) (Measurement, error) {
 				return p.measure(cfg)
 			})
 	})
 }
 
-// CellKey is the resilience journal/quarantine key of one
-// (program, config) measurement: program name and source hash × config
-// fingerprint, stable across processes so a resumed run addresses the
-// same cells.
+// CellKey is the cache, journal and quarantine key of one
+// (program, config) measurement: program name and source hash × VM step
+// budget (it truncates the traces) × config fingerprint, stable across
+// processes so a resumed run addresses the same cells.
 func (p *Program) CellKey(fp string) string {
-	return fmt.Sprintf("tuner|%s#%016x|%s", p.Name, resilience.HashBytes(p.Src), fp)
+	return fmt.Sprintf("tuner|%s#%016x|b%d|%s", p.Name, resilience.HashBytes(p.Src), p.Budget, fp)
 }
 
 func (p *Program) measure(cfg pipeline.Config) (Measurement, error) {

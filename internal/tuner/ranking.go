@@ -2,11 +2,14 @@ package tuner
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"debugtuner/internal/evalcache"
+	"debugtuner/internal/ir"
 	"debugtuner/internal/metrics"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
@@ -71,21 +74,23 @@ func (la *LevelAnalysis) Quarantined() int {
 }
 
 // effectCache persists the (program, pass-toggle) ranking-matrix cells.
-// A cell is a pure function of its key — subject source hash × config
-// fingerprint (which carries profile, level, and the disabled pass) ×
-// tool identity (added by the disk layer) — because builds are
-// deterministic, the VM is cycle-exact, and the reference measurement
-// the increment is computed against is itself a function of the same
-// source and level. The matrix dominates cold-run time, so persisting
-// cells is what makes warm reruns fast. Quarantined cells surface as
-// errors and are never persisted.
+// A cell is a pure function of its key — subject source hash × VM step
+// budget × config fingerprint (which carries profile, level, and the
+// disabled pass) × tool identity (added by the disk layer) — because
+// builds are deterministic, the VM is cycle-exact, and the reference
+// measurement the increment is computed against is itself a function of
+// the same source, budget and level. The matrix dominates cold-run time,
+// so persisting cells is what makes warm reruns fast. Quarantined cells
+// surface as errors and are never persisted.
 var effectCache evalcache.Cache[PassEffect]
 
 var effectDiskOnce sync.Once
 
 // AnalyzeLevel runs DebugTuner stage 1+2 for one profile/level: build the
 // reference, rebuild once per disabled pass (pruning .text-identical
-// builds), measure, and rank.
+// builds), measure, and rank. Each rebuild resumes from the program's
+// fork set (pipeline.Forks) at the pass's first divergence from the
+// reference pipeline.
 //
 // The (program × pass) build+trace matrix is embarrassingly parallel and
 // fans out over the workerpool in two waves — per-program references
@@ -146,15 +151,26 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 	effectDiskOnce.Do(func() {
 		effectCache.SetDisk(evalcache.DefaultDisk(), "tuner.effect")
 	})
+	forks := make([]programForks, len(live))
+	for i := range forks {
+		forks[i].left.Store(int32(len(passNames)))
+	}
 	cells, err := workerpool.Map(ctx, jobs, func(ctx context.Context, _ int, j matrixJob) (PassEffect, error) {
 		p := live[j.pi]
+		pf := &forks[j.pi]
+		defer pf.cellDone()
 		cfg := pipeline.MustConfig(profile, level,
 			pipeline.Disable(passNames[j.xi]))
 		fp, _ := cfg.Fingerprint()
-		eff, err := effectCache.Do(p.CellKey(fp), func() (PassEffect, error) {
-			return resilience.Run(resilience.Active(), ctx, p.CellKey(fp),
+		key := p.CellKey(fp)
+		eff, err := effectCache.Do(key, func() (PassEffect, error) {
+			return resilience.Run(resilience.Active(), ctx, key,
 				func(context.Context) (PassEffect, error) {
-					bin := p.Build(cfg)
+					fs, err := pf.get(p.IR0, refCfg, passNames)
+					if err != nil {
+						return PassEffect{}, fmt.Errorf("%s: %w", p.Name, err)
+					}
+					bin := fs.Build(passNames[j.xi])
 					// Stage-1 optimization: identical .text means the pass had
 					// no effect on this program; skip trace extraction (§III.A).
 					if bin.TextHash() == liveRefs[j.pi].TextHash {
@@ -212,6 +228,51 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 		}
 	}
 	return la, nil
+}
+
+// newForks builds a program's fork set; tests replace it to fail.
+var newForks = pipeline.NewForks
+
+// programForks is one program's fork set within AnalyzeLevel: built on
+// the program's first matrix cell that misses the effect cache, shared
+// by its other cells, and dropped after its last cell, so warm runs
+// build none and at most the in-flight programs' snapshots are live.
+type programForks struct {
+	mu   sync.Mutex
+	fs   *pipeline.Forks
+	err  error
+	left atomic.Int32 // cells not yet finished
+}
+
+// get returns the fork set, building it on first use. A panic in the
+// build becomes the error every caller gets, so each cell's resilience
+// wrapper handles it as that cell's failure.
+func (pf *programForks) get(ir0 *ir.Program, ref pipeline.Config, toggles []string) (*pipeline.Forks, error) {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	if pf.fs == nil && pf.err == nil {
+		pf.fs, pf.err = buildForks(ir0, ref, toggles)
+	}
+	return pf.fs, pf.err
+}
+
+func buildForks(ir0 *ir.Program, ref pipeline.Config, toggles []string) (fs *pipeline.Forks, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("fork set: panic: %v", r)
+		}
+	}()
+	return newForks(ir0, ref, toggles), nil
+}
+
+// cellDone records a finished cell and drops the fork set after the
+// program's last one.
+func (pf *programForks) cellDone() {
+	if pf.left.Add(-1) == 0 {
+		pf.mu.Lock()
+		pf.fs = nil
+		pf.mu.Unlock()
+	}
 }
 
 // rank computes per-program rankings and aggregates by average rank.

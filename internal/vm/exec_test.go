@@ -67,29 +67,29 @@ func fusionBinary() *Binary {
 		Funcs: []FuncInfo{{Name: "main", Start: 0, End: 24, NumSlots: 4}},
 		Code: []Instr{
 			{Op: OpProlog},
-			{Op: OpConst, D: 0, Imm: 9},               // 1
-			{Op: OpStoreSlot, A: 0, Imm: 0},           // 2: jump target (loop head)
-			{Op: OpLoadSlot, D: 1, Imm: 0},            // 3: loadslot+binimm pair (intra-pair stall)
+			{Op: OpConst, D: 0, Imm: 9},                     // 1
+			{Op: OpStoreSlot, A: 0, Imm: 0},                 // 2: jump target (loop head)
+			{Op: OpLoadSlot, D: 1, Imm: 0},                  // 3: loadslot+binimm pair (intra-pair stall)
 			{Op: OpBinImm, Sub: BinAdd, A: 1, D: 1, Imm: 1}, // 4
 			{Op: OpBinImm, Sub: BinRem, A: 1, D: 2, Imm: 5}, // 5: binimm+store pair
-			{Op: OpStoreSlot, A: 2, Imm: 1},           // 6
-			{Op: OpLoadSlot, D: 2, Imm: 1},            // 7: loadslot+bin pair (intra-pair stall)
-			{Op: OpBin, Sub: BinAdd, A: 2, B: 1, D: 3}, // 8
-			{Op: OpPrint, A: 3},                       // 9
+			{Op: OpStoreSlot, A: 2, Imm: 1},                 // 6
+			{Op: OpLoadSlot, D: 2, Imm: 1},                  // 7: loadslot+bin pair (intra-pair stall)
+			{Op: OpBin, Sub: BinAdd, A: 2, B: 1, D: 3},      // 8
+			{Op: OpPrint, A: 3},                             // 9
 			{Op: OpBinImm, Sub: BinSub, A: 0, D: 0, Imm: 1}, // 10: binimm+br pair
-			{Op: OpBr, A: 0, Imm: 2},                  // 11: loop back edge
-			{Op: OpLoadSlot, D: 1, Imm: 0},            // 12: load feeding the NEXT pair head (stall into pair)
-			{Op: OpBin, Sub: BinLt, A: 1, B: 0, D: 2}, // 13: bin+br pair, reads loaded r1 -> stall
-			{Op: OpBr, A: 2, Imm: 16},                 // 14
-			{Op: OpPrint, A: 1},                       // 15
-			{Op: OpConst, D: 3, Imm: 77},              // 16: jump target
-			{Op: OpStoreSlot, A: 3, Imm: 2},           // 17
-			{Op: OpLoadSlot, D: 3, Imm: 2},            // 18: loadslot+loadslot pair
-			{Op: OpLoadSlot, D: 1, Imm: 0},            // 19
+			{Op: OpBr, A: 0, Imm: 2},                        // 11: loop back edge
+			{Op: OpLoadSlot, D: 1, Imm: 0},                  // 12: load feeding the NEXT pair head (stall into pair)
+			{Op: OpBin, Sub: BinLt, A: 1, B: 0, D: 2},       // 13: bin+br pair, reads loaded r1 -> stall
+			{Op: OpBr, A: 2, Imm: 16},                       // 14
+			{Op: OpPrint, A: 1},                             // 15
+			{Op: OpConst, D: 3, Imm: 77},                    // 16: jump target
+			{Op: OpStoreSlot, A: 3, Imm: 2},                 // 17
+			{Op: OpLoadSlot, D: 3, Imm: 2},                  // 18: loadslot+loadslot pair
+			{Op: OpLoadSlot, D: 1, Imm: 0},                  // 19
 			{Op: OpBinImm, Sub: BinMul, A: 3, D: 3, Imm: 2}, // 20: binimm+binimm pair
 			{Op: OpBinImm, Sub: BinAdd, A: 3, D: 3, Imm: 1}, // 21
-			{Op: OpPrint, A: 3},                       // 22
-			{Op: OpRet},                               // 23
+			{Op: OpPrint, A: 3},                             // 22
+			{Op: OpRet},                                     // 23
 		},
 	}
 }
@@ -117,8 +117,8 @@ func TestJumpIntoPairTail(t *testing.T) {
 			{Op: OpProlog},
 			{Op: OpConst, D: 0, Imm: 5},
 			{Op: OpStoreSlot, A: 0, Imm: 0},
-			{Op: OpJmp, Imm: 5}, // jumps into the tail of the (loadslot, binimm) pair below
-			{Op: OpLoadSlot, D: 1, Imm: 0}, // pair head: must NOT run on the jump path
+			{Op: OpJmp, Imm: 5},                              // jumps into the tail of the (loadslot, binimm) pair below
+			{Op: OpLoadSlot, D: 1, Imm: 0},                   // pair head: must NOT run on the jump path
 			{Op: OpBinImm, Sub: BinAdd, A: 1, D: 1, Imm: 10}, // pair tail and jump target
 			{Op: OpPrint, A: 1},
 			{Op: OpRet},
