@@ -110,24 +110,34 @@ func BenchmarkCompileO2(b *testing.B) {
 	}
 }
 
-// BenchmarkVMExecution measures raw interpreter throughput on deepsjeng.
+// BenchmarkVMExecution measures VM throughput on the mix quick-all's
+// timing runs see: the 8 SPEC stand-ins' ref workloads at gcc O0 and
+// gcc O2, one op running all 16.
 func BenchmarkVMExecution(b *testing.B) {
-	ir0, err := specsuite.LoadIR("531.deepsjeng")
-	if err != nil {
-		b.Fatal(err)
+	var bins []*vm.Binary
+	for _, name := range specsuite.Names {
+		ir0, err := specsuite.LoadIR(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, lvl := range []string{"O0", "O2"} {
+			bins = append(bins, pipeline.Build(ir0, pipeline.MustConfig(pipeline.GCC, lvl)))
+		}
 	}
-	bin := pipeline.Build(ir0, pipeline.MustConfig(pipeline.Clang, "O2"))
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		m := vm.New(bin)
-		m.StepBudget = 1 << 33
-		if _, err := m.Call("main"); err != nil {
-			b.Fatal(err)
+		for _, bin := range bins {
+			m := vm.New(bin)
+			m.StepBudget = 1 << 33
+			if _, err := m.Call("main"); err != nil {
+				b.Fatal(err)
+			}
+			steps += m.Steps
 		}
-		steps = m.Steps
 	}
-	b.ReportMetric(float64(steps), "instructions/op")
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 }
 
 // BenchmarkDebugTrace measures a full temporary-breakpoint session.

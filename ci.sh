@@ -79,20 +79,22 @@ grep -q '^PASS$' /tmp/ci-resume.txt
 rm -f /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
     /tmp/ci-chaos.jsonl /tmp/ci-resume.txt
 
-# Persistent-cache smoke: a cold quick-all into a fresh cache directory,
-# then a warm rerun from it — the warm run must be byte-identical and
-# measurably faster (it skips every fingerprinted build+trace). Then
-# corrupt one entry in place: the store must self-heal (recompute the
-# cell, delete the bad file) and still produce identical output. Last, a
-# -j 4 run with the cache disabled proves stdout depends on neither the
-# cache nor the worker count — this is also the determinism gate for the
-# direct-threaded/fused interpreter cores, which quick-all exercises on
-# every uninstrumented VM run.
+# Persistent-cache smoke: a cold quick-all into a fresh cache directory
+# must reproduce the committed golden (any diff to it is explained in
+# CHANGES.md), then a warm rerun from it — the warm run must be
+# byte-identical and measurably faster (it skips every fingerprinted
+# build+trace). Then corrupt one entry in place: the store must
+# self-heal (recompute the cell, delete the bad file) and still produce
+# identical output. Last, a -j 4 run with the cache disabled proves
+# stdout depends on neither the cache nor the worker count. The golden
+# is also the exactness gate for the VM's block core, which every
+# quick-all table runs on.
 go build -o /tmp/ci-experiments ./cmd/experiments
 rm -rf /tmp/ci-cache
 T0=$(date +%s)
 /tmp/ci-experiments -quick -j 1 -cachedir /tmp/ci-cache all > /tmp/ci-cold.txt
 T1=$(date +%s)
+cmp /tmp/ci-cold.txt testdata/golden/quick-all.txt
 /tmp/ci-experiments -quick -j 1 -cachedir /tmp/ci-cache all > /tmp/ci-warm.txt
 T2=$(date +%s)
 cmp /tmp/ci-cold.txt /tmp/ci-warm.txt

@@ -179,14 +179,22 @@ func newCLI(name string) *cli {
 	return c
 }
 
-// applyQuick shrinks the knobs the way the -quick flag promises.
+// applyQuick shrinks the knobs the way the -quick flag promises. An
+// explicitly set -synth or -execs keeps its value.
 func (c *cli) applyQuick() {
-	if *c.quick {
-		c.opts.SynthCount = 20
-		c.opts.CorpusExecs = 120
-		c.opts.Dy = []int{3, 5}
-		c.opts.SpecSubset = []string{"505.mcf", "531.deepsjeng", "557.xz"}
+	if !*c.quick {
+		return
 	}
+	set := map[string]bool{}
+	c.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["synth"] {
+		c.opts.SynthCount = 20
+	}
+	if !set["execs"] {
+		c.opts.CorpusExecs = 120
+	}
+	c.opts.Dy = []int{3, 5}
+	c.opts.SpecSubset = []string{"505.mcf", "531.deepsjeng", "557.xz"}
 }
 
 // Profiling state flushed by stopProfiles on every exit path.

@@ -2,93 +2,212 @@ package difftest
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"debugtuner/internal/debuginfo"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/specsuite"
 	"debugtuner/internal/testsuite"
 	"debugtuner/internal/vm"
 )
 
-// engineObs is one engine's complete observable machine state over a
-// subject's full run protocol: the print stream and return values the
-// behavior oracle compares, plus every cost counter the experiment
-// tables are derived from.
-type engineObs struct {
-	Output []int64
-	Rets   []int64
-	Cycles int64
-	Steps  int64
-	Stall  int64
-	ICM    int64
-	Taken  int64
-	Fall   int64
-	Jmps   int64
-	Slots  int64
-	Errs   []string
+// breakObs is what an OnBreak handler observes at a stop.
+type breakObs struct {
+	Addr     int
+	Owner    [vm.NumRegs]int32
+	SlotOwn  []int32
+	Prologue bool
 }
 
-// observeEngine runs the subject's protocol with a forced execution
-// engine, accumulating counters across all harness inputs.
-func observeEngine(s *Subject, bin *vm.Binary, eng vm.Engine, budget int64) engineObs {
+// engineObs is one engine's complete observable machine state over a
+// subject's full run protocol: the print stream and return values the
+// behavior oracle compares, every cost counter the experiment tables
+// are derived from, and the PC samples, coverage edges and breakpoint
+// observations the instrumented consumers read.
+type engineObs struct {
+	Output  []int64
+	Rets    []int64
+	Cycles  int64
+	Steps   int64
+	Stall   int64
+	ICM     int64
+	Taken   int64
+	Fall    int64
+	Jmps    int64
+	Slots   int64
+	Errs    []string
+	Samples []int
+	Edges   map[uint64]int64
+	Breaks  []breakObs
+}
+
+// instrument is the instrumentation one observation run installs.
+type instrument struct {
+	sampleEvery int64
+	coverage    bool
+	// debugger runs every input on one machine under the debugger's
+	// temporary-breakpoint protocol; otherwise each input gets a fresh
+	// machine, as the cycle-counting harnesses do.
+	debugger bool
+}
+
+// instruments are the observation runs every case is compared under.
+var instruments = []instrument{
+	{},
+	{sampleEvery: 1},
+	{sampleEvery: 7, coverage: true},
+	{sampleEvery: 997, coverage: true, debugger: true},
+	{coverage: true, debugger: true},
+}
+
+// observeEngine runs the subject's protocol (or entry, for bin without a
+// subject) with a forced execution engine, accumulating counters across
+// all harness inputs.
+func observeEngine(t *testing.T, s *Subject, bin *vm.Binary, eng vm.Engine, budget int64, ins instrument) engineObs {
 	var obs engineObs
-	run := func(name string, args ...int64) {
+	var shared *vm.Machine
+	machine := func() *vm.Machine {
+		if shared != nil {
+			return shared
+		}
 		m := vm.New(bin)
 		m.Engine = eng
 		m.StepBudget = budget
+		m.SampleEvery = ins.sampleEvery
+		if ins.coverage {
+			m.EnableCoverage()
+		}
+		if ins.debugger {
+			tab, err := debuginfo.Decode(bin.Debug)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lineAddrs := tab.BreakAddrs()
+			for _, addrs := range lineAddrs {
+				for _, a := range addrs {
+					m.SetBreak(int(a))
+				}
+			}
+			m.OnBreak = func(m *vm.Machine, addr int) {
+				line := int(tab.LineForAddr(uint32(addr)))
+				if line <= 0 {
+					m.ClearBreak(addr)
+					return
+				}
+				fr := m.Frame()
+				obs.Breaks = append(obs.Breaks, breakObs{
+					Addr: addr, Owner: fr.Owner,
+					SlotOwn:  append([]int32(nil), fr.SlotOwn...),
+					Prologue: fr.PrologueDone,
+				})
+				for _, a := range lineAddrs[line] {
+					m.ClearBreak(int(a))
+				}
+			}
+			shared = m
+		}
+		return m
+	}
+	done := func(m *vm.Machine) {
+		if m == shared {
+			return
+		}
+		obs.collect(m)
+	}
+	run := func(name string, args ...int64) {
+		m := machine()
 		ret, err := m.Call(name, args...)
-		obs.Output = append(obs.Output, m.Output()...)
 		if err != nil {
 			obs.Errs = append(obs.Errs, err.Error())
 		} else {
 			obs.Rets = append(obs.Rets, ret)
 		}
-		obs.Cycles += m.Cycles
-		obs.Steps += m.Steps
-		obs.Stall += m.StallCycles
-		obs.ICM += m.ICacheMisses
-		obs.Taken += m.TakenBr
-		obs.Fall += m.FallBr
-		obs.Jmps += m.JmpsRun
-		obs.Slots += m.SlotOpsRun
+		done(m)
 	}
-	if len(s.Harnesses) == 0 {
-		run(s.entry())
-		return obs
-	}
-	for _, h := range s.Harnesses {
-		for _, in := range s.Inputs[h] {
-			m := vm.New(bin)
-			m.Engine = eng
-			m.StepBudget = budget
-			hd := m.NewArray(in)
-			ret, err := m.Call(h, hd, int64(len(in)))
-			obs.Output = append(obs.Output, m.Output()...)
-			if err != nil {
-				obs.Errs = append(obs.Errs, err.Error())
-			} else {
-				obs.Rets = append(obs.Rets, ret)
-			}
-			obs.Cycles += m.Cycles
-			obs.Steps += m.Steps
-			obs.Stall += m.StallCycles
-			obs.ICM += m.ICacheMisses
-			obs.Taken += m.TakenBr
-			obs.Fall += m.FallBr
-			obs.Jmps += m.JmpsRun
-			obs.Slots += m.SlotOpsRun
+	if s == nil || len(s.Harnesses) == 0 {
+		entry := "main"
+		if s != nil {
+			entry = s.entry()
 		}
+		run(entry)
+	} else {
+		for _, h := range s.Harnesses {
+			for _, in := range s.Inputs[h] {
+				m := machine()
+				hd := m.NewArray(in)
+				ret, err := m.Call(h, hd, int64(len(in)))
+				if err != nil {
+					obs.Errs = append(obs.Errs, err.Error())
+				} else {
+					obs.Rets = append(obs.Rets, ret)
+				}
+				done(m)
+			}
+		}
+	}
+	if shared != nil {
+		obs.collect(shared)
 	}
 	return obs
 }
 
-// TestFusedVsUnfusedOverCorpus is the tentpole differential: every
-// test-suite program plus a band of synth seeds, built at both ends of
-// the optimization range, must produce bit-identical observable machine
-// state — output, return values, and the full cost-counter vector — on
-// the reference switch interpreter, the plain direct-threaded core, and
-// the superinstruction core. Any fusion bug that perturbs semantics or
-// the cycle model (which feeds every experiment table) fails here.
-func TestFusedVsUnfusedOverCorpus(t *testing.T) {
+// collect adds one machine's output and counters to the observation.
+func (obs *engineObs) collect(m *vm.Machine) {
+	obs.Output = append(obs.Output, m.Output()...)
+	obs.Cycles += m.Cycles
+	obs.Steps += m.Steps
+	obs.Stall += m.StallCycles
+	obs.ICM += m.ICacheMisses
+	obs.Taken += m.TakenBr
+	obs.Fall += m.FallBr
+	obs.Jmps += m.JmpsRun
+	obs.Slots += m.SlotOpsRun
+	obs.Samples = append(obs.Samples, m.Samples...)
+	for e, n := range m.CovEdges {
+		if obs.Edges == nil {
+			obs.Edges = map[uint64]int64{}
+		}
+		obs.Edges[e] += n
+	}
+}
+
+// diffObs names the first field on which two observations differ.
+func diffObs(ref, got engineObs) string {
+	rv, gv := reflect.ValueOf(ref), reflect.ValueOf(got)
+	for i := 0; i < rv.NumField(); i++ {
+		if !reflect.DeepEqual(rv.Field(i).Interface(), gv.Field(i).Interface()) {
+			r, g := fmt.Sprint(rv.Field(i).Interface()), fmt.Sprint(gv.Field(i).Interface())
+			return fmt.Sprintf("%s: ref %.300s\n got %.300s", rv.Type().Field(i).Name, r, g)
+		}
+	}
+	return ""
+}
+
+// checkBlockCore compares the block core with the reference engine on
+// one binary under every instrumentation.
+func checkBlockCore(t *testing.T, label string, s *Subject, bin *vm.Binary, budget int64, ins []instrument) {
+	t.Helper()
+	for _, in := range ins {
+		ref := observeEngine(t, s, bin, vm.EngineReference, budget, in)
+		got := observeEngine(t, s, bin, vm.EngineAuto, budget, in)
+		if d := diffObs(ref, got); d != "" {
+			t.Errorf("%s %+v: block core diverges from reference on %s", label, in, d)
+		}
+	}
+}
+
+// TestBlockCoreVsReferenceOverCorpus is the block core's differential:
+// every test-suite program plus a band of synth seeds, built at both
+// ends of the optimization range, must produce bit-identical observable
+// machine state on the reference switch interpreter and the block core
+// — output, return values, errors, the full cost-counter vector, PC
+// samples at three periods, coverage edges, and every breakpoint stop
+// of a debugger session (which also runs many Calls on one machine).
+// Any block-formation or summary bug that perturbs semantics, the cycle
+// model (which feeds every experiment table) or debugger observations
+// fails here.
+func TestBlockCoreVsReferenceOverCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep is the long differential")
 	}
@@ -103,88 +222,74 @@ func TestFusedVsUnfusedOverCorpus(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		subjects = append(subjects, SynthSubject(seed))
 	}
-	configs := []pipeline.Config{
-		pipeline.MustConfig(pipeline.GCC, "O0"),
-		pipeline.MustConfig(pipeline.GCC, "O2"),
-		pipeline.MustConfig(pipeline.Clang, "O3"),
-	}
 	for _, s := range subjects {
-		ir0, _, err := s.frontend()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		for _, cfg := range configs {
-			bin := pipeline.Build(ir0, cfg)
-			ref := observeEngine(s, bin, vm.EngineReference, DefaultBudget)
-			for eng, label := range map[vm.Engine]string{
-				vm.EnginePlain: "plain",
-				vm.EngineFused: "fused",
-			} {
-				got := observeEngine(s, bin, eng, DefaultBudget)
-				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", ref) {
-					t.Errorf("%s [%s] %s engine diverges from reference:\n ref %+v\n got %+v",
-						s.Name, cfg.Name(), label, ref, got)
-				}
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			ir0, _, err := s.frontend()
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
 			}
-		}
+			for _, cfg := range engineConfigs {
+				bin := pipeline.Build(ir0, cfg)
+				checkBlockCore(t, s.Name+" ["+cfg.Name()+"]", s, bin, DefaultBudget, instruments)
+			}
+		})
 	}
 }
 
-// TestPairHistogramCoversFusedPairs validates the superinstruction
-// selection empirically: over the real corpus at O0 and O2 (the two
-// ends of the experiment matrix), every pair in the fused set must be
-// dynamically hot (each at least 1% of executed pairs), so the fusion
-// table tracks measured pair frequencies rather than guesses.
-func TestPairHistogramCoversFusedPairs(t *testing.T) {
-	hist := map[uint16]int64{}
-	var total int64
-	for _, lvl := range []string{"O0", "O2"} {
-		cfg := pipeline.MustConfig(pipeline.GCC, lvl)
-		for _, name := range testsuite.Names {
-			s, err := SuiteSubject(name, 0)
+// TestBlockCoreStepBudgetSweep ends runs at budgets spread over a whole
+// corpus run, so the budget expires inside blocks, on their last
+// instruction and inside callees.
+func TestBlockCoreStepBudgetSweep(t *testing.T) {
+	s, err := SuiteSubject(testsuite.Names[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir0, _, err := s.frontend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := pipeline.Build(ir0, pipeline.MustConfig(pipeline.GCC, "O2"))
+	full := observeEngine(t, s, bin, vm.EngineReference, DefaultBudget, instrument{})
+	first := full.Steps / int64(len(full.Rets)+len(full.Errs))
+	for budget := int64(1); budget < first; budget = budget*3/2 + 1 {
+		checkBlockCore(t, fmt.Sprintf("budget %d", budget), s, bin, budget, instruments[:4])
+	}
+	// Every step of a short window: each offset inside a block.
+	for budget := first / 2; budget < first/2+40; budget++ {
+		checkBlockCore(t, fmt.Sprintf("budget %d", budget), s, bin, budget, instruments[:1])
+	}
+}
+
+// TestBlockCoreVsReferenceOnSpec runs the SPEC stand-ins' ref workloads
+// (the timing runs behind Tables VIII, XI and XII and the AutoFDO
+// study) on both engines.
+func TestBlockCoreVsReferenceOnSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SPEC ref workloads are the long differential")
+	}
+	names := append(append([]string(nil), specsuite.Names...), "selfcomp")
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ir0, err := specsuite.LoadIR(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ir0, _, err := s.frontend()
-			if err != nil {
-				t.Fatal(err)
+			for _, cfg := range engineConfigs {
+				bin := pipeline.Build(ir0, cfg)
+				checkBlockCore(t, name+" ["+cfg.Name()+"]", nil, bin, 1<<33, []instrument{
+					{},
+					{sampleEvery: 997, coverage: true, debugger: true},
+				})
 			}
-			bin := pipeline.Build(ir0, cfg)
-			for _, h := range s.Harnesses {
-				for _, in := range s.Inputs[h] {
-					m := vm.New(bin)
-					m.EnablePairCounts()
-					m.StepBudget = DefaultBudget
-					hd := m.NewArray(in)
-					if _, err := m.Call(h, hd, int64(len(in))); err != nil {
-						t.Fatalf("%s/%s: %v", name, h, err)
-					}
-					for k, v := range m.PairCounts {
-						hist[k] += v
-						total += v
-					}
-				}
-			}
-		}
+		})
 	}
-	if total == 0 {
-		t.Fatal("no dynamic pairs observed")
-	}
-	key := func(a, b vm.Op) uint16 { return uint16(a)<<8 | uint16(b) }
-	fused := []uint16{
-		key(vm.OpBin, vm.OpBr),
-		key(vm.OpBinImm, vm.OpBr),
-		key(vm.OpBinImm, vm.OpStoreSlot),
-		key(vm.OpBinImm, vm.OpBinImm),
-		key(vm.OpLoadSlot, vm.OpBin),
-		key(vm.OpLoadSlot, vm.OpBinImm),
-		key(vm.OpLoadSlot, vm.OpLoadSlot),
-	}
-	for _, k := range fused {
-		share := float64(hist[k]) / float64(total)
-		if share < 0.01 {
-			t.Errorf("fused pair %v->%v covers %.2f%% of dynamic pairs, want >= 1%%",
-				vm.Op(k>>8), vm.Op(k&0xff), 100*share)
-		}
-	}
+}
+
+// engineConfigs span the optimization range the experiments measure.
+var engineConfigs = []pipeline.Config{
+	pipeline.MustConfig(pipeline.GCC, "O0"),
+	pipeline.MustConfig(pipeline.GCC, "O2"),
+	pipeline.MustConfig(pipeline.Clang, "O3"),
 }

@@ -7,7 +7,10 @@ package tuner
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"sync"
 
 	"debugtuner/internal/dbgtrace"
@@ -69,9 +72,9 @@ func LoadProgram(name string, src []byte, inputs map[string][][]int64) (*Program
 		Inputs: inputs, Entry: "main", Budget: 1 << 26,
 	}
 	// Persist measurements across processes when a disk store is bound.
-	// Keys are cell keys (subject, source hash, step budget, config
-	// fingerprint), so a disk entry is valid exactly when a recompute
-	// would reproduce it.
+	// Keys are cell keys (subject, source hash, inputs digest, step
+	// budget, config fingerprint), so a disk entry is valid exactly when
+	// a recompute would reproduce it.
 	p.scores.SetDisk(evalcache.DefaultDisk(), "tuner.scores")
 	return p, nil
 }
@@ -181,11 +184,42 @@ func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
 }
 
 // CellKey is the cache, journal and quarantine key of one
-// (program, config) measurement: program name and source hash × VM step
+// (program, config) measurement: program name and source hash × harness
+// inputs and entry (the corpus budget changes the inputs) × VM step
 // budget (it truncates the traces) × config fingerprint, stable across
 // processes so a resumed run addresses the same cells.
 func (p *Program) CellKey(fp string) string {
-	return fmt.Sprintf("tuner|%s#%016x|b%d|%s", p.Name, resilience.HashBytes(p.Src), p.Budget, fp)
+	return fmt.Sprintf("tuner|%s#%016x|in%016x|b%d|%s",
+		p.Name, resilience.HashBytes(p.Src), p.inputsDigest(), p.Budget, fp)
+}
+
+// inputsDigest hashes what the traces run: the harness names in sorted
+// order, each with its input vectors, then the entry function.
+func (p *Program) inputsDigest() uint64 {
+	h := fnv.New64a()
+	var w [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(w[:], x)
+		h.Write(w[:])
+	}
+	names := make([]string, 0, len(p.Inputs))
+	for name := range p.Inputs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		word(uint64(len(name)))
+		h.Write([]byte(name))
+		word(uint64(len(p.Inputs[name])))
+		for _, in := range p.Inputs[name] {
+			word(uint64(len(in)))
+			for _, x := range in {
+				word(uint64(x))
+			}
+		}
+	}
+	h.Write([]byte(p.Entry))
+	return h.Sum64()
 }
 
 func (p *Program) measure(cfg pipeline.Config) (Measurement, error) {

@@ -1,561 +1,334 @@
-// Direct-threaded execution cores. See decode.go for the predecoding
-// that builds the handler streams and machine.go (referenceRun) for the
-// executable specification these cores are differentially tested
-// against: identical output, cycles, steps, stalls, icache misses, and
-// branch/slot/jump counters on every program, locked by exec_test.go and
-// difftest's fused-vs-unfused corpus sweep.
+// Block-at-a-time execution core. See decode.go for block formation and
+// machine.go (referenceRun) for the executable specification this core
+// is differentially tested against: identical output, cycles, steps,
+// stalls, i-cache misses, branch/slot/jump counters, PC samples,
+// coverage edges and breakpoint observations on every program.
 package vm
 
 import "fmt"
 
-// fail traps the current dispatch loop with an error.
-func (m *Machine) fail(err error) {
-	m.trap = err
-	m.stop = true
-}
-
-// execFast runs the superinstruction stream with no per-step
-// instrumentation checks. Selected when no breakpoints, coverage,
-// sampling, or pair counting are active.
-func (m *Machine) execFast(code []dinstr) (int64, error) {
-	m.stop = false
-	m.trap = nil
+// exec runs the active Call one block at a time. A block, with the
+// blocks its jump links lead through, is charged its steps, static
+// cycles and i-cache lines up front and then runs with no
+// per-instruction bookkeeping, unless one of three triggers sends it
+// down the per-step path: it holds a live breakpoint, it could reach
+// the next sample boundary, or it cannot finish inside the step budget.
+func (m *Machine) exec() (int64, error) {
+	p := m.Bin.prog()
+	bi := p.blockOf[m.pc]
 	for {
-		d := &code[m.pc]
-		m.Steps++
-		if m.Steps > m.StepBudget {
-			return 0, ErrStepBudget
+		b := &p.blocks[bi]
+		// Owner tags are only read by OnBreak, and no breakpoint can be
+		// added during a Call except by OnBreak, so once none can fire
+		// the rest of the Call skips their bookkeeping. Jump links are
+		// followed only then, so a breakpoint count stays per block.
+		watched := m.OnBreak != nil && m.nbreaks > 0
+		s, link := &b.chain, b.link
+		if watched {
+			s, link = &b.own, -1
 		}
-		m.icache(int(d.pc))
-		if m.lastLoadMask&d.readMask != 0 {
-			m.Cycles += costLoadUse
-			m.StallCycles += costLoadUse
-		}
-		if d.pre != nil {
-			fr := m.fr
-			for _, t := range d.pre {
-				m.applyTag(fr, t)
-			}
-		}
-		d.fn(m, d)
-		if m.stop {
-			if m.trap != nil {
-				return 0, m.trap
-			}
-			return m.retVal, nil
-		}
-		if d.post != nil {
-			fr := m.fr
-			for _, t := range d.post {
-				m.applyTag(fr, t)
-			}
-		}
-		m.lastLoadMask = d.loadBit
-	}
-}
-
-// execInstr runs the unfused stream with the full per-step
-// instrumentation of the reference interpreter: breakpoints, address
-// coverage, and the opcode-pair histogram.
-func (m *Machine) execInstr(code []dinstr) (int64, error) {
-	m.stop = false
-	m.trap = nil
-	for {
-		d := &code[m.pc]
-		m.Steps++
-		if m.Steps > m.StepBudget {
-			return 0, ErrStepBudget
-		}
-		if m.breaks != nil && m.breaks[d.pc] != 0 && m.OnBreak != nil {
-			m.OnBreak(m, int(d.pc))
-		}
-		if m.CovAddrs != nil {
-			m.CovAddrs[int(d.pc)] = true
-		}
-		if m.PairCounts != nil {
-			m.PairCounts[uint16(m.prevOp)<<8|uint16(d.op)]++
-			m.prevOp = d.op
-		}
-		m.icache(int(d.pc))
-		if m.lastLoadMask&d.readMask != 0 {
-			m.Cycles += costLoadUse
-			m.StallCycles += costLoadUse
-		}
-		if d.pre != nil {
-			fr := m.fr
-			for _, t := range d.pre {
-				m.applyTag(fr, t)
-			}
-		}
-		d.fn(m, d)
-		if m.stop {
-			if m.trap != nil {
-				return 0, m.trap
-			}
-			return m.retVal, nil
-		}
-		if d.post != nil {
-			fr := m.fr
-			for _, t := range d.post {
-				m.applyTag(fr, t)
-			}
-		}
-		m.lastLoadMask = d.loadBit
-	}
-}
-
-// ---- Plain handlers: one per opcode, 1:1 with referenceRun's switch ----
-
-var plainHandlers = [...]func(*Machine, *dinstr){
-	OpNop:       hNop,
-	OpProlog:    hProlog,
-	OpConst:     hConst,
-	OpMov:       hMov,
-	OpBin:       hBin,
-	OpBinImm:    hBinImm,
-	OpNeg:       hNeg,
-	OpNot:       hNot,
-	OpSelect:    hSelect,
-	OpLoadSlot:  hLoadSlot,
-	OpStoreSlot: hStoreSlot,
-	OpLoadParam: hLoadParam,
-	OpGLoad:     hGLoad,
-	OpGStore:    hGStore,
-	OpNewArr:    hNewArr,
-	OpALoad:     hALoad,
-	OpAStore:    hAStore,
-	OpLen:       hLen,
-	OpVLoad2:    hVLoad2,
-	OpVBin:      hVBin,
-	OpVStore2:   hVStore2,
-	OpArg:       hArg,
-	OpCall:      hCall,
-	OpRet:       hRet,
-	OpJmp:       hJmp,
-	OpBr:        hBr,
-	OpPrint:     hPrint,
-}
-
-func hBadOp(m *Machine, d *dinstr) {
-	m.fail(fmt.Errorf("vm: bad opcode %v at %d", d.op, d.pc))
-}
-
-func hNop(m *Machine, d *dinstr) {
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hProlog(m *Machine, d *dinstr) {
-	fr := m.fr
-	fr.PrologueDone = true
-	m.charge(2 + int64(len(fr.Slots))/8)
-	m.pc = int(d.next)
-}
-
-func hConst(m *Machine, d *dinstr) {
-	m.setReg(m.fr, d.dd, d.imm, 0)
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hMov(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, fr.Regs[d.a], fr.Lanes[d.a])
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hBin(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, evalBin(d.sub, fr.Regs[d.a], fr.Regs[d.b]), 0)
-	m.charge(d.cost)
-	m.pc = int(d.next)
-}
-
-func hBinImm(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, evalBin(d.sub, fr.Regs[d.a], d.imm), 0)
-	m.charge(d.cost)
-	m.pc = int(d.next)
-}
-
-func hNeg(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, -fr.Regs[d.a], 0)
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hNot(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, b2i(fr.Regs[d.a] == 0), 0)
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hSelect(m *Machine, d *dinstr) {
-	fr := m.fr
-	v := fr.Regs[d.c]
-	if fr.Regs[d.a] != 0 {
-		v = fr.Regs[d.b]
-	}
-	m.setReg(fr, d.dd, v, 0)
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hLoadSlot(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, fr.Slots[d.imm], 0)
-	m.charge(costLoad)
-	m.SlotOpsRun++
-	m.pc = int(d.next)
-}
-
-func hStoreSlot(m *Machine, d *dinstr) {
-	fr := m.fr
-	fr.Slots[d.imm] = fr.Regs[d.a]
-	fr.SlotOwn[d.imm] = 0
-	m.charge(costStore)
-	m.SlotOpsRun++
-	m.pc = int(d.next)
-}
-
-func hLoadParam(m *Machine, d *dinstr) {
-	fr := m.fr
-	var v int64
-	if int(d.imm) < len(fr.Params) {
-		v = fr.Params[d.imm]
-	}
-	m.setReg(fr, d.dd, v, 0)
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hGLoad(m *Machine, d *dinstr) {
-	m.setReg(m.fr, d.dd, m.Globals[d.imm], 0)
-	m.charge(costLoad)
-	m.pc = int(d.next)
-}
-
-func hGStore(m *Machine, d *dinstr) {
-	m.Globals[d.imm] = m.fr.Regs[d.a]
-	m.charge(costStore)
-	m.pc = int(d.next)
-}
-
-func hNewArr(m *Machine, d *dinstr) {
-	fr := m.fr
-	n := fr.Regs[d.a]
-	if n < 0 {
-		n = 0
-	}
-	if m.HeapBudget > 0 && m.heapWords+n > m.HeapBudget {
-		m.fail(ErrHeapBudget)
-		return
-	}
-	m.setReg(fr, d.dd, m.alloc(fr.Regs[d.a]), 0)
-	m.charge(costNewArrMin + n/8)
-	m.pc = int(d.next)
-}
-
-func hALoad(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, m.aload(fr.Regs[d.a], fr.Regs[d.b]), 0)
-	m.charge(costLoad)
-	m.pc = int(d.next)
-}
-
-func hAStore(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.astore(fr.Regs[d.a], fr.Regs[d.b], fr.Regs[d.c])
-	m.charge(costStore)
-	m.pc = int(d.next)
-}
-
-func hLen(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, int64(len(m.Heap(fr.Regs[d.a]))), 0)
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hVLoad2(m *Machine, d *dinstr) {
-	fr := m.fr
-	h, idx := fr.Regs[d.a], fr.Regs[d.b]
-	m.setReg(fr, d.dd, m.aload(h, idx), m.aload(h, idx+1))
-	m.charge(costVLoad)
-	m.pc = int(d.next)
-}
-
-func hVBin(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd,
-		evalBin(d.sub, fr.Regs[d.a], fr.Regs[d.b]),
-		evalBin(d.sub, fr.Lanes[d.a], fr.Lanes[d.b]))
-	m.charge(d.cost)
-	m.pc = int(d.next)
-}
-
-func hVStore2(m *Machine, d *dinstr) {
-	fr := m.fr
-	h, idx := fr.Regs[d.a], fr.Regs[d.b]
-	m.astore(h, idx, fr.Regs[d.c])
-	m.astore(h, idx+1, fr.Lanes[d.c])
-	m.charge(costVStore)
-	m.pc = int(d.next)
-}
-
-func hArg(m *Machine, d *dinstr) {
-	m.argBuf = append(m.argBuf, m.fr.Regs[d.a])
-	m.charge(costDefault)
-	m.pc = int(d.next)
-}
-
-func hCall(m *Machine, d *dinstr) {
-	callee := &m.Bin.Funcs[d.fidx]
-	fr := m.newFrame(int(d.fidx), callee.NumSlots, int(d.next), d.dd)
-	fr.Params = append(fr.Params, m.argBuf...)
-	m.argBuf = m.argBuf[:0]
-	fr.retTags = d.ownAll
-	m.frames = append(m.frames, fr)
-	m.fr = fr
-	m.charge(costCallBase + costCallArg*int64(len(fr.Params)))
-	m.edge(int(d.pc), int(d.tgt))
-	m.pc = int(d.tgt)
-}
-
-func hRet(m *Machine, d *dinstr) {
-	fr := m.fr
-	var rv int64
-	if d.sub != 0 {
-		rv = fr.Regs[d.a]
-	}
-	ret := fr.retAddr
-	rr := fr.retReg
-	retTags := fr.retTags
-	m.frames = m.frames[:len(m.frames)-1]
-	m.charge(costRet)
-	if len(m.frames) == m.depth0 {
-		if n := len(m.frames); n > 0 {
-			m.fr = m.frames[n-1]
+		var next int32
+		var err error
+		if m.Steps+int64(s.steps) > m.StepBudget ||
+			watched && m.bcount[bi] != 0 ||
+			m.SampleEvery > 0 && m.Cycles+int64(s.bound) >= m.nextSample {
+			next, err = m.stepBlock(p, bi)
 		} else {
-			m.fr = nil
+			m.Steps += int64(s.steps)
+			if m.lastLoadMask&b.readMask != 0 {
+				m.Cycles += costLoadUse
+				m.StallCycles += costLoadUse
+			}
+			m.Cycles += int64(s.cycles)
+			m.StallCycles += int64(s.stalls)
+			m.SlotOpsRun += int64(s.slots)
+			m.JmpsRun += int64(s.jmps)
+			fr := m.frames[len(m.frames)-1]
+			c := bi
+			for {
+				cb := &p.blocks[c]
+				m.icache(int(cb.start))
+				if first := cb.start >> icacheLineShift; (cb.end-1)>>icacheLineShift != first {
+					m.moreLines(int(first), int(cb.end-1)>>icacheLineShift)
+				}
+				if link < 0 {
+					break
+				}
+				if cb.end-cb.start > 1 {
+					m.body(p.code[cb.start:cb.end-1], fr)
+				}
+				m.edge(int(cb.end-1), int(p.blocks[link].start))
+				c, link = link, p.blocks[link].link
+			}
+			cb := &p.blocks[c]
+			if in := &p.code[cb.end-1]; cb.term && Op(in.op) == OpBr {
+				// Branches end most blocks. Running them here, as run's
+				// OpBr case does, saves a call per block.
+				if cb.end-cb.start > 1 {
+					m.body(p.code[cb.start:cb.end-1], fr)
+				}
+				i := int(cb.end) - 1
+				m.pc = i
+				if (fr.Regs[in.a] != 0) != (in.sub != 0) {
+					m.charge(costBrTaken)
+					m.TakenBr++
+					m.edge(i, int(in.imm))
+					next = cb.next
+				} else {
+					m.charge(costBrFall)
+					m.FallBr++
+					m.edge(i, i+1)
+					next = cb.fall
+				}
+			} else {
+				next, err = m.run(p, c, int(cb.start), int(cb.end), fr, watched)
+			}
+			switch {
+			case next >= 0:
+				m.lastLoadMask = cb.loadOut
+				if watched {
+					applyFx(fr, p.blockFx(m.Bin.Code)[bi])
+				}
+			case cb.end-cb.start > 1:
+				// An outermost return or a trap leaves the load state of
+				// the instruction before it, as the per-step loop does.
+				m.lastLoadMask = loadBit(&m.Bin.Code[cb.end-2])
+			case c != bi:
+				m.lastLoadMask = 0 // that instruction was a jump
+			}
 		}
+		if next < 0 {
+			return m.retVal, err
+		}
+		bi = next
+	}
+}
+
+// moreLines checks, in order, the i-cache lines of a block after its
+// first line, up to last.
+func (m *Machine) moreLines(first, last int) {
+	for l := first + 1; l <= last; l++ {
+		m.icache(l << icacheLineShift)
+	}
+}
+
+// stepBlock runs block bi one instruction at a time with the reference
+// loop's per-step bookkeeping, and returns the block execution continues
+// at (-1 once the Call is over).
+func (m *Machine) stepBlock(p *prog, bi int32) (int32, error) {
+	b := &p.blocks[bi]
+	for pc := int(b.start); ; pc++ {
+		in := &m.Bin.Code[pc]
+		m.pc = pc
+		m.Steps++
+		if m.Steps > m.StepBudget {
+			return -1, ErrStepBudget
+		}
+		if m.breaks != nil && m.breaks[pc] != 0 && m.OnBreak != nil {
+			m.OnBreak(m, pc)
+		}
+		m.icache(pc)
+		if m.lastLoadMask&readMask(in) != 0 {
+			m.Cycles += costLoadUse
+			m.StallCycles += costLoadUse
+		}
+		if in.Op == OpLoadSlot || in.Op == OpStoreSlot {
+			m.SlotOpsRun++
+		}
+		if c := stepCost(in); c != 0 {
+			m.charge(c)
+		}
+		fr := m.frames[len(m.frames)-1]
+		watched := m.OnBreak != nil && m.nbreaks > 0
+		next, err := m.run(p, bi, pc, pc+1, fr, watched)
+		if next < 0 {
+			return next, err
+		}
+		if watched {
+			m.fxBuf = ownerFx(m.fxBuf[:0], in)
+			applyFx(fr, m.fxBuf)
+		}
+		m.lastLoadMask = loadBit(in)
+		if pc+1 == int(b.end) {
+			return next, nil
+		}
+	}
+}
+
+// run executes the semantics of code[lo:hi], a run of block bi, in
+// frame fr, charging only dynamic costs. Only the block's last
+// instruction can transfer control, trap or charge. run returns the
+// block execution continues at (bi itself for a run that stops short
+// of the block's end), or -1 once the outermost frame has returned (its
+// value in m.retVal) or a trap ends the Call. When watched, a return
+// also writes the caller's owner tags; the frame's own are left to the
+// caller.
+func (m *Machine) run(p *prog, bi int32, lo, hi int, fr *Frame, watched bool) (int32, error) {
+	b := &p.blocks[bi]
+	if hi < int(b.end) || !b.term {
+		m.body(p.code[lo:hi], fr)
+		if hi < int(b.end) {
+			return bi, nil
+		}
+		return b.fall, nil
+	}
+	i := hi - 1
+	if i > lo {
+		m.body(p.code[lo:i], fr)
+	}
+	in := &p.code[i]
+	m.pc = i
+	switch Op(in.op) {
+	case OpBr:
+		if (fr.Regs[in.a] != 0) != (in.sub != 0) {
+			m.charge(costBrTaken)
+			m.TakenBr++
+			m.edge(i, int(in.imm))
+			return b.next, nil
+		}
+		m.charge(costBrFall)
+		m.FallBr++
+		m.edge(i, hi)
+	case OpJmp:
+		m.JmpsRun++
+		m.edge(i, int(in.imm))
+		return b.next, nil
+	case OpProlog:
+		fr.PrologueDone = true
+		m.charge(2 + int64(len(fr.Slots))/8)
+	case OpCall:
+		callee := &m.Bin.Funcs[in.imm]
+		nf := m.newFrame(int(in.imm), callee.NumSlots, hi, in.d)
+		nf.Params = append(nf.Params, m.argBuf...)
+		m.argBuf = m.argBuf[:0]
+		nf.retTags = m.Bin.Code[i].Own
+		m.frames = append(m.frames, nf)
+		m.charge(costCallBase + costCallArg*int64(len(nf.Params)))
+		m.edge(i, callee.Start)
+		return b.next, nil
+	case OpRet:
+		var rv int64
+		if in.sub != 0 {
+			rv = fr.Regs[in.a]
+		}
+		ret, rr, retTags := fr.retAddr, fr.retReg, fr.retTags
+		m.frames = m.frames[:len(m.frames)-1]
 		m.freeFrame(fr)
-		m.retVal = rv
-		m.stop = true
-		// pc stays on the return site, matching the reference loop.
-		return
+		if len(m.frames) == m.depth0 {
+			m.retVal = rv
+			return -1, nil
+		}
+		caller := m.frames[len(m.frames)-1]
+		caller.Regs[rr], caller.Lanes[rr] = rv, 0
+		if watched {
+			// The caller's side of the return: its result register loses
+			// its owner, then the call's and return's post tags land.
+			caller.Owner[rr] = 0
+			for _, t := range retTags {
+				if !t.Pre {
+					m.applyTag(caller, t)
+				}
+			}
+			for _, t := range m.Bin.Code[i].Own {
+				if !t.Pre {
+					m.applyTag(caller, t)
+				}
+			}
+		}
+		m.edge(i, ret)
+		return p.blockOf[ret], nil
+	case OpNewArr:
+		n := max(fr.Regs[in.a], 0)
+		if m.HeapBudget > 0 && m.heapWords+n > m.HeapBudget {
+			return -1, ErrHeapBudget
+		}
+		fr.Regs[in.d], fr.Lanes[in.d] = m.alloc(fr.Regs[in.a]), 0
+		m.charge(costNewArrMin + n/8)
+	default:
+		return -1, fmt.Errorf("vm: bad opcode %v at %d", m.Bin.Code[i].Op, i)
 	}
-	caller := m.frames[len(m.frames)-1]
-	m.fr = caller
-	m.setReg(caller, rr, rv, 0)
-	for _, t := range retTags {
-		if !t.Pre {
-			m.applyTag(caller, t)
+	return b.fall, nil
+}
+
+// body runs straight-line instructions in frame fr. None of them
+// charges a cost, traps or transfers control.
+func (m *Machine) body(code []xinstr, fr *Frame) {
+	regs, lanes := &fr.Regs, &fr.Lanes
+	for k := range code {
+		in := &code[k]
+		switch in.op {
+		case uint8(OpConst):
+			regs[in.d], lanes[in.d] = in.imm, 0
+		case uint8(OpMov):
+			regs[in.d], lanes[in.d] = regs[in.a], lanes[in.a]
+		case xBin + BinAdd:
+			regs[in.d], lanes[in.d] = regs[in.a]+regs[in.b], 0
+		case xBin + BinSub:
+			regs[in.d], lanes[in.d] = regs[in.a]-regs[in.b], 0
+		case xBin + BinMul:
+			regs[in.d], lanes[in.d] = regs[in.a]*regs[in.b], 0
+		case xBin + BinLt:
+			regs[in.d], lanes[in.d] = b2i(regs[in.a] < regs[in.b]), 0
+		case xBin + BinEq:
+			regs[in.d], lanes[in.d] = b2i(regs[in.a] == regs[in.b]), 0
+		case xBinImm + BinAdd:
+			regs[in.d], lanes[in.d] = regs[in.a]+in.imm, 0
+		case xBinImm + BinSub:
+			regs[in.d], lanes[in.d] = regs[in.a]-in.imm, 0
+		case xBinImm + BinMul:
+			regs[in.d], lanes[in.d] = regs[in.a]*in.imm, 0
+		case xBinImm + BinLt:
+			regs[in.d], lanes[in.d] = b2i(regs[in.a] < in.imm), 0
+		case xBinImm + BinEq:
+			regs[in.d], lanes[in.d] = b2i(regs[in.a] == in.imm), 0
+		case uint8(OpNeg):
+			regs[in.d], lanes[in.d] = -regs[in.a], 0
+		case uint8(OpNot):
+			regs[in.d], lanes[in.d] = b2i(regs[in.a] == 0), 0
+		case uint8(OpSelect):
+			v := regs[in.c]
+			if regs[in.a] != 0 {
+				v = regs[in.b]
+			}
+			regs[in.d], lanes[in.d] = v, 0
+		case uint8(OpLoadSlot):
+			regs[in.d], lanes[in.d] = fr.Slots[in.imm], 0
+		case uint8(OpStoreSlot):
+			fr.Slots[in.imm] = regs[in.a]
+		case uint8(OpLoadParam):
+			var v int64
+			if int(in.imm) < len(fr.Params) {
+				v = fr.Params[in.imm]
+			}
+			regs[in.d], lanes[in.d] = v, 0
+		case uint8(OpGLoad):
+			regs[in.d], lanes[in.d] = m.Globals[in.imm], 0
+		case uint8(OpGStore):
+			m.Globals[in.imm] = regs[in.a]
+		case uint8(OpALoad):
+			regs[in.d], lanes[in.d] = m.aload(regs[in.a], regs[in.b]), 0
+		case uint8(OpAStore):
+			m.astore(regs[in.a], regs[in.b], regs[in.c])
+		case uint8(OpLen):
+			regs[in.d], lanes[in.d] = int64(len(m.Heap(regs[in.a]))), 0
+		case uint8(OpVLoad2):
+			h, idx := regs[in.a], regs[in.b]
+			regs[in.d], lanes[in.d] = m.aload(h, idx), m.aload(h, idx+1)
+		case uint8(OpVBin):
+			regs[in.d], lanes[in.d] = evalBin(in.sub, regs[in.a], regs[in.b]),
+				evalBin(in.sub, lanes[in.a], lanes[in.b])
+		case uint8(OpVStore2):
+			h, idx := regs[in.a], regs[in.b]
+			m.astore(h, idx, regs[in.c])
+			m.astore(h, idx+1, lanes[in.c])
+		case uint8(OpArg):
+			m.argBuf = append(m.argBuf, regs[in.a])
+		case uint8(OpPrint):
+			m.out = append(m.out, regs[in.a])
+		case uint8(OpBin):
+			regs[in.d], lanes[in.d] = evalBin(in.sub, regs[in.a], regs[in.b]), 0
+		case uint8(OpBinImm):
+			regs[in.d], lanes[in.d] = evalBin(in.sub, regs[in.a], in.imm), 0
 		}
 	}
-	m.edge(int(d.pc), ret)
-	m.pc = ret
-	m.freeFrame(fr)
-}
-
-func hJmp(m *Machine, d *dinstr) {
-	m.charge(costJmp)
-	m.JmpsRun++
-	m.edge(int(d.pc), int(d.tgt))
-	m.pc = int(d.tgt)
-}
-
-func hBr(m *Machine, d *dinstr) {
-	fr := m.fr
-	taken := fr.Regs[d.a] != 0
-	if d.sub != 0 {
-		taken = !taken
-	}
-	if taken {
-		m.charge(costBrTaken)
-		m.TakenBr++
-		m.edge(int(d.pc), int(d.tgt))
-		m.pc = int(d.tgt)
-	} else {
-		m.charge(costBrFall)
-		m.FallBr++
-		m.edge(int(d.pc), int(d.next))
-		m.pc = int(d.next)
-	}
-}
-
-func hPrint(m *Machine, d *dinstr) {
-	m.out = append(m.out, m.fr.Regs[d.a])
-	m.charge(costPrint)
-	m.pc = int(d.next)
-}
-
-// ---- Superinstruction handlers ----
-//
-// Each fused handler executes two micro-ops under one dispatch. The
-// second micro-op replays the loop prologue exactly: step count and
-// budget check, icache charge for its own address, the statically known
-// intra-pair load-use stall, and its pre-tags. The dispatch loop
-// applies the pair's pre (op1's) before and post (op2's) after; op1's
-// post tags are d.mid.
-
-// fuseMid applies op1's post tags between the micro-ops.
-func fuseMid(m *Machine, d *dinstr) {
-	if d.mid != nil {
-		fr := m.fr
-		for _, t := range d.mid {
-			m.applyTag(fr, t)
-		}
-	}
-}
-
-// fuseStep2 runs the second micro-op's step prologue; false means the
-// step budget trapped and the handler must return.
-func fuseStep2(m *Machine, d *dinstr) bool {
-	m.Steps++
-	if m.Steps > m.StepBudget {
-		m.fail(ErrStepBudget)
-		return false
-	}
-	s := d.s2
-	m.icache(int(s.pc))
-	if d.stall2 != 0 {
-		m.Cycles += d.stall2
-		m.StallCycles += d.stall2
-	}
-	if s.pre != nil {
-		fr := m.fr
-		for _, t := range s.pre {
-			m.applyTag(fr, t)
-		}
-	}
-	return true
-}
-
-// fuseBr finishes a (..., br) pair.
-func fuseBr(m *Machine, d *dinstr) {
-	s := d.s2
-	fr := m.fr
-	taken := fr.Regs[s.a] != 0
-	if s.sub != 0 {
-		taken = !taken
-	}
-	if taken {
-		m.charge(costBrTaken)
-		m.TakenBr++
-		m.edge(int(s.pc), int(s.tgt))
-		m.pc = int(s.tgt)
-	} else {
-		m.charge(costBrFall)
-		m.FallBr++
-		m.edge(int(s.pc), int(d.next))
-		m.pc = int(d.next)
-	}
-}
-
-// fuseStore finishes a (..., storeslot) pair.
-func fuseStore(m *Machine, d *dinstr) {
-	s := d.s2
-	fr := m.fr
-	fr.Slots[s.imm] = fr.Regs[s.a]
-	fr.SlotOwn[s.imm] = 0
-	m.charge(costStore)
-	m.SlotOpsRun++
-	m.pc = int(d.next)
-}
-
-func hFuseBinBr(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, evalBin(d.sub, fr.Regs[d.a], fr.Regs[d.b]), 0)
-	m.charge(d.cost)
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	fuseBr(m, d)
-}
-
-func hFuseBinImmBr(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, evalBin(d.sub, fr.Regs[d.a], d.imm), 0)
-	m.charge(d.cost)
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	fuseBr(m, d)
-}
-
-func hFuseBinImmStore(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, evalBin(d.sub, fr.Regs[d.a], d.imm), 0)
-	m.charge(d.cost)
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	fuseStore(m, d)
-}
-
-func hFuseBinImmBinImm(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, evalBin(d.sub, fr.Regs[d.a], d.imm), 0)
-	m.charge(d.cost)
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	s := d.s2
-	m.setReg(fr, s.dd, evalBin(s.sub, fr.Regs[s.a], s.imm), 0)
-	m.charge(s.cost)
-	m.pc = int(d.next)
-}
-
-func hFuseLoadSlotLoadSlot(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, fr.Slots[d.imm], 0)
-	m.charge(costLoad)
-	m.SlotOpsRun++
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	s := d.s2
-	m.setReg(fr, s.dd, fr.Slots[s.imm], 0)
-	m.charge(costLoad)
-	m.SlotOpsRun++
-	m.pc = int(d.next)
-}
-
-func hFuseLoadSlotBin(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, fr.Slots[d.imm], 0)
-	m.charge(costLoad)
-	m.SlotOpsRun++
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	s := d.s2
-	m.setReg(fr, s.dd, evalBin(s.sub, fr.Regs[s.a], fr.Regs[s.b]), 0)
-	m.charge(s.cost)
-	m.pc = int(d.next)
-}
-
-func hFuseLoadSlotBinImm(m *Machine, d *dinstr) {
-	fr := m.fr
-	m.setReg(fr, d.dd, fr.Slots[d.imm], 0)
-	m.charge(costLoad)
-	m.SlotOpsRun++
-	fuseMid(m, d)
-	if !fuseStep2(m, d) {
-		return
-	}
-	s := d.s2
-	m.setReg(fr, s.dd, evalBin(s.sub, fr.Regs[s.a], s.imm), 0)
-	m.charge(s.cost)
-	m.pc = int(d.next)
 }

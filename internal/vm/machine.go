@@ -67,29 +67,17 @@ type Frame struct {
 	retTags []OwnerTag
 }
 
-// Engine selects the execution core. The zero value (EngineAuto) picks
-// the fastest core that supports the machine's active instrumentation;
-// the other values force a specific core for differential testing.
+// Engine selects the execution core. The zero value (EngineAuto) runs
+// the block core (exec.go); EngineReference forces the per-step
+// interpreter the block core is differentially tested against.
 type Engine uint8
 
 const (
-	// EngineAuto picks EngineFused when no per-step instrumentation
-	// (breakpoints, coverage, sampling, pair counting) is active, and
-	// EnginePlain otherwise.
+	// EngineAuto runs the block-at-a-time core.
 	EngineAuto Engine = iota
 	// EngineReference is the original switch-dispatch interpreter, kept
-	// as the executable specification the threaded cores are
-	// differentially tested against.
+	// as the executable specification.
 	EngineReference
-	// EnginePlain is the direct-threaded core on the unfused instruction
-	// stream with full per-step instrumentation (breakpoints, coverage,
-	// opcode-pair counting).
-	EnginePlain
-	// EngineFused is the direct-threaded core on the superinstruction
-	// stream. Cycle/step accounting is identical to the other engines;
-	// per-step instrumentation (breakpoints, address coverage, pair
-	// counting) is not consulted.
-	EngineFused
 )
 
 // Machine executes a Binary.
@@ -107,18 +95,19 @@ type Machine struct {
 	// selection (see Engine).
 	Engine Engine
 
-	// Direct-threaded dispatch state (exec.go).
-	fr           *Frame // cached top of frames
-	depth0       int    // frame depth the active Call returns past
-	stop         bool
-	trap         error
+	// Block-core state (exec.go).
+	depth0       int // frame depth the active Call returns past
 	retVal       int64
-	lastLoadMask uint16
+	lastLoadMask uint16  // load-use state, the block core's lastLoadReg
+	fxBuf        []ownFx // owner writes of the instruction being stepped
 
 	// Frame pool and heap arena: Call/Ret recycle frames instead of
-	// allocating, and small array allocations carve from chunked arenas.
+	// allocating, and small array allocations carve from chunked arenas
+	// whose size doubles from arenaMin up to arenaChunk, so a machine
+	// that allocates little zeroes little.
 	framePool []*Frame
 	arena     []int64
+	arenaSize int
 
 	// Cost accounting.
 	Cycles     int64
@@ -139,24 +128,16 @@ type Machine struct {
 	lastLoadReg  int // register written by the immediately preceding load, or -1
 
 	// Breakpoints: a dense per-address flag set maintained through
-	// SetBreak/ClearBreak. The OnBreak handler runs before the
-	// instruction at the address executes. Breakpoints present when Call
-	// starts select the instrumented core; OnBreak may clear breakpoints
-	// mid-run but additions only take effect at the next Call.
+	// SetBreak/ClearBreak, with a live count per block. The
+	// OnBreak handler runs before the instruction at the address
+	// executes, and may set or clear breakpoints.
 	breaks  []uint8
+	bcount  []int32
 	nbreaks int
 	OnBreak func(m *Machine, addr int)
 
-	// Coverage, enabled by EnableCoverage: executed addresses and
-	// control-flow edge hit counts.
-	CovAddrs map[int]bool
+	// CovEdges, enabled by EnableCoverage, counts control-flow edge hits.
 	CovEdges map[uint64]int64
-
-	// PairCounts, enabled by EnablePairCounts, histograms dynamically
-	// executed opcode pairs (prev<<8|cur) — the telemetry that selects
-	// the superinstruction set (see decode.go).
-	PairCounts map[uint16]int64
-	prevOp     Op
 
 	// Sampling, enabled when SampleEvery > 0: the PC is recorded every
 	// SampleEvery cycles (deterministically, on the instruction that
@@ -186,31 +167,35 @@ func New(b *Binary) *Machine {
 	return m
 }
 
-// EnableCoverage turns on address and edge recording.
+// EnableCoverage turns on edge recording.
 func (m *Machine) EnableCoverage() {
-	m.CovAddrs = make(map[int]bool)
 	m.CovEdges = make(map[uint64]int64)
 }
 
-// EnablePairCounts turns on the dynamic opcode-pair histogram used to
-// select superinstruction candidates.
-func (m *Machine) EnablePairCounts() {
-	m.PairCounts = make(map[uint16]int64)
-}
-
-// SetBreak plants a breakpoint at the address. Breakpoints set before
-// Call are honored on every step; OnBreak fires before the instruction
-// at the address executes.
+// SetBreak plants a breakpoint at the address; OnBreak fires before the
+// instruction at the address executes.
 func (m *Machine) SetBreak(addr int) {
 	if addr < 0 || addr >= len(m.Bin.Code) {
 		return
 	}
+	p := m.Bin.prog()
 	if m.breaks == nil {
 		m.breaks = make([]uint8, len(m.Bin.Code))
+		m.bcount = make([]int32, len(p.blocks))
 	}
 	if m.breaks[addr] == 0 {
 		m.breaks[addr] = 1
+		m.countBreak(p, addr, 1)
 		m.nbreaks++
+	}
+}
+
+// countBreak adds d to the live-breakpoint count of every block holding
+// addr: the block of its closest leader and the earlier blocks of the
+// same straight line.
+func (m *Machine) countBreak(p *prog, addr int, d int32) {
+	for bi := p.blockOf[addr]; bi >= 0 && int(p.blocks[bi].end) > addr; bi-- {
+		m.bcount[bi] += d
 	}
 }
 
@@ -220,14 +205,14 @@ func (m *Machine) ClearBreak(addr int) {
 		return
 	}
 	m.breaks[addr] = 0
+	m.countBreak(m.Bin.prog(), addr, -1)
 	m.nbreaks--
 }
 
 // ClearAllBreaks removes every breakpoint.
 func (m *Machine) ClearAllBreaks() {
-	for i := range m.breaks {
-		m.breaks[i] = 0
-	}
+	clear(m.breaks)
+	clear(m.bcount)
 	m.nbreaks = 0
 }
 
@@ -276,11 +261,14 @@ func (m *Machine) NewArray(data []int64) int64 {
 // programs.
 const MaxHeapWords int64 = 1 << 24
 
-// arenaChunk is the allocation quantum of the heap arena. Small arrays
-// carve zeroed regions out of one chunk instead of hitting the Go
-// allocator per OpNewArr; regions are handed out once and never reused,
-// so the zero-initialization guarantee is preserved.
-const arenaChunk = 1 << 15
+// arenaChunk is the largest allocation quantum of the heap arena. Small
+// arrays carve zeroed regions out of one chunk instead of hitting the
+// Go allocator per OpNewArr; regions are handed out once and never
+// reused, so the zero-initialization guarantee is preserved.
+const (
+	arenaMin   = 1 << 9
+	arenaChunk = 1 << 15
+)
 
 func (m *Machine) alloc(n int64) int64 {
 	if n < 0 {
@@ -296,7 +284,8 @@ func (m *Machine) alloc(n int64) int64 {
 		a = m.arena[:n:n]
 		m.arena = m.arena[n:]
 	case n < arenaChunk/4:
-		m.arena = make([]int64, arenaChunk)
+		m.arenaSize = min(max(2*m.arenaSize, arenaMin, int(4*n)), arenaChunk)
+		m.arena = make([]int64, m.arenaSize)
 		a = m.arena[:n:n]
 		m.arena = m.arena[n:]
 	default:
@@ -348,16 +337,13 @@ func (m *Machine) Call(name string, args ...int64) (int64, error) {
 	if fi < 0 {
 		return 0, fmt.Errorf("vm: no function %q", name)
 	}
-	// The threaded cores keep dispatch state on the Machine (referenceRun
-	// keeps it in locals); save it so a nested Call from an OnBreak
-	// callback cannot corrupt the suspended outer loop.
-	prevFr, prevDepth0 := m.fr, m.depth0
-	prevStop, prevTrap, prevRet := m.stop, m.trap, m.retVal
+	// A nested Call from an OnBreak callback must not clobber the
+	// suspended outer run's return depth and value.
+	prevDepth0, prevRet := m.depth0, m.retVal
 	f := &m.Bin.Funcs[fi]
 	fr := m.newFrame(fi, f.NumSlots, -1, 0)
 	fr.Params = append(fr.Params, args...)
 	m.frames = append(m.frames, fr)
-	m.fr = fr
 	m.depth0 = len(m.frames) - 1
 	m.pc = f.Start
 	if m.SampleEvery > 0 && m.nextSample == 0 {
@@ -375,33 +361,16 @@ func (m *Machine) Call(name string, args ...int64) (int64, error) {
 	} else {
 		r, err = m.dispatch()
 	}
-	m.fr, m.depth0 = prevFr, prevDepth0
-	m.stop, m.trap, m.retVal = prevStop, prevTrap, prevRet
+	m.depth0, m.retVal = prevDepth0, prevRet
 	return r, err
 }
 
-// instrumented reports whether per-step instrumentation demands the
-// plain (unfused) core.
-func (m *Machine) instrumented() bool {
-	return m.nbreaks > 0 || m.OnBreak != nil || m.CovAddrs != nil ||
-		m.PairCounts != nil || m.SampleEvery > 0
-}
-
-// dispatch selects the execution core for one Call.
+// dispatch runs the active Call on the selected core.
 func (m *Machine) dispatch() (int64, error) {
-	switch m.Engine {
-	case EngineReference:
+	if m.Engine == EngineReference {
 		return m.referenceRun()
-	case EnginePlain:
-		return m.execInstr(m.Bin.plainProg())
-	case EngineFused:
-		return m.execFast(m.Bin.fusedProg())
-	default:
-		if m.instrumented() {
-			return m.execInstr(m.Bin.plainProg())
-		}
-		return m.execFast(m.Bin.fusedProg())
 	}
+	return m.exec()
 }
 
 // EvalBinOp exposes the machine's binary-operation semantics (total:
@@ -496,10 +465,11 @@ func (m *Machine) icache(pc int) {
 }
 
 // referenceRun is the original switch-dispatch interpreter, retained as
-// the executable specification: the direct-threaded cores in exec.go are
-// differentially tested against it (identical output, cycles, steps, and
-// counters on every program). Changes to machine semantics MUST be made
-// here first and mirrored into the handlers.
+// the executable specification: the block core in exec.go is
+// differentially tested against it (identical output, cycles, steps,
+// counters, samples, coverage edges and breakpoint observations on every
+// program). Changes to machine semantics MUST be made here first and
+// mirrored into exec.go and the block summaries in decode.go.
 func (m *Machine) referenceRun() (int64, error) {
 	depth0 := m.depth0
 	var retVal int64
@@ -514,9 +484,6 @@ func (m *Machine) referenceRun() (int64, error) {
 		pc := m.pc
 		if m.breaks != nil && m.breaks[pc] != 0 && m.OnBreak != nil {
 			m.OnBreak(m, pc)
-		}
-		if m.CovAddrs != nil {
-			m.CovAddrs[pc] = true
 		}
 		m.icache(pc)
 		in := &m.Bin.Code[pc]

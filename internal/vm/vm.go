@@ -124,9 +124,9 @@ type Binary struct {
 	// debuginfo. nil when compiled without -g.
 	Debug []byte
 
-	// dec caches the predecoded direct-threaded instruction streams
-	// (see decode.go). Decoding treats Code as immutable: mutating a
-	// binary after its first execution is not supported.
+	// dec caches the basic-block decoding (see decode.go). Decoding
+	// treats Code as immutable: mutating a binary after its first
+	// execution is not supported.
 	dec decCache
 }
 
