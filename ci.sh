@@ -111,31 +111,28 @@ cmp /tmp/ci-cold.txt /tmp/ci-heal.txt
 if grep -qs garbage "$ENTRY"; then echo "corrupt entry survived"; exit 1; fi
 /tmp/ci-experiments -quick -j 4 -cachedir off all > /tmp/ci-nocache-j4.txt
 cmp /tmp/ci-cold.txt /tmp/ci-nocache-j4.txt
+# Cache keys must cover every input a flag can change: a directory filled
+# by a -quick run (smaller fuzz corpus) must not answer a full run.
+rm -rf /tmp/ci-cache
+/tmp/ci-experiments -quick -cachedir /tmp/ci-cache table2 > /dev/null
+/tmp/ci-experiments -cachedir /tmp/ci-cache table2 > /tmp/ci-budget-warm.txt
+/tmp/ci-experiments -cachedir off table2 > /tmp/ci-budget-cold.txt
+cmp /tmp/ci-budget-cold.txt /tmp/ci-budget-warm.txt
 rm -rf /tmp/ci-experiments /tmp/ci-cache /tmp/ci-default-cache \
-    /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt
+    /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt \
+    /tmp/ci-budget-warm.txt /tmp/ci-budget-cold.txt
 
-# Multi-worker smoke: `experiments work` distributes one run across N
-# worker processes leasing cells from a shared journal directory, then
-# merges and renders. The render must be byte-identical to the
-# single-process run for N=1 and N=3 — including when a worker is
-# killed -9 one second in (its leases expire, peers re-lease the cells)
-# — and the killed run must still exit 0.
+# Full-run golden: a cold full `all` must reproduce the committed
+# experiments_output.txt, the numbers EXPERIMENTS.md quotes.
 go build -o /tmp/ci-experiments ./cmd/experiments
-/tmp/ci-experiments -cachedir off -seeds 3 -suite=false -configs levels \
-    difftest > /tmp/ci-work-ref.txt
-/tmp/ci-experiments work -workers 1 -cachedir off -seeds 3 -suite=false \
-    -configs levels difftest > /tmp/ci-work-1.txt
-cmp /tmp/ci-work-ref.txt /tmp/ci-work-1.txt
-/tmp/ci-experiments work -workers 3 -kill-worker 1:1s -lease-ttl 2s \
-    -cachedir off -seeds 3 -suite=false -configs levels \
-    difftest > /tmp/ci-work-3.txt
-cmp /tmp/ci-work-ref.txt /tmp/ci-work-3.txt
-rm -f /tmp/ci-experiments /tmp/ci-work-ref.txt /tmp/ci-work-1.txt \
-    /tmp/ci-work-3.txt
+/tmp/ci-experiments -cachedir off all > /tmp/ci-full.txt
+cmp /tmp/ci-full.txt experiments_output.txt
+rm -f /tmp/ci-experiments /tmp/ci-full.txt
 
-# tunerd smoke: boot the service on an ephemeral port, tune + report
-# through the real client, and hold the serving contract: (a) two
-# identical requests return byte-identical bodies with the second a
+# tunerd smoke: boot the service on an ephemeral port, tune + pareto +
+# report through the real client, and hold the serving contract: (a)
+# the bodies equal the committed goldens under internal/serve/testdata
+# (which TestResponseGoldens also checks), and a repeated request is a
 # response-cache hit per /debug/metrics, (b) response bytes do not
 # depend on -j or cache state (a second, differently-configured server
 # must agree byte for byte), (c) SIGTERM drains gracefully — new
@@ -154,26 +151,18 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 test -n "$ADDR"
-cat > /tmp/ci-fib.mc <<'EOF'
-func fib(n: int): int {
-    if (n < 2) {
-        return n;
-    }
-    return fib(n - 1) + fib(n - 2);
-}
-
-func main() {
-    print(fib(12));
-}
-EOF
-/tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 -raw /tmp/ci-fib.mc > /tmp/ci-tune-1.json
-/tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 -raw /tmp/ci-fib.mc > /tmp/ci-tune-2.json
+FIB=internal/serve/testdata/fib.mc
+GOLD=internal/serve/testdata
+/tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 -raw $FIB > /tmp/ci-tune-1.json
+cmp /tmp/ci-tune-1.json $GOLD/tune-gcc-O1.golden.json
+/tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 -raw $FIB > /tmp/ci-tune-2.json
 cmp /tmp/ci-tune-1.json /tmp/ci-tune-2.json
 /tmp/ci-tunerd-client -addr "$ADDR" metrics | grep -q '"tunerd.cache.hit"'
-/tmp/ci-tunerd-client -addr "$ADDR" report -configs gcc-O0,gcc-O2 -raw /tmp/ci-fib.mc \
-    | grep -q '"kind":"report"'
-/tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 /tmp/ci-fib.mc \
-    | grep -q 'pass ranking'
+/tmp/ci-tunerd-client -addr "$ADDR" pareto -level O1 -raw $FIB > /tmp/ci-pareto.json
+cmp /tmp/ci-pareto.json $GOLD/pareto-gcc-O1.golden.json
+/tmp/ci-tunerd-client -addr "$ADDR" report -configs gcc-O0,gcc-O2 -raw $FIB > /tmp/ci-report.json
+cmp /tmp/ci-report.json $GOLD/report-gcc-O0-gcc-O2.golden.json
+/tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 $FIB | grep -q 'pass ranking'
 # Determinism across servers: a cold instance with different worker
 # count and no disk cache must return the exact same bytes.
 /tmp/ci-tunerd -addr 127.0.0.1:0 -j 1 -cachedir off \
@@ -186,7 +175,7 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 test -n "$ADDR2"
-/tmp/ci-tunerd-client -addr "$ADDR2" tune -level O1 -raw /tmp/ci-fib.mc > /tmp/ci-tune-3.json
+/tmp/ci-tunerd-client -addr "$ADDR2" tune -level O1 -raw $FIB > /tmp/ci-tune-3.json
 cmp /tmp/ci-tune-1.json /tmp/ci-tune-3.json
 kill -TERM "$TUNERD2_PID"
 wait "$TUNERD2_PID"
@@ -194,40 +183,20 @@ wait "$TUNERD2_PID"
 # rejected with the typed draining error, and the server must exit 0.
 kill -TERM "$TUNERD_PID"
 sleep 0.3
-rc=0; /tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 /tmp/ci-fib.mc \
+rc=0; /tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 $FIB \
     2> /tmp/ci-drain-err.txt || rc=$?
 test "$rc" -ne 0
 grep -q 'draining' /tmp/ci-drain-err.txt
 wait "$TUNERD_PID"
-# Fleet smoke: a -workers 2 supervisor (admission + round-robin proxy
-# over re-exec'd worker tunerds) must serve the exact same bytes as the
-# single-process servers above, and SIGTERM must drain the whole fleet
-# with exit 0.
-/tmp/ci-tunerd -workers 2 -addr 127.0.0.1:0 -cachedir off \
-    > /tmp/ci-tunerd3.log 2>&1 &
-TUNERD3_PID=$!
-ADDR3=""
-for _ in $(seq 1 50); do
-    ADDR3=$(sed -n 's/^tunerd listening on //p' /tmp/ci-tunerd3.log)
-    test -n "$ADDR3" && break
-    sleep 0.1
-done
-test -n "$ADDR3"
-/tmp/ci-tunerd-client -addr "$ADDR3" tune -level O1 -raw /tmp/ci-fib.mc > /tmp/ci-tune-4.json
-cmp /tmp/ci-tune-1.json /tmp/ci-tune-4.json
-kill -TERM "$TUNERD3_PID"
-wait "$TUNERD3_PID"
 rm -rf /tmp/ci-tunerd /tmp/ci-tunerd-client /tmp/ci-tunerd-cache \
-    /tmp/ci-tunerd.log /tmp/ci-tunerd2.log /tmp/ci-tunerd3.log \
-    /tmp/ci-fib.mc /tmp/ci-tune-1.json /tmp/ci-tune-2.json \
-    /tmp/ci-tune-3.json /tmp/ci-tune-4.json /tmp/ci-drain-err.txt
+    /tmp/ci-tunerd.log /tmp/ci-tunerd2.log /tmp/ci-tune-1.json \
+    /tmp/ci-tune-2.json /tmp/ci-tune-3.json /tmp/ci-pareto.json \
+    /tmp/ci-report.json /tmp/ci-drain-err.txt
 
 # Hunt smoke: a small seeded campaign with a planted bug must (a) find
 # and bucket the plant with byte-identical reports across two runs,
 # (b) survive SIGTERM mid-campaign — distinct exit code 4, journal
-# flushed — and resume to the uninterrupted run's exact bytes, and
-# (c) render the same bytes when the candidates are leased across two
-# worker processes and merged.
+# flushed — and resume to the uninterrupted run's exact bytes.
 go build -o /tmp/ci-experiments ./cmd/experiments
 HUNT='-hunt-epochs 1 -hunt-candidates 4 -hunt-configs gcc-O2 -hunt-plant scope-nesting@dse'
 # shellcheck disable=SC2086  # HUNT is a word list by construction
@@ -249,11 +218,8 @@ test -s /tmp/ci-hunt.jsonl
 /tmp/ci-experiments -resume /tmp/ci-hunt.jsonl $HUNT hunt \
     > /tmp/ci-hunt-resume.txt
 cmp /tmp/ci-hunt-ref.txt /tmp/ci-hunt-resume.txt
-/tmp/ci-experiments work -workers 2 $HUNT hunt > /tmp/ci-hunt-w2.txt
-cmp /tmp/ci-hunt-ref.txt /tmp/ci-hunt-w2.txt
 rm -f /tmp/ci-experiments /tmp/ci-hunt-ref.txt /tmp/ci-hunt-2.txt \
-    /tmp/ci-hunt.jsonl /tmp/ci-hunt-int.txt /tmp/ci-hunt-resume.txt \
-    /tmp/ci-hunt-w2.txt
+    /tmp/ci-hunt.jsonl /tmp/ci-hunt-int.txt /tmp/ci-hunt-resume.txt
 
 # Dataflow-analyzer smoke: loc-stale is a binary-level violation the IR
 # analyzer cannot see — a planted one must be caught through the

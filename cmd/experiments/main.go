@@ -5,7 +5,6 @@
 //	experiments [flags] [table1 table2 table3 table4 table5 table6 table7
 //	                     fig2 table8 table9 table10 table11 table12
 //	                     fig3 table15 fig4 passreport | all]
-//	experiments work -workers N [flags] [experiments...]
 //
 // Flags scale the evaluation; the defaults finish in minutes. Outputs are
 // plain-text tables matching the paper's rows.
@@ -55,14 +54,6 @@
 // file, and -resume replays it, rerunning only incomplete or quarantined
 // cells. Without these flags nothing is installed and output is
 // byte-identical to the pre-resilience harness.
-//
-// The work subcommand shards the same run across worker processes: it
-// re-execs -workers N copies of this binary against a shared journal
-// directory, where workers lease (subject × config) cells, checkpoint
-// results to per-worker journals, and re-lease expired cells from
-// crashed peers; the supervisor then merges the journals and renders
-// stdout — byte-identical to the single-process run — by resuming from
-// the merge. See internal/resilience and cmd/experiments/work.go.
 package main
 
 import (
@@ -87,7 +78,7 @@ import (
 )
 
 // cli is the full experiments flag surface, registered on its own flag
-// set so both the plain command and the work supervisor share it.
+// set so tests can parse argument lists without touching the process's.
 type cli struct {
 	fs   *flag.FlagSet
 	opts experiments.Options
@@ -122,8 +113,8 @@ type cli struct {
 	interrupt context.Context
 }
 
-func newCLI(name string) *cli {
-	c := &cli{fs: flag.NewFlagSet(name, flag.ExitOnError)}
+func newCLI() *cli {
+	c := &cli{fs: flag.NewFlagSet("experiments", flag.ExitOnError)}
 	c.opts = experiments.DefaultOptions()
 	c.fs.IntVar(&c.opts.SynthCount, "synth", c.opts.SynthCount,
 		"synthetic programs for Table I (paper: 5000)")
@@ -244,19 +235,16 @@ func stopProfiles() {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "work" {
-		code := workMain(os.Args[2:])
-		stopProfiles()
-		os.Exit(code)
-	}
 	code := runMain(os.Args[1:])
 	stopProfiles()
 	os.Exit(code)
 }
 
-// runMain is the plain single-process command.
+// runMain parses argv, executes the requested experiment set and
+// finishes the runtime (quarantine report, journal close, telemetry
+// export), returning the exit code.
 func runMain(argv []string) int {
-	c := newCLI("experiments")
+	c := newCLI()
 	c.fs.Parse(argv)
 	if err := startProfiles(c); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -271,15 +259,8 @@ func runMain(argv []string) int {
 		return 1
 	}
 	c.interrupt = options.NotifyInterrupt()
-	return runExperiments(c, rt, c.fs.Args())
-}
-
-// runExperiments executes the requested experiment set and finishes the
-// runtime (quarantine report, journal close, telemetry export). Both the
-// plain command and the work supervisor's render phase funnel through
-// it, which is what keeps their stdout byte-identical.
-func runExperiments(c *cli, rt *options.Runtime, want []string) int {
 	c.applyQuick()
+	want := c.fs.Args()
 	r := experiments.NewRunner(c.opts)
 	type exp struct {
 		name string
@@ -364,8 +345,7 @@ func runExperiments(c *cli, rt *options.Runtime, want []string) int {
 	// Also absent from "all": hunt is the feedback-directed finding
 	// campaign. Findings are its product, not a failure — CI gates on
 	// report bytes and new-bucket fixtures, so a fruitful campaign still
-	// exits 0. Under -work-dir the leased workers run with commits off;
-	// only the supervisor's render pass writes fixtures and trend state.
+	// exits 0.
 	byName["hunt"] = exp{"hunt", func(w io.Writer) error {
 		hopts := hunt.DefaultOptions()
 		hopts.Seed = *c.huntSeed
@@ -377,7 +357,6 @@ func runExperiments(c *cli, rt *options.Runtime, want []string) int {
 		hopts.CorpusDir = *c.huntCorpus
 		hopts.StatePath = *c.huntState
 		hopts.ReduceProbes = *c.huntReduceProbes
-		hopts.Commit = *c.shared.WorkDir == ""
 		hopts.Interrupt = c.interrupt
 		rep, err := hunt.Run(w, hopts)
 		if err != nil {

@@ -19,7 +19,7 @@ func TestQuickKeepsExplicitFlags(t *testing.T) {
 		{[]string{"-quick", "-synth", "7"}, 7, 120},
 		{[]string{"-quick", "-synth", "7", "-execs", "33", "table2"}, 7, 33},
 	} {
-		c := newCLI("experiments")
+		c := newCLI()
 		if err := c.fs.Parse(tc.argv); err != nil {
 			t.Fatal(err)
 		}
@@ -33,11 +33,11 @@ func TestQuickKeepsExplicitFlags(t *testing.T) {
 		}
 	}
 	// Without -quick an explicit flag is all that changes.
-	c := newCLI("experiments")
+	c := newCLI()
 	if err := c.fs.Parse([]string{"-execs", "50"}); err != nil {
 		t.Fatal(err)
 	}
-	def := newCLI("experiments").opts
+	def := newCLI().opts
 	c.applyQuick()
 	if c.opts.CorpusExecs != 50 || c.opts.SynthCount != def.SynthCount || !reflect.DeepEqual(c.opts.Dy, def.Dy) {
 		t.Errorf("plain -execs 50: %+v", c.opts)

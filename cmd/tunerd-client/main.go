@@ -13,15 +13,12 @@
 //	tune    -profile gcc -level O2 [-dy 3,5,7,9] [-top N] [-raw] files...
 //	pareto  -profile gcc -level O2 [-dy 3,5,7,9] [-raw] files...
 //	report  [-configs levels] [-raw] files...
-//	load    [-n 1000] [-c 100] [-distinct 8] [-profile gcc] [-level O2] [-o out.json]
 //	metrics
 //	quarantine
 //	health
 //
-// -raw prints the server's response body verbatim (the ci.sh
-// byte-determinism gate compares these). load fires a synthetic
-// concurrent load at the server and writes the throughput/latency
-// summary — as an api envelope — to -o (BENCH_serve.json in CI).
+// -raw prints the server's response body verbatim (ci.sh compares these
+// with the committed goldens under internal/serve/testdata).
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 	"strings"
 
 	"debugtuner/internal/api"
-	"debugtuner/internal/serve"
 )
 
 // errUsage marks command-line mistakes; main maps it to exit code 2,
@@ -59,8 +55,6 @@ func main() {
 		err = runPareto(c, args)
 	case "report":
 		err = runReport(c, args)
-	case "load":
-		err = runLoad(*addr, args)
 	case "metrics":
 		var raw []byte
 		if raw, err = c.Metrics(); err == nil {
@@ -91,7 +85,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		"usage: tunerd-client -addr host:port {tune|pareto|report|load|metrics|quarantine|health} [flags] [file.mc ...]")
+		"usage: tunerd-client -addr host:port {tune|pareto|report|metrics|quarantine|health} [flags] [file.mc ...]")
 }
 
 // readUnits loads the positional .mc files as request units, named by
@@ -206,37 +200,5 @@ func runReport(c *api.Client, args []string) error {
 		return nil
 	}
 	api.RenderDebugReport(os.Stdout, res)
-	return nil
-}
-
-func runLoad(addr string, args []string) error {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	n := fs.Int("n", 1000, "total requests")
-	conc := fs.Int("c", 100, "concurrent workers")
-	distinct := fs.Int("distinct", 8, "distinct request bodies to cycle through")
-	profile := fs.String("profile", "gcc", "compiler profile for generated requests")
-	level := fs.String("level", "O2", "optimization level for generated requests")
-	out := fs.String("o", "", "also write the summary as an api envelope to this file")
-	fs.Parse(args)
-	lr, err := serve.RunLoad(serve.LoadOptions{
-		Addr: addr, Requests: *n, Concurrency: *conc, Distinct: *distinct,
-		Profile: *profile, Level: *level,
-	})
-	if err != nil {
-		return err
-	}
-	api.RenderLoadReport(os.Stdout, lr)
-	if *out != "" {
-		body, err := api.MarshalEnvelope(&api.Envelope{Kind: "load", Load: lr})
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, body, 0o644); err != nil {
-			return err
-		}
-	}
-	if lr.Errors > 0 {
-		return fmt.Errorf("%d of %d requests failed", lr.Errors, lr.Requests)
-	}
 	return nil
 }

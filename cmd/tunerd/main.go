@@ -14,10 +14,6 @@
 //	-max-queue N          admission queue bound (0 = 4096)
 //	-drain-grace dur      503 window after SIGTERM before closing
 //	-budget N             per-run VM step budget
-//	-workers N            supervisor mode: re-exec N worker tunerds on
-//	                      ephemeral ports and front them with the
-//	                      admission layer (round-robin proxy, respawn on
-//	                      death, shared disk cache)
 //
 // plus the shared runtime flags of internal/options (-j, -cachedir,
 // -cell-timeout, ...). On startup it prints "tunerd listening on ADDR"
@@ -59,15 +55,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second,
 		"hard bound on the graceful drain; in-flight work past it is abandoned")
 	budget := flag.Int64("budget", 0, "per-run VM step budget (0 = default)")
-	workers := flag.Int("workers", 0,
-		"supervisor mode: spawn N worker tunerds and front them with the admission layer (0 = serve in-process)")
 	shared := options.Install(flag.CommandLine)
 	flag.Parse()
-	if *workers > 0 {
-		// The supervisor only admits and proxies; the workers own the
-		// caches, executors, and telemetry, so it skips Build entirely.
-		os.Exit(runFleet(*workers, *addr, *maxQueue, *drainGrace, *drainTimeout))
-	}
 	rt, err := shared.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tunerd:", err)

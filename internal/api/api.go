@@ -81,7 +81,7 @@ func HTTPStatus(code string) int {
 
 // Envelope is the one response wrapper. Exactly one of the payload
 // pointers is set, named by Kind ("tune", "pareto", "report",
-// "quarantine", "load", "error").
+// "quarantine", "error").
 type Envelope struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -90,7 +90,6 @@ type Envelope struct {
 	Pareto     *ParetoResult      `json:"pareto,omitempty"`
 	Report     *DebugReport       `json:"report,omitempty"`
 	Quarantine []QuarantineRecord `json:"quarantine,omitempty"`
-	Load       *LoadReport        `json:"load,omitempty"`
 	Error      *Error             `json:"error,omitempty"`
 }
 
@@ -260,23 +259,4 @@ type QuarantineRecord struct {
 	Attempts int    `json:"attempts"`
 	Pass     string `json:"pass,omitempty"`
 	Err      string `json:"err"`
-}
-
-// LoadReport is the synthetic load generator's summary — the payload
-// published to BENCH_serve.json.
-type LoadReport struct {
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	Distinct    int     `json:"distinct_bodies"`
-	Errors      int     `json:"errors"`
-	DurationSec float64 `json:"duration_sec"`
-	Throughput  float64 `json:"throughput_rps"`
-	P50ms       float64 `json:"p50_ms"`
-	P95ms       float64 `json:"p95_ms"`
-	P99ms       float64 `json:"p99_ms"`
-	// Server-side counters sampled from /debug/metrics after the run.
-	CacheHits      int64 `json:"cache_hits"`
-	CacheCoalesced int64 `json:"cache_coalesced"`
-	CacheMisses    int64 `json:"cache_misses"`
-	Quarantined    int   `json:"quarantined"`
 }

@@ -17,10 +17,10 @@ import (
 type Client struct {
 	// Base is the server base URL, e.g. "http://127.0.0.1:8347".
 	Base string
-	// HTTP is the underlying client; nil uses a default with a 10-minute
-	// timeout (tune requests do real compiler work).
-	HTTP *http.Client
 }
+
+// httpClient has a 10-minute timeout: tune requests do real compiler work.
+var httpClient = &http.Client{Timeout: 10 * time.Minute}
 
 // NewClient returns a client for the given base URL (scheme optional;
 // "host:port" is normalized to http).
@@ -29,13 +29,6 @@ func NewClient(base string) *Client {
 		base = "http://" + base
 	}
 	return &Client{Base: strings.TrimRight(base, "/")}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 10 * time.Minute}
 }
 
 // post marshals req, POSTs it, and returns the raw response body.
@@ -47,7 +40,7 @@ func (c *Client) post(path string, req any) (*Envelope, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := c.httpClient().Post(c.Base+path, "application/json", bytes.NewReader(body))
+	resp, err := httpClient.Post(c.Base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -65,7 +58,7 @@ func (c *Client) post(path string, req any) (*Envelope, []byte, error) {
 
 // get fetches a path and returns the raw body.
 func (c *Client) get(path string) ([]byte, error) {
-	resp, err := c.httpClient().Get(c.Base + path)
+	resp, err := httpClient.Get(c.Base + path)
 	if err != nil {
 		return nil, err
 	}
@@ -130,21 +123,6 @@ func (c *Client) Report(req *ReportRequest) (*DebugReport, []byte, error) {
 
 // Metrics fetches the raw /debug/metrics JSON summary.
 func (c *Client) Metrics() ([]byte, error) { return c.get("/debug/metrics") }
-
-// Counters fetches /debug/metrics and extracts the counters map.
-func (c *Client) Counters() (map[string]int64, error) {
-	raw, err := c.Metrics()
-	if err != nil {
-		return nil, err
-	}
-	var summary struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(raw, &summary); err != nil {
-		return nil, fmt.Errorf("/debug/metrics: %w", err)
-	}
-	return summary.Counters, nil
-}
 
 // Quarantine fetches the server's quarantined-cell list.
 func (c *Client) Quarantine() ([]QuarantineRecord, []byte, error) {

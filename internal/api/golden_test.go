@@ -156,15 +156,6 @@ func TestGoldenQuarantineRecord(t *testing.T) {
 	})
 }
 
-func TestGoldenLoadReport(t *testing.T) {
-	golden(t, "load_report", LoadReport{
-		Requests: 1000, Concurrency: 100, Distinct: 8, Errors: 0,
-		DurationSec: 4.21, Throughput: 237.5,
-		P50ms: 11.2, P95ms: 61.0, P99ms: 114.9,
-		CacheHits: 871, CacheCoalesced: 121, CacheMisses: 8, Quarantined: 0,
-	})
-}
-
 func TestGoldenEnvelope(t *testing.T) {
 	golden(t, "envelope_error", Envelope{
 		V: 1, Kind: "error",

@@ -110,14 +110,3 @@ func RenderDebugReport(w io.Writer, rep *DebugReport) {
 			rep.Mismatches, rep.Violations, len(rep.Quarantined))
 	}
 }
-
-// RenderLoadReport writes the load generator's human summary.
-func RenderLoadReport(w io.Writer, lr *LoadReport) {
-	fmt.Fprintf(w, "load: %d requests, %d concurrent, %d distinct bodies\n",
-		lr.Requests, lr.Concurrency, lr.Distinct)
-	fmt.Fprintf(w, "  errors=%d quarantined=%d\n", lr.Errors, lr.Quarantined)
-	fmt.Fprintf(w, "  wall=%.2fs throughput=%.1f req/s\n", lr.DurationSec, lr.Throughput)
-	fmt.Fprintf(w, "  latency p50=%.2fms p95=%.2fms p99=%.2fms\n", lr.P50ms, lr.P95ms, lr.P99ms)
-	fmt.Fprintf(w, "  server cache: hit=%d coalesced=%d miss=%d\n",
-		lr.CacheHits, lr.CacheCoalesced, lr.CacheMisses)
-}

@@ -15,7 +15,7 @@ import (
 
 // reduceNew ddmin-reduces one witness per bucket that is new to this
 // campaign (absent from the loaded state), each as its own journaled
-// resilience cell so reductions resume and lease like evaluations.
+// resilience cell so reductions resume like evaluations.
 // Quarantine buckets have nothing to reduce — the cell never produced a
 // verdict.
 func (c *campaign) reduceNew() error {
@@ -114,8 +114,7 @@ func (c *campaign) verifyPredicate(rule, pass string) func([]byte) bool {
 }
 
 // commit writes the regression corpus: one fixture per new reduced
-// bucket plus the updated trend state. Leased workers never get here
-// (Commit off); the single committing process writes state atomically
+// bucket plus the updated trend state. State is written atomically
 // (temp + rename), so a kill mid-commit leaves the previous state
 // intact rather than a torn file.
 func (c *campaign) commit(rep *Report) error {

@@ -173,9 +173,9 @@ type cellResult struct {
 }
 
 // runCell evaluates one candidate as a resilience cell: journaled and
-// resumable under -journal/-resume, leased under -work-dir, and — when
-// the candidate is pathological — retried, timed out, and finally
-// quarantined into an explicit bucket entry instead of killing the run.
+// resumable under -journal/-resume, and — when the candidate is
+// pathological — retried, timed out, and finally quarantined into an
+// explicit bucket entry instead of killing the run.
 func (c *campaign) runCell(cand candidate) (*cellResult, error) {
 	key := fmt.Sprintf("hunt|%s#%016x|%s",
 		cand.Name, resilience.HashBytes(cand.Src), c.fp)

@@ -12,16 +12,13 @@
 // is one resilience cell, keyed by candidate fingerprint × source hash
 // × campaign fingerprint, so a -journal'd campaign killed mid-run and
 // resumed with -resume replays completed cells from disk and produces a
-// byte-identical final report; under -work-dir the same cells are
-// leased across worker processes (each computed at most once), and the
-// supervisor's merge-render yields the same bytes as a single-process
-// run. A cancelled Interrupt context stops the campaign between
-// candidates: work in flight finishes and checkpoints, the report
-// covers everything completed, and Report.Interrupted tells the caller
-// to exit with the distinct interrupted code. A pathological candidate
-// (stalling build, crashing pass) degrades into a quarantine bucket
-// entry via the executor's per-cell timeout and bounded retries instead
-// of hanging the campaign.
+// byte-identical final report. A cancelled Interrupt context stops the
+// campaign between candidates: work in flight finishes and checkpoints,
+// the report covers everything completed, and Report.Interrupted tells
+// the caller to exit with the distinct interrupted code. A pathological
+// candidate (stalling build, crashing pass) degrades into a quarantine
+// bucket entry via the executor's per-cell timeout and bounded retries
+// instead of hanging the campaign.
 package hunt
 
 import (
@@ -70,10 +67,6 @@ type Options struct {
 	// budgets would make reduction timing-dependent; the probe cap keeps
 	// it deterministic.
 	ReduceProbes int
-	// Commit enables writing fixtures and state. Leased workers run with
-	// Commit off — only the supervisor's render pass (or a plain
-	// single-process run) commits, so N workers write each fixture once.
-	Commit bool
 	// Interrupt, when non-nil and cancelled, stops the campaign between
 	// candidates (the SIGINT/SIGTERM drain).
 	Interrupt context.Context
@@ -86,7 +79,6 @@ func DefaultOptions() Options {
 		Spec:         "gcc-O2*",
 		Denom:        metrics.DenomStmtLines,
 		ReduceProbes: 300,
-		Commit:       true,
 	}
 }
 
@@ -131,7 +123,7 @@ type campaign struct {
 	plantPass string
 
 	// ex executes every cell. It is the installed resilience executor
-	// when the command's flags built one (journal, leases, chaos); with
+	// when the command's flags built one (journal, chaos); with
 	// none installed the campaign still gets a local default executor, so
 	// a panicking candidate quarantines into a bucket entry instead of
 	// killing the run — the degrade-not-die contract must not depend on
@@ -233,7 +225,7 @@ func Run(w io.Writer, opts Options) (*Report, error) {
 	// and the report must describe the run against the state it started
 	// from (otherwise every new bucket prints as already known).
 	c.render(w, rep)
-	if c.opts.Commit && !c.interrupted {
+	if !c.interrupted {
 		if err := c.commit(rep); err != nil {
 			return nil, err
 		}

@@ -19,23 +19,10 @@ type Interp struct {
 	limit     int64
 	lanes     map[*Value]int64
 
-	// dcache holds the direct-threaded streams, decoded per function on
-	// first execution (see interp_thread.go). Scoped to the Interp so IR
-	// mutated between interpreter instances can never serve stale code.
-	dcache map[*Func]*dfunc
-	// fret/ferr carry a threaded frame's outcome from its terminating
-	// handler back to the dispatch loop.
-	fret int64
-	ferr error
-
 	// HeapBudget, when > 0, turns allocations that would push the total
 	// heap past it into ErrHeapBudget instead of the silent maxHeapWords
 	// clamp. 0 (the default) preserves the clamping semantics.
 	HeapBudget int64
-
-	// Reference selects the original switch-loop core — the executable
-	// specification the threaded core is differentially tested against.
-	Reference bool
 }
 
 // maxHeapWords caps the interpreter's total array heap, mirroring
@@ -106,19 +93,9 @@ func (in *Interp) Call(name string, args ...int64) (int64, error) {
 	return in.run(f, args)
 }
 
-// run dispatches one activation to the selected core.
+// run executes one activation: a switch over the *Value graph, one step
+// per non-phi instruction, with phis evaluated atomically on block entry.
 func (in *Interp) run(f *Func, args []int64) (int64, error) {
-	if in.Reference {
-		return in.runRef(f, args)
-	}
-	return in.runThreaded(in.decode(f), args)
-}
-
-// runRef is the reference core: the direct switch over the *Value graph,
-// kept verbatim as the semantics the threaded core must reproduce —
-// output, return values, step accounting, budget traps, and error
-// identity included.
-func (in *Interp) runRef(f *Func, args []int64) (int64, error) {
 	vals := make([]int64, f.NumValueIDs())
 	slots := make([]int64, f.NumSlots)
 	b := f.Entry()

@@ -32,9 +32,6 @@ type Flags struct {
 	CacheDir    *string
 	CellTimeout *time.Duration
 	Retries     *int
-	WorkDir     *string
-	WorkID      *string
-	LeaseTTL    *time.Duration
 }
 
 // Install registers the shared flags on fs and returns their storage.
@@ -59,14 +56,6 @@ func Install(fs *flag.FlagSet) *Flags {
 			"resilience: per-cell deadline (0 = none); overruns count as transient failures"),
 		Retries: fs.Int("retries", 2,
 			"resilience: extra attempts per cell after the first"),
-		WorkDir: fs.String("work-dir", "",
-			"resilience: shared multi-process journal directory; cells are "+
-				"leased from it and results checkpoint to a per-worker journal"),
-		WorkID: fs.String("work-id", "",
-			"resilience: this worker's id within -work-dir (default: derived from the pid)"),
-		LeaseTTL: fs.Duration("lease-ttl", resilience.DefaultLeaseTTL,
-			"resilience: lease deadline for -work-dir cells; an expired lease "+
-				"may be re-leased by any worker"),
 	}
 }
 
@@ -103,12 +92,6 @@ func (f *Flags) Build() (*Runtime, error) {
 	if *f.Journal != "" && *f.Resume != "" {
 		return nil, &UsageError{"-journal and -resume are mutually exclusive"}
 	}
-	if *f.WorkDir != "" && (*f.Journal != "" || *f.Resume != "") {
-		return nil, &UsageError{"-work-dir is mutually exclusive with -journal and -resume"}
-	}
-	if *f.WorkID != "" && *f.WorkDir == "" {
-		return nil, &UsageError{"-work-id requires -work-dir"}
-	}
 	// The persistent measurement store makes warm reruns skip the
 	// build+trace work entirely. Results are keyed by tool hash × store
 	// format × subject source hash × config fingerprint, so stdout is
@@ -127,7 +110,7 @@ func (f *Flags) Build() (*Runtime, error) {
 	// The resilience layer stays uninstalled (nil executor = direct call,
 	// byte-identical fault-free path) unless a resilience flag asks for it.
 	if *f.Chaos != "" || *f.Journal != "" || *f.Resume != "" ||
-		*f.WorkDir != "" || *f.CellTimeout > 0 || *f.Retries != 2 {
+		*f.CellTimeout > 0 || *f.Retries != 2 {
 		pol := resilience.DefaultPolicy()
 		pol.Retries = *f.Retries
 		pol.CellTimeout = *f.CellTimeout
@@ -141,12 +124,6 @@ func (f *Flags) Build() (*Runtime, error) {
 			ex.Policy.Seed = c.Seed
 		}
 		switch {
-		case *f.WorkDir != "":
-			wj, err := resilience.OpenWork(*f.WorkDir, *f.WorkID, *f.LeaseTTL)
-			if err != nil {
-				return nil, fmt.Errorf("-work-dir: %v", err)
-			}
-			ex.Journal = wj
 		case *f.Journal != "":
 			j, err := resilience.CreateJournal(*f.Journal)
 			if err != nil {

@@ -4,9 +4,6 @@ package resilience
 
 import "os"
 
-// Non-unix platforms get no advisory locking: single-process journal use
-// keeps working, and the multi-process protocols degrade to their
-// lock-free behaviour (duplicate compute is safe, the merge dedupes).
+// Non-unix platforms get no advisory locking: journals work, but
+// CreateJournal cannot detect a live holder of the same path.
 func flockExclusive(f *os.File, block bool) (bool, error) { return true, nil }
-
-func funlock(f *os.File) error { return nil }

@@ -12,7 +12,7 @@ import (
 // description holds the lock; with block=true it waits. flock locks
 // attach to the open file description, so two opens of the same path —
 // even inside one process — conflict, which is exactly the live-journal
-// protection CreateJournal and the lease ledger need.
+// protection CreateJournal needs.
 func flockExclusive(f *os.File, block bool) (bool, error) {
 	how := syscall.LOCK_EX
 	if !block {
@@ -34,11 +34,4 @@ func flockExclusive(f *os.File, block bool) (bool, error) {
 			return false, err
 		}
 	}
-}
-
-// funlock releases the advisory lock. Closing the file releases it too;
-// this exists for the lease ledger, which locks per operation on a
-// long-lived descriptor.
-func funlock(f *os.File) error {
-	return syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }

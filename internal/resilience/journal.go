@@ -18,10 +18,6 @@ const (
 	// runs rerun these cells (the environment — or the chaos flags — may
 	// have changed).
 	StatusQuarantined = "quarantined"
-	// StatusLeased marks a lease claim in a multi-process work directory:
-	// the owner promised to compute the cell before the deadline. Leases
-	// live only in the lease ledger, never in merged journals.
-	StatusLeased = "leased"
 )
 
 // ErrJournalLive is wrapped by CreateJournal when the target file is
@@ -32,9 +28,7 @@ var ErrJournalLive = errors.New("journal is held by a live process")
 
 // Record is one journal line. Keys are config fingerprint × subject
 // hash, so a journal written by one process addresses the same cells in
-// any other build of the same matrix. Owner/Epoch/Deadline exist for the
-// multi-process protocol: a lease record carries all three, and result
-// records written by workers carry Owner/Epoch for provenance.
+// any other build of the same matrix.
 type Record struct {
 	Key      string          `json:"key"`
 	Status   string          `json:"status"`
@@ -43,21 +37,13 @@ type Record struct {
 	Pass     string          `json:"pass,omitempty"`
 	Error    string          `json:"error,omitempty"`
 	Value    json.RawMessage `json:"value,omitempty"`
-	// Owner identifies the worker process that wrote the record.
-	Owner string `json:"owner,omitempty"`
-	// Epoch counts lease generations for a key: a re-lease after expiry
-	// appends a record with a higher epoch, which supersedes the old one.
-	Epoch int `json:"epoch,omitempty"`
-	// Deadline is the lease expiry as unix milliseconds; a lease past it
-	// may be claimed by any worker (the owner is presumed dead).
-	Deadline int64 `json:"deadline,omitempty"`
 }
 
 // Journal is an append-only JSONL checkpoint file. Every Append is
 // fsynced before returning, so a killed process loses at most the
 // record being written — and that half-written line is detected and
-// discarded on resume. Records are unordered (workers append as cells
-// complete); the last record per key wins.
+// discarded on resume. Records are unordered (pool workers append as
+// cells complete); the last record per key wins.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -109,26 +95,13 @@ func CreateJournal(path string) (*Journal, error) {
 // live journal holding the file releases it (normally: until the owning
 // process exits).
 func ResumeJournal(path string) (*Journal, error) {
-	return resumeJournal(path, true)
-}
-
-// resumeJournal is ResumeJournal with an explicit blocking mode: the
-// multi-process worker journals resume non-blocking so a duplicate
-// worker id fails fast with ErrJournalLive instead of deadlocking on a
-// peer that never exits.
-func resumeJournal(path string, block bool) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: resume journal: %w", err)
 	}
-	locked, err := flockExclusive(f, block)
-	if err != nil {
+	if _, err := flockExclusive(f, true); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("resilience: resume journal: lock %s: %w", path, err)
-	}
-	if !locked {
-		f.Close()
-		return nil, fmt.Errorf("resilience: resume journal %s: %w", path, ErrJournalLive)
 	}
 	// Read through the locked descriptor, not the path: a separate
 	// os.ReadFile could race a concurrent appender (or a path swap) and

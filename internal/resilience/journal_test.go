@@ -1,9 +1,15 @@
 package resilience
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -148,5 +154,151 @@ func TestCreateJournalRefusesLiveJournal(t *testing.T) {
 	defer j2.Close()
 	if j2.Len() != 0 {
 		t.Fatalf("fresh journal has %d records, want 0", j2.Len())
+	}
+}
+
+var crashJournal = flag.String("crash-journal", "",
+	"internal: run as the kill -9 drill's journal writer on this path")
+
+// crashCells is the drill's matrix; the helper finishes crashDone of them.
+const crashCells, crashDone = 5, 2
+
+func crashValue(key string) string { return "value-of-" + key }
+
+// TestJournalCrashHelper is re-executed as a separate OS process by
+// TestJournalKillNineResume. It journals the first crashDone cells
+// through Run, then announces readiness from inside the next cell and
+// hangs there until the parent kills it with SIGKILL.
+func TestJournalCrashHelper(t *testing.T) {
+	if *crashJournal == "" {
+		t.Skip("not in helper mode")
+	}
+	j, err := CreateJournal(*crashJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutor(fastPolicy(0))
+	ex.Journal = j
+	for k := 0; k < crashCells; k++ {
+		key := fmt.Sprintf("cell-%d", k)
+		Run(ex, context.Background(), key, func(context.Context) (string, error) {
+			if k == crashDone {
+				fmt.Println("CRASH_READY")
+				os.Stdout.Sync()
+				time.Sleep(time.Minute) // killed long before this returns
+			}
+			return crashValue(key), nil
+		})
+	}
+	t.Fatal("helper was not killed")
+}
+
+// TestJournalKillNineResume is the crash drill behind `-journal` +
+// kill -9 + `-resume`: a process journals two of five cells and is
+// killed -9 mid-cell, and a torn final record is appended the way a
+// kill mid-write leaves one. Resuming must not wait on the dead
+// process's lock, must discard the torn record, must replay the two
+// finished cells without running them and compute the other three, and
+// must leave five terminated ok records.
+func TestJournalKillNineResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process")
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-test.run", "^TestJournalCrashHelper$", "-crash-journal", path)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ready := false
+	for sc := bufio.NewScanner(stdout); sc.Scan(); {
+		if strings.Contains(sc.Text(), "CRASH_READY") {
+			ready = true
+			break
+		}
+	}
+	cmd.Process.Kill() // SIGKILL: no deferred cleanup; the flock dies with the process
+	cmd.Wait()
+	if !ready {
+		t.Fatal("helper never reached CRASH_READY")
+	}
+
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"cell-2","status":"ok","val`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	type opened struct {
+		j   *Journal
+		err error
+	}
+	ch := make(chan opened, 1)
+	go func() {
+		j, err := ResumeJournal(path)
+		ch <- opened{j, err}
+	}()
+	var j *Journal
+	select {
+	case o := <-ch:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		j = o.j
+	case <-time.After(10 * time.Second):
+		t.Fatal("ResumeJournal blocked on the killed process's lock")
+	}
+	if !j.Torn() {
+		t.Fatal("torn final record not reported")
+	}
+	ex := NewExecutor(fastPolicy(0))
+	ex.Journal = j
+	computed := 0
+	for k := 0; k < crashCells; k++ {
+		key := fmt.Sprintf("cell-%d", k)
+		v, err := Run(ex, context.Background(), key, func(context.Context) (string, error) {
+			computed++
+			return crashValue(key), nil
+		})
+		if err != nil || v != crashValue(key) {
+			t.Fatalf("%s = %q, %v", key, v, err)
+		}
+	}
+	if computed != crashCells-crashDone {
+		t.Fatalf("resume computed %d cells, want %d", computed, crashCells-crashDone)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatalf("journal ends in an unterminated record: %q", data)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	keys := map[string]bool{}
+	for _, line := range lines {
+		var rec Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Status != StatusOK {
+			t.Fatalf("journal line %q: status %q, err %v", line, rec.Status, err)
+		}
+		keys[rec.Key] = true
+	}
+	if len(lines) != crashCells || len(keys) != crashCells {
+		t.Fatalf("journal holds %d records over %d keys, want %d ok records:\n%s",
+			len(lines), len(keys), crashCells, data)
 	}
 }

@@ -78,23 +78,12 @@ func DefaultPolicy() Policy {
 	}
 }
 
-// Checkpointer is the journal surface Run consults: Lookup may return a
-// completed record (short-circuiting the cell), and Append records an
-// outcome. The single-file Journal implements it, and so does the
-// multi-process WorkJournal — whose Lookup additionally blocks until the
-// cell is either completed by a peer or leased to this process.
-type Checkpointer interface {
-	Lookup(key string) (Record, bool)
-	Append(rec Record) error
-	Close() error
-}
-
 // Executor runs cells under a policy and records quarantines. The zero
 // executor is not usable; construct with NewExecutor.
 type Executor struct {
 	Policy  Policy
 	Chaos   *Chaos
-	Journal Checkpointer
+	Journal *Journal
 
 	mu          sync.Mutex
 	quarantined map[string]*CellError

@@ -15,6 +15,7 @@ import (
 
 	"debugtuner/internal/api"
 	"debugtuner/internal/evalcache"
+	"debugtuner/internal/resilience"
 	"debugtuner/internal/telemetry"
 )
 
@@ -158,8 +159,14 @@ func TestDeterministicAcrossServers(t *testing.T) {
 	}
 }
 
+// TestTypedErrors runs with an executor installed, as cmd/tunerd does,
+// so a request the service cannot serve must be rejected up front, not
+// quarantined as a failed cell.
 func TestTypedErrors(t *testing.T) {
+	ex := resilience.NewExecutor(resilience.DefaultPolicy())
+	defer resilience.Install(resilience.Install(ex))
 	h := New(Options{}).Handler()
+	noMain := `{"v":1,"profile":"gcc","level":"O1","units":[{"name":"lib","source":"func f(): int { return 1; }"}]}`
 	cases := []struct {
 		name, path, body string
 		status           int
@@ -172,6 +179,8 @@ func TestTypedErrors(t *testing.T) {
 		{"no units", "/v1/report", `{"v":1,"units":[]}`, 400, api.CodeInvalidArgument},
 		{"compile error", "/v1/tune", `{"v":1,"profile":"gcc","level":"O1","units":[{"name":"a","source":"not minic"}]}`, 400, api.CodeCompileError},
 		{"bad matrix", "/v1/report", fmt.Sprintf(`{"v":1,"configs":"nope-O9","units":[{"name":"a","source":%q}]}`, testSource), 400, api.CodeInvalidArgument},
+		{"tune without main", "/v1/tune", noMain, 400, api.CodeInvalidArgument},
+		{"pareto without main", "/v1/pareto", noMain, 400, api.CodeInvalidArgument},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,10 +188,17 @@ func TestTypedErrors(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("HTTP %d, want %d (%s)", resp.StatusCode, tc.status, raw)
 			}
-			if aerr := decodeErr(t, raw); aerr.Code != tc.code {
+			aerr := decodeErr(t, raw)
+			if aerr.Code != tc.code {
 				t.Errorf("code %q, want %q", aerr.Code, tc.code)
 			}
+			if tc.body == noMain && !strings.Contains(aerr.Msg, `"lib"`) {
+				t.Errorf("message %q does not name the unit", aerr.Msg)
+			}
 		})
+	}
+	if qs := ex.Quarantined(); len(qs) > 0 {
+		t.Errorf("rejected requests quarantined %d cell(s), first %s", len(qs), qs[0].Key)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/tune", nil)
 	rr := httptest.NewRecorder()

@@ -48,13 +48,18 @@ func (sv *Service) budget() int64 {
 }
 
 // loadPrograms front-ends every unit. A front-end failure is a typed
-// compile_error naming the unit.
+// compile_error naming the unit. Tuning traces and times each unit's
+// entry function, so a unit without one is an invalid_argument.
 func loadPrograms(units []api.Unit) ([]*tuner.Program, *api.Error) {
 	progs := make([]*tuner.Program, 0, len(units))
 	for _, u := range units {
 		p, err := tuner.LoadProgram(u.Name, []byte(u.Source), nil)
 		if err != nil {
 			return nil, &api.Error{Code: api.CodeCompileError, Msg: err.Error()}
+		}
+		if p.IR0.Func(p.Entry) == nil {
+			return nil, &api.Error{Code: api.CodeInvalidArgument,
+				Msg: fmt.Sprintf("unit %q has no function %q", u.Name, p.Entry)}
 		}
 		progs = append(progs, p)
 	}
@@ -151,21 +156,6 @@ func (sv *Service) Tune(req *api.TuneRequest) (*api.TuneResult, error) {
 	return res, nil
 }
 
-// entryOf picks the function a timing run calls: main when present,
-// else the first function of the program (deterministic: IR function
-// order is source order).
-func entryOf(p *tuner.Program) string {
-	for _, f := range p.IR0.Funcs {
-		if f.Name == "main" {
-			return "main"
-		}
-	}
-	if len(p.IR0.Funcs) > 0 {
-		return p.IR0.Funcs[0].Name
-	}
-	return "main"
-}
-
 // cycles measures one (program, config) timing run on the cycle-exact
 // VM, as an ephemeral resilience cell so a panicking build quarantines
 // instead of unwinding through the server.
@@ -176,7 +166,7 @@ func (sv *Service) cycles(p *tuner.Program, cfg pipeline.Config) (int64, error) 
 			bin := pipeline.Build(p.IR0, cfg)
 			m := vm.New(bin)
 			m.StepBudget = sv.budget()
-			if _, err := m.Call(entryOf(p)); err != nil {
+			if _, err := m.Call(p.Entry); err != nil {
 				return 0, err
 			}
 			return m.Cycles, nil

@@ -607,3 +607,32 @@ func TestFramePoolReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestNewArrChargesLength locks the allocation cost to the requested
+// length. OpNewArr once read its length after writing its destination,
+// so an allocation into its own size register was charged handle/8
+// cycles instead of len/8.
+func TestNewArrChargesLength(t *testing.T) {
+	alloc := func(d uint8) *Binary {
+		return &Binary{
+			Funcs: []FuncInfo{{Name: "main", Start: 0, End: 4}},
+			Code: []Instr{
+				{Op: OpProlog},
+				{Op: OpConst, D: 0, Imm: 800},
+				{Op: OpNewArr, A: 0, D: d},
+				{Op: OpRet},
+			},
+		}
+	}
+	for _, eng := range []Engine{EngineAuto, EngineReference} {
+		same := runEngine(alloc(0), eng, runOpts{}, call{name: "main"})
+		other := runEngine(alloc(1), eng, runOpts{}, call{name: "main"})
+		if len(same.Errs)+len(other.Errs) > 0 {
+			t.Fatalf("engine %v: %v %v", eng, same.Errs, other.Errs)
+		}
+		if same.Cycles != other.Cycles {
+			t.Errorf("engine %v: NewArr into its size register costs %d cycles, into another register %d",
+				eng, same.Cycles, other.Cycles)
+		}
+	}
+}
