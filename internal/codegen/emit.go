@@ -27,10 +27,11 @@ func Compile(prog *ir.Program, opts Options) *vm.Binary {
 		fidx[f.Name] = int64(i)
 	}
 	var mfuncs []*MFunc
+	var snap mirSnap
 	for _, f := range prog.Funcs {
 		mf := lowerFunc(prog, f, &opts, fidx)
 		if opts.MachineSink {
-			runStage(snk, &opts, "machine-sink", mf, func() { machineSink(mf) })
+			runStage(snk, &opts, &snap, "machine-sink", mf, func() { machineSink(mf) })
 		}
 		// Register allocation runs on reverse postorder — inlining
 		// appends callee blocks far from their call sites, and the
@@ -38,12 +39,12 @@ func Compile(prog *ir.Program, opts Options) *vm.Binary {
 		// block placement. The optional hot-path layout is a post-RA
 		// pass, as in LLVM's MachineBlockPlacement.
 		if opts.Schedule {
-			runStage(snk, &opts, "schedule", mf, func() { schedule(mf) })
+			runStage(snk, &opts, &snap, "schedule", mf, func() { schedule(mf) })
 		}
 		rpoSort(mf)
 		regalloc(mf, &opts)
 		if opts.Layout {
-			runStage(snk, &opts, "layout", mf, func() { layout(mf) })
+			runStage(snk, &opts, &snap, "layout", mf, func() { layout(mf) })
 		}
 		if opts.ShrinkWrap {
 			t0 := time.Now()
@@ -53,7 +54,7 @@ func Compile(prog *ir.Program, opts Options) *vm.Binary {
 			mf.prologBlock = mf.Blocks[0]
 		}
 		if opts.CrossJump {
-			runStage(snk, &opts, "crossjump", mf, func() { crossJump(mf) })
+			runStage(snk, &opts, &snap, "crossjump", mf, func() { crossJump(mf) })
 		}
 		mfuncs = append(mfuncs, mf)
 	}

@@ -142,9 +142,6 @@ func scheduleBlock(b *MBlock) {
 	// between. The bounded window keeps register-pressure growth small,
 	// unlike full list scheduling before allocation.
 	instrs := b.Instrs
-	for i, in := range instrs {
-		in.origIdx = i
-	}
 	var reads []int
 	readsVreg := func(in *MInstr, v int) bool {
 		reads = readsOf(in, reads[:0])

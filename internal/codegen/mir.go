@@ -83,9 +83,9 @@ type MInstr struct {
 	// Var is the bound variable for mDbg markers.
 	Var *ast.Symbol
 
-	// origIdx is the instruction's index before scheduling, used to
-	// detect order inversions that drop line attribution.
-	origIdx int
+	// stamp is the instruction's index in the damage ledger's last
+	// snapshot (see mirSnap).
+	stamp int32
 }
 
 // MBlock is a machine basic block.

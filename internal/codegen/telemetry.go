@@ -20,52 +20,77 @@ func (o *Options) toggleName(stage string) string {
 	return stage
 }
 
-// mirSnap is the per-function machine-IR debug snapshot.
+// Slot kinds of the MIR snapshot. Marker state lives in its own field,
+// not in the line: any int is a possible line.
+const (
+	slotNone  uint8 = iota // an unbound marker, or nothing to compare
+	slotInstr              // a non-debug instruction; line is its line
+	slotBound              // a marker carrying a binding
+)
+
+// mirSlot is one snapshotted instruction's entry.
+type mirSlot struct {
+	// in is the instruction, nil once the diff has visited it.
+	in   *MInstr
+	line int
+	kind uint8
+}
+
+// mirSnap is the per-function machine-IR debug snapshot, one per
+// Compile, reused across its stages and functions. MInstr has no ID, so
+// take stamps each instruction with its index into slots; the diff
+// trusts a stamp only when that slot holds the same pointer, since an
+// instruction made during the stage carries a zero or copied stamp.
 type mirSnap struct {
 	instrs int
-	lines  map[*MInstr]int
-	bound  map[*MInstr]bool
+	slots  []mirSlot
 	order  []*MBlock
 }
 
-func snapshotMIR(mf *MFunc) *mirSnap {
-	s := &mirSnap{
-		lines: map[*MInstr]int{},
-		bound: map[*MInstr]bool{},
-		order: append([]*MBlock(nil), mf.Blocks...),
-	}
+// take captures mf's current debug metadata.
+func (s *mirSnap) take(mf *MFunc) {
+	s.instrs = 0
+	s.slots = s.slots[:0]
+	s.order = append(s.order[:0], mf.Blocks...)
 	for _, b := range mf.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == mDbg {
-				s.bound[in] = in.Sub != dbgNone
-				continue
+			in.stamp = int32(len(s.slots))
+			sl := mirSlot{in: in}
+			switch {
+			case in.Op != mDbg:
+				s.instrs++
+				sl.line, sl.kind = in.Line, slotInstr
+			case in.Sub != dbgNone:
+				sl.kind = slotBound
 			}
-			s.instrs++
-			s.lines[in] = in.Line
+			s.slots = append(s.slots, sl)
 		}
 	}
-	return s
 }
 
-// diffMIR compares mf against its snapshot. Deleted instructions that
-// carried a line count as zeroed (their rows vanish from the line
-// table — cross-jumping's cost); deleted bound markers count as
-// dropped.
-func diffMIR(before *mirSnap, mf *MFunc) telemetry.Damage {
+// diff compares mf against the snapshot. It clears each slot it visits,
+// so the slots left over are the instructions the stage deleted.
+// Deleted instructions that carried a line count as zeroed (their rows
+// vanish from the line table — cross-jumping's cost); deleted bound
+// markers count as dropped.
+func (s *mirSnap) diff(mf *MFunc) telemetry.Damage {
 	var d telemetry.Damage
 	instrs := 0
-	present := map[*MInstr]bool{}
 	for _, b := range mf.Blocks {
 		for _, in := range b.Instrs {
-			present[in] = true
+			var old mirSlot
+			if i := in.stamp; uint(i) < uint(len(s.slots)) && s.slots[i].in == in {
+				old = s.slots[i]
+				s.slots[i].in = nil
+			}
 			if in.Op == mDbg {
-				if before.bound[in] && in.Sub == dbgNone {
+				if old.kind == slotBound && in.Sub == dbgNone {
 					d.DbgDropped++
 				}
 				continue
 			}
 			instrs++
-			if old, ok := before.lines[in]; ok && old != in.Line {
+			if old.kind == slotInstr && old.line != in.Line {
 				if in.Line == 0 {
 					d.LinesZeroed++
 				} else {
@@ -74,17 +99,16 @@ func diffMIR(before *mirSnap, mf *MFunc) telemetry.Damage {
 			}
 		}
 	}
-	for in, line := range before.lines {
-		if !present[in] && line > 0 {
+	for _, old := range s.slots {
+		switch {
+		case old.in == nil:
+		case old.kind == slotInstr && old.line > 0:
 			d.LinesZeroed++
-		}
-	}
-	for in, wasBound := range before.bound {
-		if wasBound && !present[in] {
+		case old.kind == slotBound:
 			d.DbgDropped++
 		}
 	}
-	d.InstrDelta = int64(instrs - before.instrs)
+	d.InstrDelta = int64(instrs - s.instrs)
 	return d
 }
 
@@ -107,19 +131,21 @@ func displacedBlocks(before []*MBlock, mf *MFunc) int64 {
 
 // runStage executes one optional backend stage under the ledger when
 // telemetry is enabled; with the sink nil it calls the stage directly.
-func runStage(snk *telemetry.Sink, opts *Options, stage string, mf *MFunc, fn func()) {
+// snap is the Compile's reusable snapshot.
+func runStage(snk *telemetry.Sink, opts *Options, snap *mirSnap, stage string, mf *MFunc, fn func()) {
 	if snk == nil {
 		fn()
 		return
 	}
-	before := snapshotMIR(mf)
+	snap.take(mf)
 	t0 := time.Now()
 	fn()
-	d := diffMIR(before, mf)
+	wall := time.Since(t0).Nanoseconds()
+	d := snap.diff(mf)
 	if stage == "layout" {
-		d.LinesChanged += displacedBlocks(before.order, mf)
+		d.LinesChanged += displacedBlocks(snap.order, mf)
 	}
-	d.Runs, d.WallNS = 1, time.Since(t0).Nanoseconds()
+	d.Runs, d.WallNS = 1, wall
 	snk.AddDamage(opts.toggleName(stage), mf.Name, d)
 }
 

@@ -9,7 +9,11 @@ func Verify(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	inFunc := map[*Value]bool{}
+	// Instruction IDs index dense per-function tables (the damage
+	// ledger's snapshot among them): each lies in [0, NumValueIDs())
+	// and no two instructions share one. byID is also the membership
+	// test for arguments.
+	byID := make([]*Value, f.NumValueIDs())
 	blockSet := map[*Block]bool{}
 	for _, b := range f.Blocks {
 		blockSet[b] = true
@@ -17,7 +21,13 @@ func Verify(f *Func) error {
 			if v.Block != b {
 				return fmt.Errorf("%s: %v claims block %v but lives in %v", f.Name, v, v.Block, b)
 			}
-			inFunc[v] = true
+			if v.ID < 0 || v.ID >= len(byID) {
+				return fmt.Errorf("%s: %v: %v has ID outside [0, %d)", f.Name, b, v, len(byID))
+			}
+			if byID[v.ID] != nil {
+				return fmt.Errorf("%s: %v: two instructions share ID %d", f.Name, b, v.ID)
+			}
+			byID[v.ID] = v
 		}
 	}
 	for _, b := range f.Blocks {
@@ -55,7 +65,7 @@ func Verify(f *Func) error {
 				if a == nil {
 					return fmt.Errorf("%s: %v: %v has nil arg", f.Name, b, v)
 				}
-				if !inFunc[a] {
+				if a.ID < 0 || a.ID >= len(byID) || byID[a.ID] != a {
 					return fmt.Errorf("%s: %v: %v uses foreign value %v", f.Name, b, v, a)
 				}
 				if !a.Op.HasResult() {

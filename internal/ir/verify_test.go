@@ -41,3 +41,26 @@ func TestVerifyRejectsStaleLines(t *testing.T) {
 		t.Fatalf("artificial line rejected: %v", err)
 	}
 }
+
+// TestVerifyRejectsSharedIDs: instruction IDs index dense per-function
+// tables (the damage ledger's snapshot), so two instructions sharing an
+// ID, or an ID the function never handed out, must fail Verify.
+func TestVerifyRejectsSharedIDs(t *testing.T) {
+	f := &Func{Name: "f"}
+	b := f.NewBlock()
+	c := f.NewValue(b, OpConst, 1)
+	twin := &Value{Op: OpConst, ID: c.ID, Block: b, Line: 1}
+	ret := f.NewValue(b, OpRet, 1, c)
+	b.Instrs = []*Value{c, twin, ret}
+	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "two instructions share ID 0") {
+		t.Fatalf("shared ID not rejected, got %v", err)
+	}
+	b.Instrs = []*Value{c, ret}
+	if err := Verify(f); err != nil {
+		t.Fatalf("well-formed function rejected: %v", err)
+	}
+	c.ID = f.NumValueIDs()
+	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "has ID outside [0, 2)") {
+		t.Fatalf("unallocated ID not rejected, got %v", err)
+	}
+}

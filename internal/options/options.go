@@ -143,7 +143,11 @@ func (f *Flags) Build() (*Runtime, error) {
 		resilience.Install(ex)
 		rt.Executor = ex
 	}
-	if *f.Trace != "" || *f.Metrics != "" {
+	switch {
+	case *f.Trace != "":
+		rt.Sink = telemetry.NewTraceSink()
+		telemetry.Install(rt.Sink)
+	case *f.Metrics != "":
 		rt.Sink = telemetry.Enable()
 	}
 	return rt, nil

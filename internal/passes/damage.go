@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"sync"
+
 	"debugtuner/internal/ir"
 	"debugtuner/internal/telemetry"
 )
@@ -10,61 +12,94 @@ import (
 // inside the helpers (RAUW records salvages and gcc-policy range ends,
 // which the diff cannot infer); everything else — bindings turned
 // "optimized out" or deleted, line attributions zeroed or rewritten,
-// instruction churn — falls out of the snapshot diff below. Values are
-// identified by pointer: passes mutate and move *ir.Value nodes but
-// clone them only across functions (inlining), so a value present in
-// both snapshots is the same instruction.
+// instruction churn — falls out of the snapshot diff below.
+//
+// The snapshot is a dense table indexed by value ID. IDs are unique
+// within a function and never reused: ir.Func.NewValue hands out the
+// next one, clone keeps them, and ir.Verify checks both. So a value in
+// the function after the pass with an ID below the snapshot's bound is
+// the instruction snapshotted under that ID, and one at or above it is
+// new. Tables are pooled, so a warm pass run allocates none.
+
+// Slot kinds. Marker state lives in its own field, not in the line:
+// any int is a possible line (staticdbg plants a marker at line -7).
+const (
+	slotNone  uint8 = iota // no instruction, an unbound marker, or visited
+	slotInstr              // a non-debug instruction; line is its line
+	slotBound              // a DbgValue marker carrying a binding
+)
+
+// snapSlot is one value ID's entry in the snapshot.
+type snapSlot struct {
+	line int
+	kind uint8
+}
 
 // funcSnap is the per-function debug-metadata snapshot.
 type funcSnap struct {
+	// name is the function's name, which a module pass's diff matches
+	// on.
+	name string
 	// instrs counts non-debug instructions.
 	instrs int
-	// lines maps each non-debug instruction to its source line.
-	lines map[*ir.Value]int
-	// bound maps each DbgValue marker to whether it carries a binding.
-	bound map[*ir.Value]bool
+	// slots is indexed by value ID, up to the function's NumValueIDs at
+	// snapshot time.
+	slots []snapSlot
 }
 
-// snapshotFunc captures f's current debug metadata.
-func snapshotFunc(f *ir.Func) *funcSnap {
-	s := &funcSnap{
-		lines: map[*ir.Value]int{},
-		bound: map[*ir.Value]bool{},
+var snapPool = sync.Pool{New: func() any { return new(funcSnap) }}
+
+// take captures f's current debug metadata, reusing s's table.
+func (s *funcSnap) take(f *ir.Func) {
+	n := f.NumValueIDs()
+	if cap(s.slots) < n {
+		s.slots = make([]snapSlot, n)
+	} else {
+		s.slots = s.slots[:n]
+		clear(s.slots)
 	}
+	s.name, s.instrs = f.Name, 0
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
+			if uint(v.ID) >= uint(n) {
+				continue // outside the invariant; the diff sees it as new
+			}
 			if v.Op == ir.OpDbgValue {
-				s.bound[v] = len(v.Args) > 0
+				if len(v.Args) > 0 {
+					s.slots[v.ID].kind = slotBound
+				}
 				continue
 			}
 			s.instrs++
-			s.lines[v] = v.Line
+			s.slots[v.ID] = snapSlot{line: v.Line, kind: slotInstr}
 		}
 	}
-	return s
 }
 
-// diffFunc compares f against its snapshot and returns the damage
-// delta. A nil snapshot (a function the pass created) contributes
-// nothing.
-func diffFunc(before *funcSnap, f *ir.Func) telemetry.Damage {
+// diff compares f against the snapshot and returns the damage delta.
+// Each marker it visits clears its slot, so the bound slots left over
+// are markers the pass deleted outright (if-conversion removes arm
+// bindings, DCE sweeps already-dropped ones); they count as dropped.
+func (s *funcSnap) diff(f *ir.Func) telemetry.Damage {
 	var d telemetry.Damage
-	if before == nil {
-		return d
-	}
 	instrs := 0
-	present := map[*ir.Value]bool{}
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
+			var old snapSlot
+			if uint(v.ID) < uint(len(s.slots)) {
+				old = s.slots[v.ID]
+			}
 			if v.Op == ir.OpDbgValue {
-				present[v] = true
-				if before.bound[v] && len(v.Args) == 0 {
-					d.DbgDropped++
+				if old.kind == slotBound {
+					s.slots[v.ID].kind = slotNone
+					if len(v.Args) == 0 {
+						d.DbgDropped++
+					}
 				}
 				continue
 			}
 			instrs++
-			if old, ok := before.lines[v]; ok && old != v.Line {
+			if old.kind == slotInstr && old.line != v.Line {
 				if v.Line == 0 {
 					d.LinesZeroed++
 				} else {
@@ -73,14 +108,11 @@ func diffFunc(before *funcSnap, f *ir.Func) telemetry.Damage {
 			}
 		}
 	}
-	// Markers deleted outright (if-conversion removes arm bindings,
-	// DCE sweeps already-dropped ones) count as dropped only if they
-	// still carried a binding.
-	for v, wasBound := range before.bound {
-		if wasBound && !present[v] {
+	for _, sl := range s.slots {
+		if sl.kind == slotBound {
 			d.DbgDropped++
 		}
 	}
-	d.InstrDelta = int64(instrs - before.instrs)
+	d.InstrDelta = int64(instrs - s.instrs)
 	return d
 }

@@ -168,9 +168,10 @@ func (p *Pass) runInstrumented(ctx *Context, snk *telemetry.Sink) bool {
 	defer func() { ctx.PassName = prev }()
 
 	if p.RunModule != nil {
-		before := make(map[string]*funcSnap, len(ctx.Prog.Funcs))
-		for _, f := range ctx.Prog.Funcs {
-			before[f.Name] = snapshotFunc(f)
+		snaps := make([]*funcSnap, len(ctx.Prog.Funcs))
+		for i, f := range ctx.Prog.Funcs {
+			snaps[i] = snapPool.Get().(*funcSnap)
+			snaps[i].take(f)
 		}
 		t0 := time.Now()
 		changed := p.RunModule(ctx)
@@ -182,22 +183,36 @@ func (p *Pass) runInstrumented(ctx *Context, snk *telemetry.Sink) bool {
 			wall /= n
 		}
 		for _, f := range ctx.Prog.Funcs {
-			d := diffFunc(before[f.Name], f)
+			// A function the pass created has no snapshot and
+			// contributes nothing but the run.
+			var d telemetry.Damage
+			for _, s := range snaps {
+				if s.name == f.Name {
+					d = s.diff(f)
+					break
+				}
+			}
 			d.Runs, d.WallNS = 1, wall
 			snk.AddDamage(name, f.Name, d)
+		}
+		for _, s := range snaps {
+			snapPool.Put(s)
 		}
 		return changed
 	}
 
+	s := snapPool.Get().(*funcSnap)
+	defer snapPool.Put(s)
 	changed := false
 	for _, f := range ctx.Prog.Funcs {
-		before := snapshotFunc(f)
+		s.take(f)
 		t0 := time.Now()
 		if p.RunFunc(ctx, f) {
 			changed = true
 		}
-		d := diffFunc(before, f)
-		d.Runs, d.WallNS = 1, time.Since(t0).Nanoseconds()
+		wall := time.Since(t0).Nanoseconds()
+		d := s.diff(f)
+		d.Runs, d.WallNS = 1, wall
 		snk.AddDamage(name, f.Name, d)
 	}
 	return changed

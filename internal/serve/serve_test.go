@@ -326,6 +326,32 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestDrainWhileRequestsArrive: requests keep arriving while Drain waits
+// for the in-flight ones. None may register as in flight once Drain's
+// wait can have begun, or the WaitGroup grows from zero under Wait — a
+// misuse the race detector reports. Run under -race via ci.sh.
+func TestDrainWhileRequestsArrive(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s := New(Options{DrainGrace: time.Millisecond})
+		h := s.Handler()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 20; k++ {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/quarantine", nil))
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/tune", strings.NewReader("{}")))
+				}
+			}()
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+	}
+}
+
 // loopThenTail spends its first few hundred VM steps in a loop, so a
 // small step budget truncates its traces before the tail runs.
 const loopThenTail = `func main() {

@@ -106,6 +106,11 @@ type Server struct {
 	slots    chan struct{}
 	admitted atomic.Int64
 
+	// draining flips once, under gate's write side; enter reads it and
+	// registers in inflight under the read side. So every Add that
+	// grows inflight from zero happens before Drain's Wait, as a
+	// WaitGroup requires.
+	gate     sync.RWMutex
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
@@ -282,19 +287,31 @@ func (s *Server) release() {
 	s.admitted.Add(-1)
 }
 
+// enter registers a request as in flight, which Drain waits for, and
+// reports true; once Drain has begun it registers nothing and reports
+// false.
+func (s *Server) enter() bool {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
+}
+
 // servePost is the shared POST wrapper: drain gate, in-flight
 // accounting, and envelope writing.
 func (s *Server) servePost(w http.ResponseWriter, r *http.Request, name string,
 	handle func(body io.Reader) (cachedResp, *api.Error)) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	telemetry.Add("tunerd.requests", 1)
 	telemetry.Add("tunerd.requests."+name, 1)
-	if s.draining.Load() {
+	if !s.enter() {
 		telemetry.Add("tunerd.drained503", 1)
 		writeError(w, &api.Error{Code: api.CodeDraining, Msg: "server is draining"})
 		return
 	}
+	defer s.inflight.Done()
 	if r.Method != http.MethodPost {
 		writeError(w, &api.Error{Code: api.CodeBadRequest,
 			Msg: fmt.Sprintf("%s requires POST", r.URL.Path)})
@@ -311,8 +328,9 @@ func (s *Server) servePost(w http.ResponseWriter, r *http.Request, name string,
 }
 
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
+	if s.enter() {
+		defer s.inflight.Done()
+	}
 	snk := telemetry.Active()
 	if snk == nil {
 		writeError(w, &api.Error{Code: api.CodeInternal, Msg: "telemetry sink not installed"})
@@ -323,8 +341,9 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveQuarantine(w http.ResponseWriter, r *http.Request) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
+	if s.enter() {
+		defer s.inflight.Done()
+	}
 	var recs []api.QuarantineRecord
 	if ex := resilience.Active(); ex != nil {
 		recs = api.QuarantineRecordsFrom(ex.Quarantined())
@@ -375,7 +394,10 @@ func (s *Server) Start() (string, error) {
 // the 503 instead of a connection refused) before closing. The context
 // bounds the total wait; on expiry the server closes anyway.
 func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	s.gate.Lock()
+	first := s.draining.CompareAndSwap(false, true)
+	s.gate.Unlock()
+	if !first {
 		return nil
 	}
 	start := time.Now()

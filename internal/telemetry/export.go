@@ -31,7 +31,8 @@ type traceFile struct {
 func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // WriteTrace writes the sink's spans and counters as Chrome trace-event
-// JSON, loadable in chrome://tracing or Perfetto.
+// JSON, loadable in chrome://tracing or Perfetto. Only a sink made by
+// NewTraceSink has span records to write.
 func (s *Sink) WriteTrace(w io.Writer) error {
 	spans := s.Spans()
 	counters := s.Counters()
@@ -100,7 +101,7 @@ func (s *Sink) WriteMetrics(w io.Writer) error {
 	})
 	out := metricsFile{
 		WallSeconds: time.Since(s.epoch).Seconds(),
-		SpanCount:   len(s.Spans()),
+		SpanCount:   s.SpanCount(),
 		Counters:    s.Counters(),
 		Maxima:      s.Maxima(),
 		Damage:      rows,

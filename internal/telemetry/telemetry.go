@@ -17,7 +17,9 @@
 // Enabling telemetry (the -trace / -metrics flags) installs a Sink;
 // spans and counters accumulate under a mutex, which is uncontended in
 // practice because instrumentation points record aggregates (per pass,
-// per build, per VM run), not per-instruction events.
+// per build, per VM run), not per-instruction events. Every sink counts
+// spans; only one whose trace will be exported (-trace) keeps a record
+// of each.
 package telemetry
 
 import (
@@ -101,20 +103,26 @@ func (d *Damage) add(e Damage) {
 // methods are safe for concurrent use.
 type Sink struct {
 	epoch time.Time
+	// keepSpans is set for a sink whose spans a trace will export;
+	// every other sink only counts them, so a long-lived process (tunerd)
+	// does not pile up one record per pass run.
+	keepSpans bool
 
-	mu       sync.Mutex
-	spans    []SpanRecord
-	counters map[string]int64
-	maxima   map[string]int64
-	damage   map[DamageKey]*Damage
+	mu        sync.Mutex
+	spans     []SpanRecord
+	spanCount int
+	counters  map[string]int64
+	maxima    map[string]int64
+	damage    map[DamageKey]*Damage
 }
 
 // active is the process-global sink; nil means telemetry is disabled
 // and every entry point is a single pointer-load no-op.
 var active atomic.Pointer[Sink]
 
-// NewSink creates a detached sink (for tests that must not touch the
-// process-global state).
+// NewSink creates a detached sink that counts spans but keeps no
+// records of them (for tests that must not touch the process-global
+// state, and for scoped collectors).
 func NewSink() *Sink {
 	return &Sink{
 		epoch:    time.Now(),
@@ -124,7 +132,15 @@ func NewSink() *Sink {
 	}
 }
 
-// Enable installs a fresh process-global sink and returns it.
+// NewTraceSink creates a detached sink that also keeps every span
+// record, for WriteTrace.
+func NewTraceSink() *Sink {
+	s := NewSink()
+	s.keepSpans = true
+	return s
+}
+
+// Enable installs a fresh process-global sink (NewSink) and returns it.
 func Enable() *Sink {
 	s := NewSink()
 	active.Store(s)
@@ -180,20 +196,29 @@ func (sp *Span) TID(tid int) *Span {
 	return sp
 }
 
-// End closes and records the span.
+// End closes the span: it counts it, and records it when the sink
+// keeps spans.
 func (sp *Span) End() {
 	if sp == nil {
+		return
+	}
+	s := sp.sink
+	if !s.keepSpans {
+		s.mu.Lock()
+		s.spanCount++
+		s.mu.Unlock()
 		return
 	}
 	now := time.Now()
 	rec := SpanRecord{
 		Name: sp.name, Cat: sp.cat, TID: sp.tid,
-		Start: sp.start.Sub(sp.sink.epoch),
+		Start: sp.start.Sub(s.epoch),
 		Dur:   now.Sub(sp.start),
 	}
-	sp.sink.mu.Lock()
-	sp.sink.spans = append(sp.sink.spans, rec)
-	sp.sink.mu.Unlock()
+	s.mu.Lock()
+	s.spanCount++
+	s.spans = append(s.spans, rec)
+	s.mu.Unlock()
 }
 
 // ---- Counters ----
@@ -284,7 +309,15 @@ func (s *Sink) Maxima() map[string]int64 {
 	return out
 }
 
-// Spans returns a copy of the recorded spans.
+// SpanCount returns the number of spans ended on the sink.
+func (s *Sink) SpanCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.spanCount
+}
+
+// Spans returns a copy of the recorded spans; empty unless the sink
+// keeps spans (NewTraceSink).
 func (s *Sink) Spans() []SpanRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()

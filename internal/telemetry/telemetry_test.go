@@ -55,9 +55,10 @@ func TestCountersAndDamage(t *testing.T) {
 }
 
 // TestConcurrentEmission exercises concurrent span/counter/damage
-// emission; run under -race via ci.sh.
+// emission into a span-keeping sink; run under -race via ci.sh.
 func TestConcurrentEmission(t *testing.T) {
-	s := Enable()
+	s := NewTraceSink()
+	Install(s)
 	defer Disable()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -80,6 +81,9 @@ func TestConcurrentEmission(t *testing.T) {
 	if got := len(s.Spans()); got != 8*200 {
 		t.Fatalf("spans = %d, want %d", got, 8*200)
 	}
+	if got := s.SpanCount(); got != 8*200 {
+		t.Fatalf("span count = %d, want %d", got, 8*200)
+	}
 	if got := s.DamageByPass()["dce"].DbgDropped; got != 8*200 {
 		t.Fatalf("damage = %d, want %d", got, 8*200)
 	}
@@ -88,7 +92,7 @@ func TestConcurrentEmission(t *testing.T) {
 // TestWriteTrace validates the Chrome trace-event shape: a JSON object
 // with a traceEvents array of "X"/"C" events carrying ts/pid/tid.
 func TestWriteTrace(t *testing.T) {
-	s := NewSink()
+	s := NewTraceSink()
 	sp := s.Begin("pipeline", "build")
 	sp.End()
 	s.Add("evalcache.hit", 7)
@@ -139,5 +143,33 @@ func TestWriteMetrics(t *testing.T) {
 	}
 	if len(f.Damage) != 1 || f.Damage[0].Pass != "tree-sink" || f.Damage[0].LinesZeroed != 3 {
 		t.Fatalf("damage = %+v", f.Damage)
+	}
+}
+
+// TestUntracedSinkCountsSpans: a sink whose trace nobody exports (tunerd
+// without -trace, -metrics alone) counts its spans for span_count but
+// keeps no record of them, so a long-lived process does not accumulate
+// one per pass run.
+func TestUntracedSinkCountsSpans(t *testing.T) {
+	s := NewSink()
+	const n = 5
+	for i := 0; i < n; i++ {
+		s.Begin("pass", "work").End()
+	}
+	if got := len(s.Spans()); got != 0 {
+		t.Fatalf("untraced sink holds %d span records, want 0", got)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		SpanCount int `json:"span_count"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.SpanCount != n {
+		t.Fatalf("span_count = %d, want %d", f.SpanCount, n)
 	}
 }
