@@ -15,9 +15,11 @@
 //
 // plus the shared runtime flags (-j, -cachedir, -trace, -metrics,
 // -journal, -resume, -chaos, -cell-timeout, -retries) of
-// internal/options. The result tables are rendered from the same
-// internal/api structs the tunerd server serves, so CLI output and
-// service responses cannot drift.
+// internal/options. The tune result is computed by the same function as
+// tunerd's /v1/tune (serve.TunePrograms) and rendered from the same
+// internal/api structs, so CLI output and service responses cannot
+// drift: a subject with a quarantined measurement is named and left out
+// of the means, and the run exits 3.
 package main
 
 import (
@@ -30,9 +32,9 @@ import (
 	"debugtuner/internal/api"
 	"debugtuner/internal/options"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/serve"
 	"debugtuner/internal/specsuite"
 	"debugtuner/internal/testsuite"
-	"debugtuner/internal/tuner"
 )
 
 func main() {
@@ -79,56 +81,23 @@ func main() {
 	progs := testsuite.Programs(subjects)
 
 	fmt.Printf("analyzing %s-%s: one rebuild per pass per program...\n", profile, *level)
-	la, err := tuner.AnalyzeLevel(progs, profile, *level)
+	res, la, err := serve.TunePrograms(progs, profile, *level, dys)
 	if err != nil {
 		fail(err)
 	}
-
-	res := &api.TuneResult{
-		Profile:             string(profile),
-		Level:               *level,
-		Positive:            la.Positive,
-		Neutral:             la.Neutral,
-		Negative:            la.Negative,
-		Ranking:             api.RankedPassesFrom(la.Ranking),
-		QuarantinedSubjects: la.QuarantinedPrograms,
-		QuarantinedCells:    la.QuarantinedCells,
-	}
-	for _, p := range progs {
-		res.Subjects = append(res.Subjects, p.Name)
-	}
-
-	ref, err := meanProduct(progs, pipeline.MustConfig(profile, *level))
-	if err != nil {
-		fail(err)
-	}
-	res.Reference = api.TunedConfig{Name: *level, Product: ref}
 	if *perf {
 		_, spd, err := specsuite.SuiteSpeedup(pipeline.MustConfig(profile, *level), nil)
 		if err != nil {
 			fail(err)
 		}
 		res.Reference.Speedup = &spd
-	}
-	for _, cfg := range la.Configs(dys) {
-		avg, err := meanProduct(progs, cfg)
-		if err != nil {
-			fail(err)
-		}
-		tc := api.TunedConfig{
-			Name:     cfg.Name(),
-			Disabled: api.SortedNames(cfg.Disabled),
-			Product:  avg,
-			DeltaPct: api.DeltaPct(avg, ref),
-		}
-		if *perf {
+		for i, cfg := range la.Configs(dys) {
 			_, spd, err := specsuite.SuiteSpeedup(cfg, nil)
 			if err != nil {
 				fail(err)
 			}
-			tc.Speedup = &spd
+			res.Configs[i].Speedup = &spd
 		}
-		res.Configs = append(res.Configs, tc)
 	}
 	api.RenderTuneResult(os.Stdout, res, *top)
 
@@ -150,16 +119,4 @@ func main() {
 		fail(err)
 	}
 	os.Exit(code)
-}
-
-func meanProduct(progs []*tuner.Program, cfg pipeline.Config) (float64, error) {
-	sum := 0.0
-	for _, p := range progs {
-		m, err := p.Product(cfg)
-		if err != nil {
-			return 0, err
-		}
-		sum += m
-	}
-	return sum / float64(len(progs)), nil
 }

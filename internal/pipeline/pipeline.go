@@ -401,18 +401,23 @@ func newContext(prog *ir.Program, cfg Config) *passes.Context {
 
 // runPasses is the middle end's one pass loop. It runs cfg's enabled
 // middle-end entries from index from to the end of the pipeline on
-// ctx.Prog, then applies the FDO profile. before, when set, sees the
-// state ahead of every entry i >= from, run or skipped; hook, when set,
+// ctx.Prog, then applies the FDO profile. at, when set, sees the state
+// ahead of every entry i >= from, run or skipped, and the final state
+// (i == len(pipeline)) ahead of the FDO profile; ran reports whether
+// entry i-1 ran. If at returns true the loop stops there, the FDO
+// profile is not applied, and runPasses returns true. hook, when set,
 // is called after every executed pass with the ledger-style label
 // ("cleanup/<name>" for always-on runs) and the program in its
 // post-pass state.
 func runPasses(ctx *passes.Context, cfg Config, from int,
-	before func(i int), hook func(label string, prog *ir.Program)) {
+	at func(i int, ran bool) bool, hook func(label string, prog *ir.Program)) (stopped bool) {
 	es := pipelines(cfg.Profile, cfg.Level)
+	ran := false
 	for i := from; i < len(es); i++ {
-		if before != nil {
-			before(i)
+		if at != nil && at(i, ran) {
+			return true
 		}
+		ran = false
 		e := es[i]
 		if e.backend || !e.enabled(cfg) {
 			continue
@@ -432,6 +437,7 @@ func runPasses(ctx *passes.Context, cfg Config, from int,
 		p.Run(ctx)
 		ps.End()
 		ctx.RunLabel = ""
+		ran = true
 		if hook != nil {
 			hl := e.name
 			if e.internal {
@@ -440,9 +446,13 @@ func runPasses(ctx *passes.Context, cfg Config, from int,
 			hook(hl, ctx.Prog)
 		}
 	}
+	if at != nil && at(len(es), ran) {
+		return true
+	}
 	if cfg.FDO != nil {
 		autofdo.ApplyToIR(ctx.Prog, cfg.FDO)
 	}
+	return false
 }
 
 // enabled reports whether the entry runs under cfg: a disabled toggle

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,8 +17,10 @@ import (
 
 	"debugtuner/internal/api"
 	"debugtuner/internal/evalcache"
+	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
 	"debugtuner/internal/telemetry"
+	"debugtuner/internal/testsuite"
 )
 
 const testSource = `func fib(n: int): int {
@@ -398,5 +402,92 @@ func TestTuneBudgetKeyed(t *testing.T) {
 	}
 	if again := tune(500); !reflect.DeepEqual(again, short) {
 		t.Fatal("a restarted budget-500 server answered differently from its disk store")
+	}
+}
+
+// TestLedgerFoldsClientFuncs: a server's damage ledger keeps one cell
+// per pass, so units that differ only in their function names leave
+// /debug/metrics with as many damage rows as the first one did.
+func TestLedgerFoldsClientFuncs(t *testing.T) {
+	defer telemetry.Install(telemetry.Install(telemetry.NewSink()))
+	h := New(Options{}).Handler()
+	src, err := os.ReadFile("testdata/fib.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func() int {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/metrics", nil))
+		var m struct {
+			Damage []telemetry.DamageRow `json:"damage"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		return len(m.Damage)
+	}
+	first := 0
+	for i := -1; i < 8; i++ {
+		name := "fib"
+		if i >= 0 {
+			name = fmt.Sprintf("fib%d", i)
+		}
+		body := fmt.Sprintf(`{"v":1,"profile":"gcc","level":"O1","units":[{"name":%q,"source":%q}]}`,
+			name, strings.ReplaceAll(string(src), "fib", name))
+		if resp, raw := post(t, h, "/v1/tune", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", name, resp.StatusCode, raw)
+		}
+		switch n := rows(); {
+		case i < 0:
+			first = n
+			if n == 0 {
+				t.Fatal("no damage rows after the first request")
+			}
+		case n != first:
+			t.Errorf("after %s: %d damage rows, want %d as after the first request", name, n, first)
+		}
+	}
+}
+
+// TestTuneProgramsQuarantinePolicy runs the tune computation shared by
+// tunerd and cmd/debugtuner under chaos (rate 0.2, seed 3), which
+// quarantines two references (libmpeg2, libssh) and two subjects' Ox-dy
+// cells (zlib, zydis). The result must still come back. It names those
+// subjects, and its reference mean covers exactly the others.
+func TestTuneProgramsQuarantinePolicy(t *testing.T) {
+	subjects, err := testsuite.LoadAll(testsuite.CorpusOptions{Execs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := testsuite.Programs(subjects)
+	ex := resilience.NewExecutor(resilience.DefaultPolicy())
+	ex.Chaos = &resilience.Chaos{Rate: 0.2, Seed: 3}
+	ex.Policy.Seed = 3
+	defer resilience.Install(resilience.Install(ex))
+	res, _, err := TunePrograms(progs, "gcc", "O1", []int{3})
+	if err != nil {
+		t.Fatalf("a quarantined subject voided the result: %v", err)
+	}
+	want := []string{"libmpeg2", "libssh", "zlib", "zydis"}
+	if !reflect.DeepEqual(res.QuarantinedSubjects, want) {
+		t.Fatalf("quarantined subjects %v, want %v", res.QuarantinedSubjects, want)
+	}
+	dead := map[string]bool{}
+	for _, n := range want {
+		dead[n] = true
+	}
+	sum, n := 0.0, 0
+	for _, p := range progs {
+		if !dead[p.Name] {
+			m, err := p.Product(pipeline.MustConfig(pipeline.GCC, "O1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += m
+			n++
+		}
+	}
+	if got := sum / float64(n); res.Reference.Product != got {
+		t.Errorf("reference mean %v, want %v over the %d live subjects", res.Reference.Product, got, n)
 	}
 }

@@ -128,7 +128,13 @@ type Server struct {
 // New returns a server over a fresh Service. When a default disk store
 // is bound (evalcache.SetDefaultDisk), responses persist across
 // restarts under a namespace scoped by API version and step budget.
+// Clients name their functions freely, so the installed telemetry
+// sink's damage ledger is folded to one cell per pass (FoldFuncs) and
+// stops growing with each new name.
 func New(opts Options) *Server {
+	if snk := telemetry.Active(); snk != nil {
+		snk.FoldFuncs()
+	}
 	s := &Server{
 		Svc:   &Service{Budget: opts.Budget},
 		opts:  opts,

@@ -114,38 +114,66 @@ func (sv *Service) Tune(req *api.TuneRequest) (*api.TuneResult, error) {
 	for _, p := range progs {
 		p.Budget = sv.budget()
 	}
-	profile := pipeline.Profile(req.Profile)
-	la, err := tuner.AnalyzeLevel(progs, profile, req.Level)
-	if err != nil {
-		return nil, err
-	}
-	live := liveSubset(progs, la.QuarantinedPrograms)
+	res, _, err := TunePrograms(progs, pipeline.Profile(req.Profile), req.Level, req.Dy)
+	return res, err
+}
 
+// TunePrograms is the one tune computation, behind both /v1/tune and
+// cmd/debugtuner: the pass ranking at (profile, level) across progs,
+// plus the Ox-dy family of sizes dy scored by mean product. A subject
+// whose reference or any Ox-dy measurement was quarantined is left out
+// of every mean and named in the result, so all the means cover the
+// same subjects. It also returns the analysis the result was built
+// from.
+func TunePrograms(progs []*tuner.Program, profile pipeline.Profile, level string, dy []int) (*api.TuneResult, *tuner.LevelAnalysis, error) {
+	la, err := tuner.AnalyzeLevel(progs, profile, level)
+	if err != nil {
+		return nil, nil, err
+	}
 	res := &api.TuneResult{
-		Profile:             req.Profile,
-		Level:               req.Level,
-		Positive:            la.Positive,
-		Neutral:             la.Neutral,
-		Negative:            la.Negative,
-		Ranking:             api.RankedPassesFrom(la.Ranking),
-		QuarantinedSubjects: append([]string(nil), la.QuarantinedPrograms...),
-		QuarantinedCells:    la.QuarantinedCells,
+		Profile:          string(profile),
+		Level:            level,
+		Positive:         la.Positive,
+		Neutral:          la.Neutral,
+		Negative:         la.Negative,
+		Ranking:          api.RankedPassesFrom(la.Ranking),
+		QuarantinedCells: la.QuarantinedCells,
 	}
-	for _, u := range req.Units {
-		res.Subjects = append(res.Subjects, u.Name)
+	cfgs := append([]pipeline.Config{pipeline.MustConfig(profile, level)}, la.Configs(dy)...)
+	dead := map[string]bool{}
+	for _, n := range la.QuarantinedPrograms {
+		dead[n] = true
 	}
-
-	refCfg := pipeline.MustConfig(profile, req.Level)
-	ref, err := meanProduct(live, refCfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Reference = api.TunedConfig{Name: req.Level, Product: ref}
-	for _, cfg := range la.Configs(req.Dy) {
-		avg, err := meanProduct(live, cfg)
-		if err != nil {
-			return nil, err
+	// sums[c] totals the live subjects' products under cfgs[c].
+	sums := make([]float64, len(cfgs))
+	live := 0
+	for _, p := range progs {
+		res.Subjects = append(res.Subjects, p.Name)
+		if !dead[p.Name] {
+			row, err := products(p, cfgs)
+			switch {
+			case resilience.IsQuarantined(err):
+				dead[p.Name] = true
+			case err != nil:
+				return nil, nil, err
+			default:
+				for c, m := range row {
+					sums[c] += m
+				}
+				live++
+			}
 		}
+		if dead[p.Name] {
+			res.QuarantinedSubjects = append(res.QuarantinedSubjects, p.Name)
+		}
+	}
+	if live == 0 {
+		return nil, nil, fmt.Errorf("no live programs to measure")
+	}
+	ref := sums[0] / float64(live)
+	res.Reference = api.TunedConfig{Name: level, Product: ref}
+	for c, cfg := range cfgs[1:] {
+		avg := sums[c+1] / float64(live)
 		res.Configs = append(res.Configs, api.TunedConfig{
 			Name:     cfg.Name(),
 			Disabled: api.SortedNames(cfg.Disabled),
@@ -153,7 +181,20 @@ func (sv *Service) Tune(req *api.TuneRequest) (*api.TuneResult, error) {
 			DeltaPct: api.DeltaPct(avg, ref),
 		})
 	}
-	return res, nil
+	return res, la, nil
+}
+
+// products measures p's product under each configuration.
+func products(p *tuner.Program, cfgs []pipeline.Config) ([]float64, error) {
+	row := make([]float64, len(cfgs))
+	for c, cfg := range cfgs {
+		m, err := p.Product(cfg)
+		if err != nil {
+			return nil, err
+		}
+		row[c] = m
+	}
+	return row, nil
 }
 
 // cycles measures one (program, config) timing run on the cycle-exact

@@ -114,6 +114,7 @@ type Sink struct {
 	counters  map[string]int64
 	maxima    map[string]int64
 	damage    map[DamageKey]*Damage
+	foldFuncs bool // see FoldFuncs
 }
 
 // active is the process-global sink; nil means telemetry is disabled
@@ -267,8 +268,11 @@ func AddDamage(pass, fn string, d Damage) {
 
 // AddDamage folds a damage delta into the (pass, function) cell.
 func (s *Sink) AddDamage(pass, fn string, d Damage) {
-	key := DamageKey{Pass: pass, Func: fn}
 	s.mu.Lock()
+	if s.foldFuncs {
+		fn = foldedFunc
+	}
+	key := DamageKey{Pass: pass, Func: fn}
 	cell := s.damage[key]
 	if cell == nil {
 		cell = &Damage{}
@@ -276,6 +280,31 @@ func (s *Sink) AddDamage(pass, fn string, d Damage) {
 	}
 	cell.add(d)
 	s.mu.Unlock()
+}
+
+// foldedFunc is the function name of a folded ledger's cells.
+const foldedFunc = "*"
+
+// FoldFuncs makes the ledger keep one cell per pass, every function
+// folded into the cell named "*", from now on and for the cells
+// it already holds. A server's clients name their functions freely, so
+// a per-function ledger would grow with every new name.
+func (s *Sink) FoldFuncs() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.foldFuncs = true
+	for k, d := range s.damage {
+		if k.Func == foldedFunc {
+			continue
+		}
+		delete(s.damage, k)
+		key := DamageKey{Pass: k.Pass, Func: foldedFunc}
+		if cell := s.damage[key]; cell != nil {
+			cell.add(*d)
+		} else {
+			s.damage[key] = d
+		}
+	}
 }
 
 // ---- Snapshots ----

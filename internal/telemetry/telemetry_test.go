@@ -54,6 +54,24 @@ func TestCountersAndDamage(t *testing.T) {
 	}
 }
 
+// TestFoldFuncs: a folded ledger keeps one cell per pass, for the cells
+// it held and for every later function name, with the totals intact.
+func TestFoldFuncs(t *testing.T) {
+	s := NewSink()
+	s.AddDamage("gvn", "f", Damage{Runs: 1, DbgDropped: 2})
+	s.AddDamage("dce", "f", Damage{Runs: 1})
+	s.FoldFuncs()
+	s.AddDamage("gvn", "g", Damage{Runs: 1, DbgDropped: 1})
+	s.AddDamage("gvn", "h", Damage{Runs: 1, LinesZeroed: 3})
+	l := s.Ledger()
+	if len(l) != 2 {
+		t.Fatalf("folded ledger has %d cells, want one per pass: %v", len(l), l)
+	}
+	if c := l[DamageKey{Pass: "gvn", Func: foldedFunc}]; c.Runs != 3 || c.DbgDropped != 3 || c.LinesZeroed != 3 {
+		t.Fatalf("folded gvn cell = %+v", c)
+	}
+}
+
 // TestConcurrentEmission exercises concurrent span/counter/damage
 // emission into a span-keeping sink; run under -race via ci.sh.
 func TestConcurrentEmission(t *testing.T) {

@@ -165,20 +165,26 @@ func (p *Program) Scores(cfg pipeline.Config) (metrics.Scores, error) {
 // requests coalesce, and a quarantined result (Uncacheable) evicts
 // itself instead of pinning the failure.
 func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
+	return p.measureBuilt(cfg, func() (*vm.Binary, error) { return p.Build(cfg), nil })
+}
+
+// measureBuilt is Measure with the binary, on a miss, from build, which
+// must return the binary Build(cfg) does.
+func (p *Program) measureBuilt(cfg pipeline.Config, build func() (*vm.Binary, error)) (Measurement, error) {
 	fp, ok := cfg.Fingerprint()
 	if !ok {
 		// FDO payloads fall outside the fingerprint domain, so their
 		// results cannot be journaled safely — isolate without journal.
 		return resilience.RunEphemeral(resilience.Active(), context.Background(),
 			p.CellKey(cfg.Name()), func(context.Context) (Measurement, error) {
-				return p.measure(cfg)
+				return p.measure(build)
 			})
 	}
 	key := p.CellKey(fp)
 	return p.scores.Do(key, func() (Measurement, error) {
 		return resilience.Run(resilience.Active(), context.Background(),
 			key, func(context.Context) (Measurement, error) {
-				return p.measure(cfg)
+				return p.measure(build)
 			})
 	})
 }
@@ -222,12 +228,15 @@ func (p *Program) inputsDigest() uint64 {
 	return h.Sum64()
 }
 
-func (p *Program) measure(cfg pipeline.Config) (Measurement, error) {
+func (p *Program) measure(build func() (*vm.Binary, error)) (Measurement, error) {
 	base, err := p.Baseline()
 	if err != nil {
 		return Measurement{}, err
 	}
-	bin := p.Build(cfg)
+	bin, err := build()
+	if err != nil {
+		return Measurement{}, err
+	}
 	tr, err := p.Trace(bin)
 	if err != nil {
 		return Measurement{}, err

@@ -13,6 +13,7 @@ import (
 	"debugtuner/internal/metrics"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
+	"debugtuner/internal/vm"
 	"debugtuner/internal/workerpool"
 )
 
@@ -88,9 +89,10 @@ var effectDiskOnce sync.Once
 
 // AnalyzeLevel runs DebugTuner stage 1+2 for one profile/level: build the
 // reference, rebuild once per disabled pass (pruning .text-identical
-// builds), measure, and rank. Each rebuild resumes from the program's
-// fork set (pipeline.Forks) at the pass's first divergence from the
-// reference pipeline.
+// builds), measure, and rank. Each rebuild comes from the program's fork
+// set (pipeline.Forks): it resumes at the pass's first run that changed
+// the reference, stops when it rejoins the reference, and is skipped
+// when the pass changed nothing the reference build ran.
 //
 // The (program × pass) build+trace matrix is embarrassingly parallel and
 // fans out over the workerpool in two waves — per-program references
@@ -111,13 +113,28 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 	// quarantined reference removes the whole program from this level —
 	// without M_ref none of its increments are computable — rather than
 	// failing the analysis.
+	//
+	// A reference that misses the cache is compiled from the program's
+	// fork set, whose middle end is the one the matrix cells resume
+	// from, so each (program, level) runs it once. A fork set that fails
+	// to build fails only the matrix cells: the reference is then built
+	// from scratch.
 	refCfg := pipeline.MustConfig(profile, level)
+	forks := make([]programForks, len(progs))
+	for i := range forks {
+		forks[i].left.Store(int32(len(passNames)))
+	}
 	type refCell struct {
 		M           Measurement
 		Quarantined bool
 	}
-	refs, err := workerpool.Map(ctx, progs, func(_ context.Context, _ int, p *Program) (refCell, error) {
-		m, err := p.Measure(refCfg)
+	refs, err := workerpool.Map(ctx, progs, func(_ context.Context, i int, p *Program) (refCell, error) {
+		m, err := p.measureBuilt(refCfg, func() (*vm.Binary, error) {
+			if fs, err := forks[i].get(p.IR0, refCfg, passNames); err == nil {
+				return fs.Reference(), nil
+			}
+			return p.Build(refCfg), nil
+		})
 		if resilience.IsQuarantined(err) {
 			return refCell{Quarantined: true}, nil
 		}
@@ -127,14 +144,17 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 		return nil, err
 	}
 	var live []*Program
+	var liveForks []*programForks
 	var liveRefs []Measurement
 	for i, p := range progs {
 		if refs[i].Quarantined {
 			la.QuarantinedPrograms = append(la.QuarantinedPrograms, p.Name)
+			forks[i].fs = nil
 			continue
 		}
 		la.RefProduct[p.Name] = refs[i].M.Scores.Product
 		live = append(live, p)
+		liveForks = append(liveForks, &forks[i])
 		liveRefs = append(liveRefs, refs[i].M)
 	}
 
@@ -151,13 +171,9 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 	effectDiskOnce.Do(func() {
 		effectCache.SetDisk(evalcache.DefaultDisk(), "tuner.effect")
 	})
-	forks := make([]programForks, len(live))
-	for i := range forks {
-		forks[i].left.Store(int32(len(passNames)))
-	}
 	cells, err := workerpool.Map(ctx, jobs, func(ctx context.Context, _ int, j matrixJob) (PassEffect, error) {
 		p := live[j.pi]
-		pf := &forks[j.pi]
+		pf := liveForks[j.pi]
 		defer pf.cellDone()
 		cfg := pipeline.MustConfig(profile, level,
 			pipeline.Disable(passNames[j.xi]))
@@ -173,7 +189,8 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 					bin := fs.Build(passNames[j.xi])
 					// Stage-1 optimization: identical .text means the pass had
 					// no effect on this program; skip trace extraction (§III.A).
-					if bin.TextHash() == liveRefs[j.pi].TextHash {
+					// A nil binary is the reference's own.
+					if bin == nil || bin.TextHash() == liveRefs[j.pi].TextHash {
 						return PassEffect{NoEffect: true}, nil
 					}
 					base, err := p.Baseline()
@@ -233,10 +250,10 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 // newForks builds a program's fork set; tests replace it to fail.
 var newForks = pipeline.NewForks
 
-// programForks is one program's fork set within AnalyzeLevel: built on
-// the program's first matrix cell that misses the effect cache, shared
-// by its other cells, and dropped after its last cell, so warm runs
-// build none and at most the in-flight programs' snapshots are live.
+// programForks is one program's fork set within AnalyzeLevel: built by
+// the program's reference measurement or, when that hits its cache, by
+// the first matrix cell that misses the effect cache; shared by the
+// other cells, and dropped after the last one, so warm runs build none.
 type programForks struct {
 	mu   sync.Mutex
 	fs   *pipeline.Forks
