@@ -76,8 +76,19 @@ test "$rc" -eq 3
 /tmp/ci-experiments -j 4 -resume /tmp/ci-chaos.jsonl -seeds 3 -suite=false -configs levels \
     difftest > /tmp/ci-resume.txt
 grep -q '^PASS$' /tmp/ci-resume.txt
+# The suite tables under fault injection: a quarantined cell leaves its
+# subject out of every average of the table (named), so each table
+# completes with gaps, exit 3, and the same bytes at any worker count.
+rc=0; /tmp/ci-experiments -j 1 -quick -cachedir off -chaos rate=0.2,seed=3 \
+    table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j1.txt || rc=$?
+test "$rc" -eq 3
+rc=0; /tmp/ci-experiments -j 2 -quick -cachedir off -chaos rate=0.2,seed=3 \
+    table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j2.txt || rc=$?
+test "$rc" -eq 3
+cmp /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
 rm -f /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
-    /tmp/ci-chaos.jsonl /tmp/ci-resume.txt
+    /tmp/ci-chaos.jsonl /tmp/ci-resume.txt \
+    /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
 
 # Persistent-cache smoke: a cold quick-all into a fresh cache directory
 # must reproduce the committed golden (any diff to it is explained in

@@ -18,8 +18,9 @@
 // internal/options. The tune result is computed by the same function as
 // tunerd's /v1/tune (serve.TunePrograms) and rendered from the same
 // internal/api structs, so CLI output and service responses cannot
-// drift: a subject with a quarantined measurement is named and left out
-// of the means, and the run exits 3.
+// drift. Every mean, -perf speedups and -greedy steps included, comes
+// from suite.Evaluate: a subject or benchmark with a quarantined
+// measurement is named and left out of the means, and the run exits 3.
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/serve"
 	"debugtuner/internal/specsuite"
+	"debugtuner/internal/suite"
 	"debugtuner/internal/testsuite"
 )
 
@@ -86,18 +88,26 @@ func main() {
 		fail(err)
 	}
 	if *perf {
-		_, spd, err := specsuite.SuiteSpeedup(pipeline.MustConfig(profile, *level), nil)
+		// One set over the reference and its Ox-dy family: a benchmark
+		// with a quarantined speedup is named and left out of every mean,
+		// and a set with no live benchmark prints no speedups.
+		cfgs := append([]pipeline.Config{pipeline.MustConfig(profile, *level)}, la.Configs(dys)...)
+		spd, err := suite.Evaluate(specsuite.Names, cfgs, func(b int, cfg pipeline.Config) (float64, error) {
+			return specsuite.OverO0(specsuite.Names[b], cfg)
+		})
 		if err != nil {
 			fail(err)
 		}
-		res.Reference.Speedup = &spd
-		for i, cfg := range la.Configs(dys) {
-			_, spd, err := specsuite.SuiteSpeedup(cfg, nil)
-			if err != nil {
-				fail(err)
+		for c := range cfgs {
+			if m, ok := suite.Mean(spd, c); !ok {
+				continue
+			} else if c == 0 {
+				res.Reference.Speedup = &m
+			} else {
+				res.Configs[c-1].Speedup = &m
 			}
-			res.Configs[i].Speedup = &spd
 		}
+		res.QuarantinedSubjects = append(res.QuarantinedSubjects, spd.Quarantined...)
 	}
 	api.RenderTuneResult(os.Stdout, res, *top)
 
@@ -109,6 +119,10 @@ func main() {
 		}
 		for i, s := range steps {
 			fmt.Printf("%2d. disable %-26s -> product %.4f\n", i+1, s.Pass, s.Product)
+			if len(s.Quarantined) > 0 {
+				fmt.Printf("    QUARANTINED: %d subject(s) [%s] left out of this step\n",
+					len(s.Quarantined), strings.Join(s.Quarantined, ", "))
+			}
 		}
 		fmt.Printf("final: %s disabling %s\n", gcfg.Name(),
 			strings.Join(api.SortedNames(gcfg.Disabled), ", "))

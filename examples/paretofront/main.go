@@ -10,6 +10,7 @@ import (
 
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/specsuite"
+	"debugtuner/internal/suite"
 	"debugtuner/internal/testsuite"
 	"debugtuner/internal/tuner"
 )
@@ -17,8 +18,9 @@ import (
 func main() {
 	// Debuggability axis: three suite programs. Performance axis: three
 	// benchmarks. (cmd/experiments fig2 runs the full sets.)
+	names := []string{"zlib", "wasm3", "libyaml"}
 	var progs []*tuner.Program
-	for _, name := range []string{"zlib", "wasm3", "libyaml"} {
+	for _, name := range names {
 		s, err := testsuite.Load(name, testsuite.CorpusOptions{Execs: 200})
 		if err != nil {
 			log.Fatal(err)
@@ -27,33 +29,33 @@ func main() {
 	}
 	benches := []string{"505.mcf", "557.xz", "531.deepsjeng"}
 
-	point := func(cfg pipeline.Config) tuner.Point {
-		var dbg float64
-		for _, p := range progs {
-			m, err := p.Product(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			dbg += m
-		}
-		dbg /= float64(len(progs))
-		_, spd, err := specsuite.SuiteSpeedup(cfg, benches)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return tuner.Point{Label: cfg.Name(), Debug: dbg, Speedup: spd}
-	}
-
-	var points []tuner.Point
+	var cfgs []pipeline.Config
 	for _, level := range pipeline.Levels(pipeline.GCC) {
-		points = append(points, point(pipeline.MustConfig(pipeline.GCC, level)))
 		la, err := tuner.AnalyzeLevel(progs, pipeline.GCC, level)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, cfg := range la.Configs([]int{3, 5}) {
-			points = append(points, point(cfg))
-		}
+		cfgs = append(cfgs, pipeline.MustConfig(pipeline.GCC, level))
+		cfgs = append(cfgs, la.Configs([]int{3, 5})...)
+	}
+	// Each axis is one suite set: every point averages the same members.
+	debug, err := suite.Evaluate(names, cfgs, func(s int, cfg pipeline.Config) (float64, error) {
+		return progs[s].Product(cfg)
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	speed, err := suite.Evaluate(benches, cfgs, func(b int, cfg pipeline.Config) (float64, error) {
+		return specsuite.OverO0(benches[b], cfg)
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var points []tuner.Point
+	for c, cfg := range cfgs {
+		dbg, _ := suite.Mean(debug, c)
+		spd, _ := suite.Mean(speed, c)
+		points = append(points, tuner.Point{Label: cfg.Name(), Debug: dbg, Speedup: spd})
 	}
 
 	fmt.Printf("%-12s %10s %9s  %s\n", "config", "product", "speedup", "front?")

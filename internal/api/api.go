@@ -196,6 +196,10 @@ type ParetoResult struct {
 	// FrontSize is the size of the non-dominated subset (after
 	// coincident-duplicate collapse, matching tuner.ParetoFront).
 	FrontSize int `json:"front_size"`
+	// QuarantinedSubjects names the subjects (units, suite programs or
+	// benchmarks) with a quarantined measurement on an axis: that axis
+	// averages the others in every point.
+	QuarantinedSubjects []string `json:"quarantined_subjects,omitempty"`
 }
 
 // ReportRequest asks for a debuggability report over the submitted

@@ -65,7 +65,8 @@ func renderConfigLine(w io.Writer, cfg TunedConfig, delta bool) {
 
 // RenderPareto writes the scatter table and front summary under the
 // given header line — the historical Fig2 format, byte for byte
-// (including the trailing blank line).
+// (including the trailing blank line). A result that left subjects out
+// names them on one more line before the blank one.
 func RenderPareto(w io.Writer, header string, res *ParetoResult) {
 	fmt.Fprintf(w, "%s\n", header)
 	fmt.Fprintf(w, "%-16s | %10s | %8s\n", "configuration", "product", "speedup")
@@ -81,7 +82,12 @@ func RenderPareto(w io.Writer, header string, res *ParetoResult) {
 		}
 		fmt.Fprintf(w, "%-16s | %10.4f | %7.2fx %s\n", pt.Label, pt.Debug, pt.Speedup, mark)
 	}
-	fmt.Fprintf(w, "Pareto-optimal: %d of %d configurations\n\n", res.FrontSize, len(res.Points))
+	fmt.Fprintf(w, "Pareto-optimal: %d of %d configurations\n", res.FrontSize, len(res.Points))
+	if len(res.QuarantinedSubjects) > 0 {
+		fmt.Fprintf(w, "QUARANTINED: %d subject(s) [%s] left out of every point\n",
+			len(res.QuarantinedSubjects), strings.Join(res.QuarantinedSubjects, ", "))
+	}
+	fmt.Fprintln(w)
 }
 
 // RenderDebugReport writes the debuggability report: per-cell static

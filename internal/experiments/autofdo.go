@@ -15,12 +15,8 @@ import (
 // fdoCycles builds the final binary at cfg with the given profile and
 // runs the benchmark.
 func fdoCycles(bench string, cfg pipeline.Config, p *autofdo.Profile) (int64, error) {
-	b, err := specsuite.Bench(bench)
-	if err != nil {
-		return 0, err
-	}
 	cfg.FDO = p
-	res, err := b.Run(cfg)
+	res, err := specsuite.Run(bench, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -31,11 +27,7 @@ func fdoCycles(bench string, cfg pipeline.Config, p *autofdo.Profile) (int64, er
 // -fdebug-info-for-profiling analog, as the paper does) and samples the
 // ref workload.
 func (r *Runner) collectProfile(bench string, cfg pipeline.Config) (*autofdo.Profile, int, error) {
-	b, err := specsuite.Bench(bench)
-	if err != nil {
-		return nil, 0, err
-	}
-	ir0, err := b.BuildIR()
+	ir0, err := specsuite.LoadIR(bench)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -119,11 +111,7 @@ func (r *Runner) autoFDOStudy(w io.Writer, full bool) error {
 	benches, err := workerpool.Map(context.Background(), r.specNames(),
 		func(_ context.Context, _ int, bench string) (benchRes, error) {
 			var br benchRes
-			b, err := specsuite.Bench(bench)
-			if err != nil {
-				return br, err
-			}
-			plain, err := b.Cycles(o2)
+			plain, err := specsuite.Cycles(bench, o2)
 			if err != nil {
 				return br, err
 			}
@@ -191,11 +179,7 @@ func (r *Runner) Fig4(w io.Writer) error {
 	const profile = pipeline.Clang
 	const bench = "selfcomp"
 	o3 := pipeline.MustConfig(profile, "O3")
-	b, err := specsuite.Bench(bench)
-	if err != nil {
-		return err
-	}
-	plain, err := b.Cycles(o3)
+	plain, err := specsuite.Cycles(bench, o3)
 	if err != nil {
 		return err
 	}

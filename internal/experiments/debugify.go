@@ -120,15 +120,7 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		src, err := s.Source()
-		if err != nil {
-			return nil, err
-		}
-		ir0, err := s.BuildIR()
-		if err != nil {
-			return nil, err
-		}
-		h := resilience.HashBytes(src)
+		h := resilience.HashBytes(s.Src)
 		for _, p := range profiles {
 			for _, level := range pipeline.Levels(p) {
 				if len(levelOK) > 0 && !levelOK[level] {
@@ -139,7 +131,7 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 					return nil, err
 				}
 				cells = append(cells, debugifyCell{
-					subject: name, srcHash: h, ir0: ir0, cfg: cfg,
+					subject: name, srcHash: h, ir0: s.IR0, cfg: cfg,
 				})
 			}
 		}

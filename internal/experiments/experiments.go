@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"debugtuner/internal/dbgtrace"
@@ -22,7 +23,6 @@ import (
 	"debugtuner/internal/ir"
 	"debugtuner/internal/metrics"
 	"debugtuner/internal/pipeline"
-	"debugtuner/internal/resilience"
 	"debugtuner/internal/sema"
 	"debugtuner/internal/specsuite"
 	"debugtuner/internal/suite"
@@ -60,27 +60,20 @@ func DefaultOptions() Options {
 	}
 }
 
-// Runner executes and caches the evaluation. Every memo is an
+// Runner executes and caches the evaluation: the loaded suite, the
+// per-level pass analyses and the AutoFDO measurements. Each is an
 // evalcache.Cache, so concurrent table generators asking for the same
-// intermediate (the loaded suite, a level analysis, a config's suite
-// product or SPEC speedup) block on one computation instead of
-// duplicating it.
+// intermediate block on one computation instead of duplicating it.
+// Suite averages are not memoized here: every table evaluates its
+// (subject × config) set through suite.Evaluate, whose cells hit the
+// measurement caches underneath (tuner.Program's scores, specsuite's
+// cycle counts).
 type Runner struct {
 	Opts Options
 
-	subjects evalcache.Cache[[]suite.Subject]
+	subjects evalcache.Cache[[]*testsuite.Subject]
 	analyses evalcache.Cache[*tuner.LevelAnalysis]
-	speedups evalcache.Cache[float64]   // config fingerprint -> SPEC average speedup
-	products evalcache.Cache[suiteStat] // config fingerprint -> suite product stats
 	fdo      evalcache.Cache[fdoResult] // bench|final|profiling -> AutoFDO measurement
-}
-
-// suiteStat is the suite-averaged product metric of one configuration
-// plus the number of subjects whose measurements were quarantined (and
-// therefore excluded from the mean).
-type suiteStat struct {
-	Mean        float64
-	Quarantined int
 }
 
 // NewRunner creates a runner. AutoFDO measurements are bound to the
@@ -96,28 +89,12 @@ func NewRunner(opts Options) *Runner {
 	return r
 }
 
-// Suite loads (once) the 13-program test suite with fuzzed corpora,
-// exposed through the cross-suite interface. testsuite is the provider;
-// every consumer downstream sees suite.Subject.
-func (r *Runner) Suite() ([]suite.Subject, error) {
-	return r.subjects.Do("suite", func() ([]suite.Subject, error) {
-		loaded, err := testsuite.LoadAll(testsuite.CorpusOptions{Execs: r.Opts.CorpusExecs})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]suite.Subject, len(loaded))
-		for i, s := range loaded {
-			out[i] = s
-		}
-		return out, nil
+// Suite loads (once) the 13-program test suite with fuzzed corpora, in
+// testsuite.Names order.
+func (r *Runner) Suite() ([]*testsuite.Subject, error) {
+	return r.subjects.Do("suite", func() ([]*testsuite.Subject, error) {
+		return testsuite.LoadAll(testsuite.CorpusOptions{Execs: r.Opts.CorpusExecs})
 	})
-}
-
-// debuggable unwraps a suite subject to its tuner program for metric
-// evaluation. Every subject the Runner loads is testsuite-backed, so
-// the assertion cannot fail.
-func debuggable(s suite.Subject) *tuner.Program {
-	return s.(suite.Debuggable).Tuner()
 }
 
 // Analysis runs (once) the per-pass analysis for a profile/level.
@@ -127,7 +104,7 @@ func (r *Runner) Analysis(p pipeline.Profile, level string) (*tuner.LevelAnalysi
 		if err != nil {
 			return nil, err
 		}
-		return tuner.AnalyzeLevel(suite.Programs(subjects), p, level)
+		return tuner.AnalyzeLevel(testsuite.Programs(subjects), p, level)
 	})
 }
 
@@ -149,82 +126,34 @@ func memoKey(cfg pipeline.Config) string {
 	return cfg.Name()
 }
 
-// SuiteSpeedup measures (once) the SPEC-average speedup of a config over
-// its profile's O0. The whole SPEC sweep is one resilience cell: a
-// panicking or runaway benchmark run quarantines the configuration's
-// speedup instead of killing the table generator.
-func (r *Runner) SuiteSpeedup(cfg pipeline.Config) (float64, error) {
-	return r.speedups.Do(memoKey(cfg), func() (float64, error) {
-		benches, err := specsuite.Subjects(r.specNames())
-		if err != nil {
-			return 0, err
-		}
-		compute := func(context.Context) (float64, error) {
-			_, avg, err := suite.SuiteSpeedup(benches, cfg)
-			return avg, err
-		}
-		if fp, ok := cfg.Fingerprint(); ok {
-			return resilience.Run(resilience.Active(), context.Background(),
-				"speedup|"+fp, compute)
-		}
-		return resilience.RunEphemeral(resilience.Active(), context.Background(),
-			"speedup|"+cfg.Name(), compute)
+// productSet evaluates the hybrid product metric of every suite subject
+// under cfgs as one set.
+func (r *Runner) productSet(cfgs []pipeline.Config) (*suite.Set[float64], error) {
+	subjects, err := r.Suite()
+	if err != nil {
+		return nil, err
+	}
+	return suite.Evaluate(testsuite.Names, cfgs, func(s int, cfg pipeline.Config) (float64, error) {
+		return subjects[s].Product(cfg)
 	})
 }
 
-// SuiteProduct averages (once per config — same memo discipline as
-// SuiteSpeedup) the hybrid product metric of a configuration over the
-// 13-program suite. Quarantined subjects are excluded from the mean;
-// callers that must render the gap use suiteProductStat.
-func (r *Runner) SuiteProduct(cfg pipeline.Config) (float64, error) {
-	st, err := r.suiteProductStat(cfg)
-	return st.Mean, err
+// speedupSet evaluates the speedup over O0 of every benchmark under test
+// under cfgs as one set.
+func (r *Runner) speedupSet(cfgs []pipeline.Config) (*suite.Set[float64], error) {
+	names := r.specNames()
+	return suite.Evaluate(names, cfgs, func(b int, cfg pipeline.Config) (float64, error) {
+		return specsuite.OverO0(names[b], cfg)
+	})
 }
 
-// suiteProductStat fans the per-subject measurements out over the worker
-// pool and averages in suite order. Subjects whose cell was quarantined
-// are excluded from the mean and counted in the stat; if every subject
-// is lost the configuration's own result is the (quarantined, and
-// therefore uncacheable) cell error.
-func (r *Runner) suiteProductStat(cfg pipeline.Config) (suiteStat, error) {
-	return r.products.Do(memoKey(cfg), func() (suiteStat, error) {
-		subjects, err := r.Suite()
-		if err != nil {
-			return suiteStat{}, err
-		}
-		type cell struct {
-			val  float64
-			quar error
-		}
-		ms, err := workerpool.Map(context.Background(), subjects,
-			func(_ context.Context, _ int, s suite.Subject) (cell, error) {
-				v, err := debuggable(s).Product(cfg)
-				if resilience.IsQuarantined(err) {
-					return cell{quar: err}, nil
-				}
-				return cell{val: v}, err
-			})
-		if err != nil {
-			return suiteStat{}, err
-		}
-		var st suiteStat
-		sum, n := 0.0, 0
-		var lastQuar error
-		for _, c := range ms {
-			if c.quar != nil {
-				st.Quarantined++
-				lastQuar = c.quar
-				continue
-			}
-			sum += c.val
-			n++
-		}
-		if n == 0 {
-			return suiteStat{}, lastQuar
-		}
-		st.Mean = sum / float64(n)
-		return st, nil
-	})
+// leftOut names the subjects a set left out of every mean shown in
+// what; it prints nothing when none was.
+func leftOut(w io.Writer, what string, names []string) {
+	if len(names) > 0 {
+		fmt.Fprintf(w, "QUARANTINED: %d subject(s) [%s] left out of every %s\n",
+			len(names), strings.Join(names, ", "), what)
+	}
 }
 
 // ---- Synthetic corpus (Table I) ----

@@ -77,35 +77,6 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
-// TestSuiteProductMemoized: SuiteProduct must follow the same memo
-// discipline as SuiteSpeedup — one computation per configuration
-// fingerprint, even when the config is spelled differently (disabled
-// sets in different orders fingerprint identically).
-func TestSuiteProductMemoized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	cfgA := pipeline.MustConfig(pipeline.GCC, "O1",
-		pipeline.Disable("dce", "inline"))
-	cfgB := pipeline.MustConfig(pipeline.GCC, "O1",
-		pipeline.Disable("inline", "dce"))
-	a, err := quickRunner.SuiteProduct(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := quickRunner.products.Len()
-	b, err := quickRunner.SuiteProduct(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("products differ: %v vs %v", a, b)
-	}
-	if after := quickRunner.products.Len(); after != before {
-		t.Fatalf("equivalent config spelled differently missed the memo: %d -> %d entries", before, after)
-	}
-}
-
 // TestLoadSynthDeterministic: the same options select the same corpus.
 func TestLoadSynthDeterministic(t *testing.T) {
 	a := loadSynth(5)

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"debugtuner/internal/pipeline"
-	"debugtuner/internal/suite"
 	"debugtuner/internal/telemetry"
 	"debugtuner/internal/testsuite"
 )
@@ -39,7 +38,7 @@ func PassReport(p pipeline.Profile, level string) ([]PassReportRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var subjects []suite.Subject
+	var subjects []*testsuite.Subject
 	for _, name := range testsuite.Names {
 		s, err := testsuite.LoadLite(name)
 		if err != nil {
@@ -50,12 +49,7 @@ func PassReport(p pipeline.Profile, level string) ([]PassReportRow, error) {
 	snk := telemetry.NewSink()
 	prev := telemetry.Install(snk)
 	for _, s := range subjects {
-		ir0, err := s.BuildIR()
-		if err != nil {
-			telemetry.Install(prev)
-			return nil, err
-		}
-		pipeline.Build(ir0, cfg)
+		pipeline.Build(s.IR0, cfg)
 	}
 	telemetry.Install(prev)
 

@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"debugtuner/internal/api"
 	"debugtuner/internal/pipeline"
-	"debugtuner/internal/resilience"
-	"debugtuner/internal/specsuite"
 	"debugtuner/internal/suite"
 	"debugtuner/internal/tuner"
-	"debugtuner/internal/workerpool"
 )
 
 // Table5 prints the top-10 critical passes per gcc level (paper Table V);
@@ -68,54 +64,47 @@ func (r *Runner) topPasses(w io.Writer, p pipeline.Profile, title string) error 
 	return nil
 }
 
-// configPoint measures one configuration on both axes. A quarantined
-// measurement on either axis — or any quarantined subject inside the
-// product mean, whose loss would silently shift the denominator — marks
-// the whole point as a gap rather than plotting misleading coordinates.
-func (r *Runner) configPoint(cfg pipeline.Config) (tuner.Point, error) {
-	st, err := r.suiteProductStat(cfg)
-	if resilience.IsQuarantined(err) {
-		return tuner.Point{Label: cfg.Name(), Quarantined: true}, nil
-	}
-	if err != nil {
-		return tuner.Point{}, err
-	}
-	speed, err := r.SuiteSpeedup(cfg)
-	if resilience.IsQuarantined(err) {
-		return tuner.Point{Label: cfg.Name(), Quarantined: true}, nil
-	}
-	if err != nil {
-		return tuner.Point{}, err
-	}
-	return tuner.Point{
-		Label: cfg.Name(), Debug: st.Mean, Speedup: speed,
-		Quarantined: st.Quarantined > 0,
-	}, nil
-}
-
-// allConfigPoints enumerates standard levels plus every Ox-dy config for
-// a profile.
-func (r *Runner) allConfigPoints(p pipeline.Profile) ([]tuner.Point, error) {
-	var pts []tuner.Point
+// figConfigs lists a profile's Fig. 2 configurations: each plain level
+// followed by its Ox-dy family.
+func (r *Runner) figConfigs(p pipeline.Profile) ([]pipeline.Config, error) {
+	var cfgs []pipeline.Config
 	for _, l := range pipeline.Levels(p) {
-		pt, err := r.configPoint(pipeline.MustConfig(p, l))
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
 		la, err := r.Analysis(p, l)
 		if err != nil {
 			return nil, err
 		}
-		for _, cfg := range la.Configs(r.Opts.Dy) {
-			pt, err := r.configPoint(cfg)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, pt)
-		}
+		cfgs = append(cfgs, pipeline.MustConfig(p, l))
+		cfgs = append(cfgs, la.Configs(r.Opts.Dy)...)
 	}
-	return pts, nil
+	return cfgs, nil
+}
+
+// points measures a profile's Fig. 2 configurations (figConfigs) on
+// both axes: the suite-mean product metric and the SPEC-mean speedup
+// over O0. Each axis is one evaluated set, so every point averages the
+// same subjects and the same benchmarks. A point is a gap when either
+// axis has no live member. It also returns the members left out, test
+// subjects first.
+func (r *Runner) points(p pipeline.Profile) ([]tuner.Point, []string, error) {
+	cfgs, err := r.figConfigs(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	debug, err := r.productSet(cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	speed, err := r.speedupSet(cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	pts := make([]tuner.Point, len(cfgs))
+	for c, cfg := range cfgs {
+		dbg, okD := suite.Mean(debug, c)
+		spd, okS := suite.Mean(speed, c)
+		pts[c] = tuner.Point{Label: cfg.Name(), Debug: dbg, Speedup: spd, Quarantined: !okD || !okS}
+	}
+	return pts, append(debug.Quarantined, speed.Quarantined...), nil
 }
 
 // Fig2 prints the debuggability/speedup scatter and its Pareto front for
@@ -124,11 +113,12 @@ func (r *Runner) allConfigPoints(p pipeline.Profile) ([]tuner.Point, error) {
 // serves, so figure and service response cannot drift.
 func (r *Runner) Fig2(w io.Writer) error {
 	for _, p := range []pipeline.Profile{pipeline.GCC, pipeline.Clang} {
-		pts, err := r.allConfigPoints(p)
+		pts, quar, err := r.points(p)
 		if err != nil {
 			return err
 		}
 		res := api.ParetoResultFrom(string(p), "", pts)
+		res.QuarantinedSubjects = quar
 		api.RenderPareto(w, fmt.Sprintf(
 			"Figure 2 (%s) — product metric vs speedup over O0; * = Pareto-optimal", p), res)
 	}
@@ -137,34 +127,26 @@ func (r *Runner) Fig2(w io.Writer) error {
 
 // Table8 prints the relative debuggability improvement and speedup
 // reduction of every Ox-dy configuration over its reference level
-// (paper Table VIII).
+// (paper Table VIII), from the Fig. 2 points.
 func (r *Runner) Table8(w io.Writer) error {
 	fmt.Fprintln(w, "Table VIII — Ox-dy vs Ox: Δ debug availability (%) and Δ speedup (%)")
 	fmt.Fprintf(w, "%-6s %-6s", "comp", "config")
-	for _, p := range []pipeline.Profile{pipeline.GCC} {
-		_ = p
-	}
 	fmt.Fprintf(w, " | %22s | %22s\n", "Δ debug per level", "Δ speedup per level")
 	hr(w, 100)
-	for _, p := range []pipeline.Profile{pipeline.GCC, pipeline.Clang} {
-		levels := pipeline.Levels(p)
-		for _, y := range r.Opts.Dy {
+	stride := 1 + len(r.Opts.Dy) // figConfigs' entries per level
+	profiles := []pipeline.Profile{pipeline.GCC, pipeline.Clang}
+	quar := make([][]string, len(profiles))
+	for pi, p := range profiles {
+		pts, q, err := r.points(p)
+		if err != nil {
+			return err
+		}
+		quar[pi] = q
+		for yi, y := range r.Opts.Dy {
 			fmt.Fprintf(w, "%-6s Ox-d%-2d |", p, y)
 			var dbgCells, spdCells string
-			for _, l := range levels {
-				ref, err := r.configPoint(pipeline.MustConfig(p, l))
-				if err != nil {
-					return err
-				}
-				la, err := r.Analysis(p, l)
-				if err != nil {
-					return err
-				}
-				cfg := la.Configs([]int{y})[0]
-				pt, err := r.configPoint(cfg)
-				if err != nil {
-					return err
-				}
+			for li, l := range pipeline.Levels(p) {
+				ref, pt := pts[li*stride], pts[li*stride+1+yi]
 				if ref.Quarantined || pt.Quarantined {
 					dbgCells += fmt.Sprintf(" %s:%6s", l, "QUAR")
 					spdCells += fmt.Sprintf(" %s:%6s", l, "QUAR")
@@ -176,6 +158,9 @@ func (r *Runner) Table8(w io.Writer) error {
 			fmt.Fprintf(w, " debug:%s | speedup:%s\n", dbgCells, spdCells)
 		}
 	}
+	for pi, p := range profiles {
+		leftOut(w, string(p)+" row", quar[pi])
+	}
 	return nil
 }
 
@@ -186,79 +171,54 @@ func (r *Runner) Table9(w io.Writer) error { return r.perProgramDy(w, pipeline.G
 // Table10 is the clang per-program table.
 func (r *Runner) Table10(w io.Writer) error { return r.perProgramDy(w, pipeline.Clang, "Table X") }
 
+// perProgramDy evaluates the whole table, every Ox-dy block and level,
+// as one set, so every average row covers the same subjects.
 func (r *Runner) perProgramDy(w io.Writer, p pipeline.Profile, title string) error {
-	subjects, err := r.Suite()
+	levels := pipeline.Levels(p)
+	var cfgs []pipeline.Config // block y, level l at y*len(levels)+l
+	for _, y := range r.Opts.Dy {
+		for _, l := range levels {
+			la, err := r.Analysis(p, l)
+			if err != nil {
+				return err
+			}
+			cfgs = append(cfgs, la.Configs([]int{y})[0])
+		}
+	}
+	set, err := r.productSet(cfgs)
 	if err != nil {
 		return err
 	}
-	levels := pipeline.Levels(p)
 	fmt.Fprintf(w, "%s — per-program product metric for %s Ox-dy configurations\n", title, p)
-	// The Ox-dy configurations per level are fixed once the analyses
-	// exist, so resolve them up front and fan the per-subject
-	// measurements out; rows print in suite order.
-	for _, y := range r.Opts.Dy {
+	for yi, y := range r.Opts.Dy {
 		fmt.Fprintf(w, "-- Ox-d%d --\n%-10s |", y, "program")
 		for _, l := range levels {
 			fmt.Fprintf(w, " %6s", l)
 		}
 		fmt.Fprintln(w)
-		cfgs := make([]pipeline.Config, len(levels))
-		for li, l := range levels {
-			la, err := r.Analysis(p, l)
-			if err != nil {
-				return err
-			}
-			cfgs[li] = la.Configs([]int{y})[0]
-		}
-		type dyCell struct {
-			val  float64
-			quar bool
-		}
-		rows, err := workerpool.Map(context.Background(), subjects,
-			func(_ context.Context, _ int, s suite.Subject) ([]dyCell, error) {
-				vals := make([]dyCell, len(cfgs))
-				for li, cfg := range cfgs {
-					m, err := debuggable(s).Product(cfg)
-					if resilience.IsQuarantined(err) {
-						vals[li] = dyCell{quar: true}
-						continue
-					}
-					if err != nil {
-						return nil, err
-					}
-					vals[li] = dyCell{val: m}
-				}
-				return vals, nil
-			})
-		if err != nil {
-			return err
-		}
-		sums := make([]float64, len(levels))
-		counts := make([]int, len(levels))
-		for si, s := range subjects {
-			fmt.Fprintf(w, "%-10s |", s.Name())
+		block := yi * len(levels)
+		for s, name := range set.Names {
+			fmt.Fprintf(w, "%-10s |", name)
 			for li := range levels {
-				c := rows[si][li]
-				if c.quar {
+				if c := set.Cells[s][block+li]; c.Quarantined {
 					fmt.Fprintf(w, " %6s", "QUAR")
-					continue
+				} else {
+					fmt.Fprintf(w, " %6.4f", c.Value)
 				}
-				sums[li] += c.val
-				counts[li]++
-				fmt.Fprintf(w, " %6.4f", c.val)
 			}
 			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(w, "%-10s |", "average")
 		for li := range levels {
-			if counts[li] == 0 {
+			if m, ok := suite.Mean(set, block+li); ok {
+				fmt.Fprintf(w, " %6.4f", m)
+			} else {
 				fmt.Fprintf(w, " %6s", "QUAR")
-				continue
 			}
-			fmt.Fprintf(w, " %6.4f", sums[li]/float64(counts[li]))
 		}
 		fmt.Fprintln(w)
 	}
+	leftOut(w, "average", set.Quarantined)
 	return nil
 }
 
@@ -276,66 +236,46 @@ func (r *Runner) Table12(w io.Writer) error {
 	return r.specTable(w, true)
 }
 
+// specTable prints one row per (benchmark, profile, level): the level's
+// speedup and its Ox-dy family's. It averages nothing, so a quarantined
+// cell is a QUAR gap and its neighbours still print.
 func (r *Runner) specTable(w io.Writer, relative bool) error {
-	for _, bench := range r.specNames() {
+	var cfgs []pipeline.Config
+	for _, p := range []pipeline.Profile{pipeline.GCC, pipeline.Clang} {
+		pc, err := r.figConfigs(p)
+		if err != nil {
+			return err
+		}
+		cfgs = append(cfgs, pc...)
+	}
+	set, err := r.speedupSet(cfgs)
+	if err != nil {
+		return err
+	}
+	for b, bench := range set.Names {
 		fmt.Fprintf(w, "%s:\n", bench)
-		for _, p := range []pipeline.Profile{pipeline.GCC, pipeline.Clang} {
-			for _, l := range pipeline.Levels(p) {
-				base, err := specSpeedup(bench, pipeline.MustConfig(p, l))
-				baseQuar := resilience.IsQuarantined(err)
-				if err != nil && !baseQuar {
-					return err
-				}
-				if baseQuar {
-					fmt.Fprintf(w, "  %-5s %-3s std=%5sx", p, l, "QUAR")
-				} else {
-					fmt.Fprintf(w, "  %-5s %-3s std=%5.2fx", p, l, base)
-				}
-				la, err := r.Analysis(p, l)
-				if err != nil {
-					return err
-				}
-				for _, y := range r.Opts.Dy {
-					cfg := la.Configs([]int{y})[0]
-					s, err := specSpeedup(bench, cfg)
-					quar := resilience.IsQuarantined(err)
-					if err != nil && !quar {
-						return err
-					}
-					switch {
-					case quar || (relative && baseQuar):
-						// A relative cell needs both measurements.
-						fmt.Fprintf(w, "  d%d=%6s", y, "QUAR")
-					case relative:
-						fmt.Fprintf(w, "  d%d=%+6.2f%%", y, 100*(s-base)/base)
-					default:
-						fmt.Fprintf(w, "  d%d=%5.2fx", y, s)
-					}
-				}
-				fmt.Fprintln(w)
+		row := set.Cells[b]
+		for c := 0; c < len(cfgs); c += 1 + len(r.Opts.Dy) {
+			base := row[c]
+			if base.Quarantined {
+				fmt.Fprintf(w, "  %-5s %-3s std=%6s", cfgs[c].Profile, cfgs[c].Level, "QUAR")
+			} else {
+				fmt.Fprintf(w, "  %-5s %-3s std=%5.2fx", cfgs[c].Profile, cfgs[c].Level, base.Value)
 			}
+			for yi, y := range r.Opts.Dy {
+				s := row[c+1+yi]
+				switch {
+				case s.Quarantined || (relative && base.Quarantined):
+					// A relative cell needs both measurements.
+					fmt.Fprintf(w, "  d%d=%6s", y, "QUAR")
+				case relative:
+					fmt.Fprintf(w, "  d%d=%+6.2f%%", y, 100*(s.Value-base.Value)/base.Value)
+				default:
+					fmt.Fprintf(w, "  d%d=%5.2fx", y, s.Value)
+				}
+			}
+			fmt.Fprintln(w)
 		}
 	}
 	return nil
-}
-
-// specSpeedup measures one benchmark through the suite interface; the
-// adapter's per-benchmark cycle counts are content-addressed-cached.
-// (An earlier per-table memo here was a plain map keyed by the
-// non-unique Config.Name — both unsafe under the worker pool and wrong
-// for same-size disabled sets.)
-func specSpeedup(bench string, cfg pipeline.Config) (float64, error) {
-	b, err := specsuite.Bench(bench)
-	if err != nil {
-		return 0, err
-	}
-	compute := func(context.Context) (float64, error) {
-		return suite.Speedup(b, cfg)
-	}
-	if fp, ok := cfg.Fingerprint(); ok {
-		return resilience.Run(resilience.Active(), context.Background(),
-			"spec|"+bench+"|"+fp, compute)
-	}
-	return resilience.RunEphemeral(resilience.Active(), context.Background(),
-		"spec|"+bench+"|"+cfg.Name(), compute)
 }

@@ -105,29 +105,36 @@ func (r *Runner) Table2(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	cfgs := levelsUnderTest()
+	set, err := suite.Evaluate([]string{s.Name}, cfgs, func(_ int, cfg pipeline.Config) (metrics.Scores, error) {
+		return s.Scores(cfg)
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Table II — debug information quality metrics on libpng")
 	fmt.Fprintf(w, "%-6s %-4s | %14s %13s %18s\n",
 		"comp", "opt", "avail. of vars", "line coverage", "product of metrics")
 	hr(w, 64)
-	for _, cfg := range levelsUnderTest() {
-		sc, err := debuggable(s).Scores(cfg)
-		if err != nil {
-			return err
+	for c, cfg := range cfgs {
+		if sc := set.Cells[0][c]; sc.Quarantined {
+			fmt.Fprintf(w, "%-6s %-4s | %14s %13s %18s\n", cfg.Profile, cfg.Level, "QUAR", "QUAR", "QUAR")
+		} else {
+			fmt.Fprintf(w, "%-6s %-4s | %14.4f %13.4f %18.4f\n",
+				cfg.Profile, cfg.Level, sc.Value.Avail, sc.Value.LineCov, sc.Value.Product)
 		}
-		fmt.Fprintf(w, "%-6s %-4s | %14.4f %13.4f %18.4f\n",
-			cfg.Profile, cfg.Level, sc.Avail, sc.LineCov, sc.Product)
 	}
 	return nil
 }
 
 // LoadSubject fetches one loaded suite member from the runner's cache.
-func LoadSubject(r *Runner, name string) (suite.Subject, error) {
+func LoadSubject(r *Runner, name string) (*testsuite.Subject, error) {
 	subjects, err := r.Suite()
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range subjects {
-		if s.Name() == name {
+		if s.Name == name {
 			return s, nil
 		}
 	}
@@ -146,9 +153,7 @@ func (r *Runner) Table3(w io.Writer) error {
 	hr(w, 66)
 	var sumIn, sumRed, sumStep, sumStepped, sumCov float64
 	for _, s := range subjects {
-		// Corpus statistics are a testsuite capability with no
-		// cross-suite analog, so Table III names the concrete type.
-		st, err := s.(*testsuite.Subject).ComputeStats()
+		st, err := s.ComputeStats()
 		if err != nil {
 			return err
 		}
@@ -169,9 +174,11 @@ func (r *Runner) Table3(w io.Writer) error {
 }
 
 // Table4 reports the product metric per program and level with the
-// gcc-vs-clang deltas (paper Table IV).
+// gcc-vs-clang deltas (paper Table IV). The seven levels are one set,
+// so the average row covers the same subjects in every column.
 func (r *Runner) Table4(w io.Writer) error {
-	subjects, err := r.Suite()
+	cfgs := levelsUnderTest()
+	set, err := r.productSet(cfgs)
 	if err != nil {
 		return err
 	}
@@ -180,37 +187,44 @@ func (r *Runner) Table4(w io.Writer) error {
 		"program", "g.Og", "g.O1", "g.O2", "g.O3", "c.O1", "c.O2", "c.O3",
 		"Δ%O1", "Δ%O2", "Δ%O3")
 	hr(w, 92)
-	sums := make([]float64, 7)
-	rows, err := workerpool.Map(context.Background(), subjects,
-		func(_ context.Context, _ int, s suite.Subject) ([]float64, error) {
-			var vals []float64
-			for _, cfg := range levelsUnderTest() {
-				m, err := debuggable(s).Product(cfg)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, m)
-			}
-			return vals, nil
-		})
-	if err != nil {
-		return err
-	}
-	for si, s := range subjects {
-		vals := rows[si]
-		for i, v := range vals {
-			sums[i] += v
+	val := func(c suite.Cell[float64]) string {
+		if c.Quarantined {
+			return fmt.Sprintf(" %5s", "QUAR")
 		}
-		delta := func(g, c float64) float64 { return 100 * (g - c) / c }
-		fmt.Fprintf(w, "%-10s | %5.2f %5.2f %5.2f %5.2f | %5.2f %5.2f %5.2f | %7.2f %7.2f %7.2f\n",
-			s.Name(), vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], vals[6],
-			delta(vals[1], vals[4]), delta(vals[2], vals[5]), delta(vals[3], vals[6]))
+		return fmt.Sprintf(" %5.2f", c.Value)
+	}
+	delta := func(g, c suite.Cell[float64]) string {
+		if g.Quarantined || c.Quarantined {
+			return fmt.Sprintf(" %7s", "QUAR")
+		}
+		return fmt.Sprintf(" %7.2f", 100*(g.Value-c.Value)/c.Value)
+	}
+	for s, name := range set.Names {
+		row := set.Cells[s]
+		line := fmt.Sprintf("%-10s |", name)
+		for c := range cfgs {
+			if c == 4 {
+				line += " |"
+			}
+			line += val(row[c])
+		}
+		line += " |"
+		for c := 1; c <= 3; c++ {
+			line += delta(row[c], row[c+3])
+		}
+		fmt.Fprintln(w, line)
 	}
 	hr(w, 92)
-	n := float64(len(subjects))
-	fmt.Fprintf(w, "%-10s | %5.2f %5.2f %5.2f %5.2f | %5.2f %5.2f %5.2f |\n",
-		"average", sums[0]/n, sums[1]/n, sums[2]/n, sums[3]/n,
-		sums[4]/n, sums[5]/n, sums[6]/n)
+	line := fmt.Sprintf("%-10s |", "average")
+	for c := range cfgs {
+		if c == 4 {
+			line += " |"
+		}
+		m, ok := suite.Mean(set, c)
+		line += val(suite.Cell[float64]{Value: m, Quarantined: !ok})
+	}
+	fmt.Fprintln(w, line+" |")
+	leftOut(w, "average", set.Quarantined)
 	return nil
 }
 

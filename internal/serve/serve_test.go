@@ -491,3 +491,38 @@ func TestTuneProgramsQuarantinePolicy(t *testing.T) {
 		t.Errorf("reference mean %v, want %v over the %d live subjects", res.Reference.Product, got, n)
 	}
 }
+
+// TestParetoQuarantinePolicy runs /v1/pareto's computation under chaos
+// (rate 0.2, seed 3) over ten renamed copies of testdata/fib.mc. Each
+// axis is one suite set: a unit with a quarantined product or timing,
+// an O0 timing included, is named and left out of that axis, and every
+// point keeps its coordinates from the other units instead of failing
+// the request or turning into a gap.
+func TestParetoQuarantinePolicy(t *testing.T) {
+	src, err := os.ReadFile("testdata/fib.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &api.TuneRequest{V: 1, Profile: "gcc", Level: "O1", Dy: []int{3}}
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("fib%d", i)
+		req.Units = append(req.Units, api.Unit{Name: name,
+			Source: strings.ReplaceAll(string(src), "fib", name)})
+	}
+	ex := resilience.NewExecutor(resilience.DefaultPolicy())
+	ex.Chaos = &resilience.Chaos{Rate: 0.2, Seed: 3}
+	ex.Policy.Seed = 3
+	defer resilience.Install(resilience.Install(ex))
+	res, err := (&Service{}).Pareto(req)
+	if err != nil {
+		t.Fatalf("a quarantined cell failed the request: %v", err)
+	}
+	if len(res.QuarantinedSubjects) == 0 {
+		t.Fatal("no unit was left out; the test exercises no policy")
+	}
+	for _, pt := range res.Points {
+		if pt.Quarantined {
+			t.Errorf("point %s is a gap though units are left on both axes", pt.Label)
+		}
+	}
+}

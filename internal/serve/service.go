@@ -25,6 +25,7 @@ import (
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
 	"debugtuner/internal/staticdbg"
+	"debugtuner/internal/suite"
 	"debugtuner/internal/tuner"
 	"debugtuner/internal/vm"
 )
@@ -66,41 +67,21 @@ func loadPrograms(units []api.Unit) ([]*tuner.Program, *api.Error) {
 	return progs, nil
 }
 
-// liveSubset filters programs whose reference measurement the analysis
-// quarantined; their products are not computable at this level.
-func liveSubset(progs []*tuner.Program, quarantined []string) []*tuner.Program {
-	if len(quarantined) == 0 {
-		return progs
+// names lists the programs' names, in request order.
+func names(progs []*tuner.Program) []string {
+	out := make([]string, len(progs))
+	for i, p := range progs {
+		out[i] = p.Name
 	}
-	dead := make(map[string]bool, len(quarantined))
-	for _, n := range quarantined {
-		dead[n] = true
-	}
-	var live []*tuner.Program
-	for _, p := range progs {
-		if !dead[p.Name] {
-			live = append(live, p)
-		}
-	}
-	return live
+	return out
 }
 
-// meanProduct averages the hybrid product metric over the programs.
-// A quarantined measurement inside the mean returns a quarantine error
-// (the caller decides whether that voids the whole point).
-func meanProduct(progs []*tuner.Program, cfg pipeline.Config) (float64, error) {
-	if len(progs) == 0 {
-		return 0, fmt.Errorf("no live programs to measure")
-	}
-	sum := 0.0
-	for _, p := range progs {
-		m, err := p.Product(cfg)
-		if err != nil {
-			return 0, err
-		}
-		sum += m
-	}
-	return sum / float64(len(progs)), nil
+// productSet evaluates the programs' hybrid product metric under cfgs as
+// one suite set.
+func productSet(progs []*tuner.Program, cfgs []pipeline.Config) (*suite.Set[float64], error) {
+	return suite.Evaluate(names(progs), cfgs, func(s int, cfg pipeline.Config) (float64, error) {
+		return progs[s].Product(cfg)
+	})
 }
 
 // Tune runs the DebugTuner analysis for the request: pass ranking at
@@ -140,40 +121,19 @@ func TunePrograms(progs []*tuner.Program, profile pipeline.Profile, level string
 		QuarantinedCells: la.QuarantinedCells,
 	}
 	cfgs := append([]pipeline.Config{pipeline.MustConfig(profile, level)}, la.Configs(dy)...)
-	dead := map[string]bool{}
-	for _, n := range la.QuarantinedPrograms {
-		dead[n] = true
+	set, err := productSet(progs, cfgs)
+	if err != nil {
+		return nil, nil, err
 	}
-	// sums[c] totals the live subjects' products under cfgs[c].
-	sums := make([]float64, len(cfgs))
-	live := 0
-	for _, p := range progs {
-		res.Subjects = append(res.Subjects, p.Name)
-		if !dead[p.Name] {
-			row, err := products(p, cfgs)
-			switch {
-			case resilience.IsQuarantined(err):
-				dead[p.Name] = true
-			case err != nil:
-				return nil, nil, err
-			default:
-				for c, m := range row {
-					sums[c] += m
-				}
-				live++
-			}
-		}
-		if dead[p.Name] {
-			res.QuarantinedSubjects = append(res.QuarantinedSubjects, p.Name)
-		}
-	}
-	if live == 0 {
+	res.Subjects = set.Names
+	res.QuarantinedSubjects = set.Quarantined
+	ref, ok := suite.Mean(set, 0)
+	if !ok {
 		return nil, nil, fmt.Errorf("no live programs to measure")
 	}
-	ref := sums[0] / float64(live)
 	res.Reference = api.TunedConfig{Name: level, Product: ref}
 	for c, cfg := range cfgs[1:] {
-		avg := sums[c+1] / float64(live)
+		avg, _ := suite.Mean(set, c+1)
 		res.Configs = append(res.Configs, api.TunedConfig{
 			Name:     cfg.Name(),
 			Disabled: api.SortedNames(cfg.Disabled),
@@ -182,19 +142,6 @@ func TunePrograms(progs []*tuner.Program, profile pipeline.Profile, level string
 		})
 	}
 	return res, la, nil
-}
-
-// products measures p's product under each configuration.
-func products(p *tuner.Program, cfgs []pipeline.Config) ([]float64, error) {
-	row := make([]float64, len(cfgs))
-	for c, cfg := range cfgs {
-		m, err := p.Product(cfg)
-		if err != nil {
-			return nil, err
-		}
-		row[c] = m
-	}
-	return row, nil
 }
 
 // cycles measures one (program, config) timing run on the cycle-exact
@@ -217,7 +164,10 @@ func (sv *Service) cycles(p *tuner.Program, cfg pipeline.Config) (int64, error) 
 // Pareto evaluates every plain level of the profile plus the request's
 // Ox-dy family on both axes — suite-mean product metric against
 // suite-geomean speedup over O0 — and returns the scatter with front
-// membership marked.
+// membership marked. Each axis is one suite set: a unit with a
+// quarantined cell on an axis is left out of every point on it and
+// named in the result, and an axis with no unit left makes every point
+// a gap.
 func (sv *Service) Pareto(req *api.TuneRequest) (*api.ParetoResult, error) {
 	progs, aerr := loadPrograms(req.Units)
 	if aerr != nil {
@@ -231,65 +181,45 @@ func (sv *Service) Pareto(req *api.TuneRequest) (*api.ParetoResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	live := liveSubset(progs, la.QuarantinedPrograms)
-
-	base := make([]int64, len(live))
-	baseCfg := pipeline.MustConfig(profile, "O0")
-	for i, p := range live {
-		c, err := sv.cycles(p, baseCfg)
-		if err != nil {
-			return nil, err
-		}
-		if c <= 0 {
-			c = 1
-		}
-		base[i] = c
-	}
-
 	var cfgs []pipeline.Config
 	for _, l := range pipeline.Levels(profile) {
 		cfgs = append(cfgs, pipeline.MustConfig(profile, l))
 	}
 	cfgs = append(cfgs, la.Configs(req.Dy)...)
-
-	var pts []tuner.Point
-	for _, cfg := range cfgs {
-		pt, err := sv.paretoPoint(live, base, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-	}
-	return api.ParetoResultFrom(req.Profile, req.Level, pts), nil
-}
-
-// paretoPoint measures one configuration on both axes. A quarantined
-// measurement anywhere marks the whole point as a gap rather than
-// plotting coordinates with a silently-shifted denominator.
-func (sv *Service) paretoPoint(live []*tuner.Program, base []int64, cfg pipeline.Config) (tuner.Point, error) {
-	label := cfg.Name()
-	debug, err := meanProduct(live, cfg)
-	if resilience.IsQuarantined(err) {
-		return tuner.Point{Label: label, Quarantined: true}, nil
-	}
+	debug, err := productSet(progs, cfgs)
 	if err != nil {
-		return tuner.Point{}, err
+		return nil, err
 	}
-	var ratios []float64
-	for i, p := range live {
-		c, err := sv.cycles(p, cfg)
-		if resilience.IsQuarantined(err) {
-			return tuner.Point{Label: label, Quarantined: true}, nil
-		}
-		if err != nil {
-			return tuner.Point{}, err
-		}
-		if c <= 0 {
-			c = 1
-		}
-		ratios = append(ratios, float64(base[i])/float64(c))
+	// The speed axis times O0 in the same set as the configurations, so a
+	// unit whose O0 timing is quarantined drops out of every ratio.
+	timed := append([]pipeline.Config{pipeline.MustConfig(profile, "O0")}, cfgs...)
+	cycles, err := suite.Evaluate(names(progs), timed, func(s int, cfg pipeline.Config) (int64, error) {
+		c, err := sv.cycles(progs[s], cfg)
+		return max(c, 1), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return tuner.Point{Label: label, Debug: debug, Speedup: metrics.GeoMean(ratios)}, nil
+
+	pts := make([]tuner.Point, len(cfgs))
+	for c, cfg := range cfgs {
+		dbg, ok := suite.Mean(debug, c)
+		var ratios []float64
+		for s, row := range cycles.Cells {
+			if cycles.Live(s) {
+				ratios = append(ratios, float64(row[0].Value)/float64(row[c+1].Value))
+			}
+		}
+		pts[c] = tuner.Point{Label: cfg.Name(), Debug: dbg, Speedup: metrics.GeoMean(ratios),
+			Quarantined: !ok || len(ratios) == 0}
+	}
+	res := api.ParetoResultFrom(req.Profile, req.Level, pts)
+	for s, name := range debug.Names {
+		if !debug.Live(s) || !cycles.Live(s) {
+			res.QuarantinedSubjects = append(res.QuarantinedSubjects, name)
+		}
+	}
+	return res, nil
 }
 
 // Report runs the debuggability report: the difftest behavior/invariant

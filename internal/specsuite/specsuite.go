@@ -6,6 +6,7 @@
 package specsuite
 
 import (
+	"context"
 	"embed"
 	"fmt"
 	"sync"
@@ -14,7 +15,6 @@ import (
 	"debugtuner/internal/ir"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
-	"debugtuner/internal/suite"
 	"debugtuner/internal/vm"
 )
 
@@ -70,9 +70,13 @@ func LoadIR(name string) (*ir.Program, error) {
 	})
 }
 
-// Result is one benchmark execution's outcome, shared with
-// internal/suite so both suites speak one result type.
-type Result = suite.Result
+// Result is one benchmark execution's outcome.
+type Result struct {
+	Name   string
+	Cycles int64
+	Steps  int64
+	Output []int64
+}
 
 // Run builds the benchmark under the configuration and executes its ref
 // workload, returning cycle counts.
@@ -140,71 +144,28 @@ func Cycles(name string, cfg pipeline.Config) (int64, error) {
 	return cycleCache.Do(fmt.Sprintf("%s#%016x|%s", name, srcHash(name), fp), run)
 }
 
-// Speedup measures cycles(cfg) relative to the O0 build of the same
-// profile: the paper's "speedup over O0".
-func Speedup(name string, cfg pipeline.Config) (float64, error) {
-	b, err := Bench(name)
-	if err != nil {
-		return 0, err
-	}
-	return suite.Speedup(b, cfg)
-}
-
-// SuiteSpeedup returns the per-benchmark and average speedups of a
-// configuration over the whole suite (names nil = all), delegating to
-// the shared suite helper: benchmarks run concurrently on the worker
-// pool and the average is summed in suite order, so the result is
-// identical at any worker count.
-func SuiteSpeedup(cfg pipeline.Config, names []string) (map[string]float64, float64, error) {
-	benches, err := Subjects(names)
-	if err != nil {
-		return nil, 0, err
-	}
-	return suite.SuiteSpeedup(benches, cfg)
-}
-
-// Benchmark adapts one named benchmark to the suite interfaces. Its
-// measurements share the package-level memo caches, so mixing the
-// adapter with the package functions never duplicates work.
-type Benchmark struct{ name string }
-
-var _ suite.Bench = (*Benchmark)(nil)
-
-// Bench returns the named benchmark as a suite subject.
-func Bench(name string) (*Benchmark, error) {
-	if _, ok := files[name]; !ok {
-		return nil, fmt.Errorf("specsuite: unknown benchmark %q", name)
-	}
-	return &Benchmark{name: name}, nil
-}
-
-// Subjects returns the named benchmarks (nil = the full suite) in order.
-func Subjects(names []string) ([]suite.Bench, error) {
-	if names == nil {
-		names = Names
-	}
-	out := make([]suite.Bench, 0, len(names))
-	for _, n := range names {
-		b, err := Bench(n)
+// OverO0 is the paper's speedup over O0: the benchmark's O0 cycle count
+// under cfg's profile over its count under cfg. It runs as one
+// resilience cell, spec|<name>|<fingerprint>, so a panicking or runaway
+// build quarantines this (benchmark, config) measurement alone. FDO
+// configurations have no fingerprint and run unjournaled under their
+// display name.
+func OverO0(name string, cfg pipeline.Config) (float64, error) {
+	compute := func(context.Context) (float64, error) {
+		base, err := Cycles(name, pipeline.MustConfig(cfg.Profile, "O0"))
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		out = append(out, b)
+		opt, err := Cycles(name, cfg)
+		if err != nil {
+			return 0, err
+		}
+		return float64(base) / float64(opt), nil
 	}
-	return out, nil
+	if fp, ok := cfg.Fingerprint(); ok {
+		return resilience.Run(resilience.Active(), context.Background(),
+			"spec|"+name+"|"+fp, compute)
+	}
+	return resilience.RunEphemeral(resilience.Active(), context.Background(),
+		"spec|"+name+"|"+cfg.Name(), compute)
 }
-
-// Name returns the benchmark's suite name.
-func (b *Benchmark) Name() string { return b.name }
-
-// Source returns the benchmark's MiniC source.
-func (b *Benchmark) Source() ([]byte, error) { return Source(b.name) }
-
-// BuildIR returns the memoized O0 IR.
-func (b *Benchmark) BuildIR() (*ir.Program, error) { return LoadIR(b.name) }
-
-// Run executes the ref workload under the configuration.
-func (b *Benchmark) Run(cfg pipeline.Config) (*Result, error) { return Run(b.name, cfg) }
-
-// Cycles returns the content-addressed ref-workload cycle count.
-func (b *Benchmark) Cycles(cfg pipeline.Config) (int64, error) { return Cycles(b.name, cfg) }

@@ -39,12 +39,8 @@ func soundnessCorpus(t *testing.T) []soundnessSubject {
 		if err != nil {
 			t.Fatalf("load %s: %v", name, err)
 		}
-		ir0, err := s.BuildIR()
-		if err != nil {
-			t.Fatalf("ir %s: %v", name, err)
-		}
 		out = append(out, soundnessSubject{
-			name: name, ir0: ir0,
+			name: name, ir0: s.IR0,
 			entry:     s.Program.Entry,
 			harnesses: s.Program.Info.Harnesses,
 		})

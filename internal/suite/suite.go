@@ -1,106 +1,94 @@
-// Package suite is the common face of the two experiment suites: the
-// thirteen debug-information subjects of internal/testsuite (§IV) and
-// the eight SPEC stand-in benchmarks of internal/specsuite. Consumers
-// that only need "a named program that can be built and run under a
-// configuration" — the experiment tables, the passreport command —
-// program against Subject and stay indifferent to which suite a member
-// came from; the capability interfaces (Debuggable, Bench) expose what
-// only one suite can do.
+// Package suite is the one evaluator behind every suite average the
+// paper reports: the mean hybrid product of a configuration over the
+// thirteen test-suite subjects (§IV), and the mean speedup over O0 over
+// the SPEC stand-ins. Evaluate measures a (subject × config) set on the
+// worker pool and applies the one quarantine policy: a subject with any
+// quarantined cell in the set is named and left out of every mean of
+// that set, so all of the set's means cover the same subjects.
 //
-// The package is interfaces plus suite-order helpers: both suites
-// implement it structurally and it imports neither, so there is no
-// dependency cycle and a new suite joins by implementing Subject.
+// The package knows neither suite. Callers name the subjects and pass
+// the measurement (tuner.Program.Product, specsuite.OverO0, a service
+// timing run), so tuner, serve and experiments share it without an
+// import cycle.
 package suite
 
 import (
 	"context"
 
-	"debugtuner/internal/ir"
 	"debugtuner/internal/pipeline"
-	"debugtuner/internal/tuner"
+	"debugtuner/internal/resilience"
 	"debugtuner/internal/workerpool"
 )
 
-// Result is one subject execution's outcome under a configuration.
-type Result struct {
-	Name   string
-	Cycles int64
-	Steps  int64
-	Output []int64
+// Cell is one (subject, config) measurement.
+type Cell[V any] struct {
+	Value V
+	// Quarantined marks a measurement the resilience layer gave up on;
+	// Value is then the zero V.
+	Quarantined bool
 }
 
-// Subject is one suite member.
-type Subject interface {
-	// Name is the member's suite name ("libpng", "505.mcf").
-	Name() string
-	// Source returns the member's MiniC source.
-	Source() ([]byte, error)
-	// BuildIR returns the member's O0 IR. The result may be shared and
-	// memoized; callers must not mutate it (pipeline.Build clones).
-	BuildIR() (*ir.Program, error)
-	// Run builds the member under the configuration and executes its
-	// workload — the ref workload for benchmarks, the final corpus
-	// inputs for debug subjects.
-	Run(cfg pipeline.Config) (*Result, error)
+// Set is one evaluated (subject × config) matrix.
+type Set[V any] struct {
+	// Names are the subjects, in suite order.
+	Names []string
+	// Cells[s][c] is subject s measured under config c.
+	Cells [][]Cell[V]
+	// Quarantined names the subjects with a quarantined cell, in suite
+	// order. They are left out of every mean of the set.
+	Quarantined []string
+
+	dead []bool
 }
 
-// Debuggable is a Subject backed by a tuner.Program: it can be traced,
-// scored with the hybrid metrics, and fed to the pass-ranking engine.
-type Debuggable interface {
-	Subject
-	Tuner() *tuner.Program
-}
-
-// Bench is a Subject with a cached cycle-count measurement, the basis
-// of the paper's speedup-over-O0 columns.
-type Bench interface {
-	Subject
-	Cycles(cfg pipeline.Config) (int64, error)
-}
-
-// Programs extracts the tuner programs from debuggable subjects,
-// preserving order. Non-Debuggable subjects are skipped.
-func Programs(subjects []Subject) []*tuner.Program {
-	out := make([]*tuner.Program, 0, len(subjects))
-	for _, s := range subjects {
-		if d, ok := s.(Debuggable); ok {
-			out = append(out, d.Tuner())
-		}
-	}
-	return out
-}
-
-// Speedup measures a benchmark's cycles under cfg relative to the O0
-// build of the same profile.
-func Speedup(b Bench, cfg pipeline.Config) (float64, error) {
-	base, err := b.Cycles(pipeline.MustConfig(cfg.Profile, "O0"))
-	if err != nil {
-		return 0, err
-	}
-	opt, err := b.Cycles(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return float64(base) / float64(opt), nil
-}
-
-// SuiteSpeedup returns per-subject and average speedups of a
-// configuration across benchmarks. Members run concurrently on the
-// worker pool; the average is summed in input order, so the result is
-// identical at any worker count.
-func SuiteSpeedup(benches []Bench, cfg pipeline.Config) (map[string]float64, float64, error) {
-	speeds, err := workerpool.Map(context.Background(), benches,
-		func(_ context.Context, _ int, b Bench) (float64, error) {
-			return Speedup(b, cfg)
+// Evaluate measures every (subject, config) cell with measure, where s
+// indexes names, fanning the cells out on the worker pool. A quarantined
+// cell is kept as a gap; any other error is returned (the first by cell
+// order, as workerpool.Map reports it). The set is identical at any
+// worker count.
+func Evaluate[V any](names []string, cfgs []pipeline.Config, measure func(s int, cfg pipeline.Config) (V, error)) (*Set[V], error) {
+	n := len(names)
+	cells, err := workerpool.Map(context.Background(), make([]struct{}, n*len(cfgs)),
+		func(_ context.Context, i int, _ struct{}) (Cell[V], error) {
+			v, err := measure(i%n, cfgs[i/n])
+			if resilience.IsQuarantined(err) {
+				return Cell[V]{Quarantined: true}, nil
+			}
+			return Cell[V]{Value: v}, err
 		})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	out := make(map[string]float64, len(benches))
-	sum := 0.0
-	for i, b := range benches {
-		out[b.Name()] = speeds[i]
-		sum += speeds[i]
+	st := &Set[V]{Names: names, Cells: make([][]Cell[V], n), dead: make([]bool, n)}
+	for s, name := range names {
+		st.Cells[s] = make([]Cell[V], len(cfgs))
+		for c := range cfgs {
+			st.Cells[s][c] = cells[c*n+s]
+			st.dead[s] = st.dead[s] || st.Cells[s][c].Quarantined
+		}
+		if st.dead[s] {
+			st.Quarantined = append(st.Quarantined, name)
+		}
 	}
-	return out, sum / float64(len(benches)), nil
+	return st, nil
+}
+
+// Live reports whether subject s enters the set's means.
+func (st *Set[V]) Live(s int) bool { return !st.dead[s] }
+
+// Mean averages config c's cells over the live subjects, summed in suite
+// order. ok is false when no subject is live: the set is a gap, which
+// renderers print as QUAR.
+func Mean(st *Set[float64], c int) (mean float64, ok bool) {
+	sum, n := 0.0, 0
+	for s, row := range st.Cells {
+		if st.Live(s) {
+			sum += row[c].Value
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }

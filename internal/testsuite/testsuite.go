@@ -15,11 +15,8 @@ import (
 	"debugtuner/internal/dbgtrace"
 	"debugtuner/internal/debugger"
 	"debugtuner/internal/evalcache"
-	"debugtuner/internal/ir"
 	"debugtuner/internal/pipeline"
-	"debugtuner/internal/suite"
 	"debugtuner/internal/tuner"
-	"debugtuner/internal/vm"
 	"debugtuner/internal/workerpool"
 )
 
@@ -59,61 +56,10 @@ type HarnessCorpus struct {
 	Inputs [][]int64
 }
 
-// Subject is one loaded suite member with its corpora. It implements
-// suite.Debuggable: the Name/Source/BuildIR/Run methods shadow the
-// promoted tuner.Program fields, so cross-suite consumers see the same
-// surface a specsuite.Benchmark presents (the underlying fields remain
-// reachable through Tuner()).
+// Subject is one loaded suite member with its corpora.
 type Subject struct {
 	*tuner.Program
 	Corpora []HarnessCorpus
-}
-
-var _ suite.Debuggable = (*Subject)(nil)
-
-// Name returns the subject's suite name.
-func (s *Subject) Name() string { return s.Program.Name }
-
-// Source returns the subject's MiniC source.
-func (s *Subject) Source() ([]byte, error) { return Source(s.Program.Name) }
-
-// BuildIR returns the subject's O0 IR (shared; callers must not mutate).
-func (s *Subject) BuildIR() (*ir.Program, error) { return s.Program.IR0, nil }
-
-// Tuner exposes the backing tuner program for metric evaluation.
-func (s *Subject) Tuner() *tuner.Program { return s.Program }
-
-// Run builds the subject under the configuration and executes its final
-// corpus inputs on the plain VM (each input on a fresh machine, like the
-// fuzzer), totalling cycles and steps; a subject with no harness inputs
-// runs its entry function once.
-func (s *Subject) Run(cfg pipeline.Config) (*suite.Result, error) {
-	bin := s.Program.Build(cfg)
-	res := &suite.Result{Name: s.Program.Name}
-	ran := false
-	for _, h := range s.Program.Info.Harnesses {
-		for _, in := range s.Program.Inputs[h] {
-			m := vm.New(bin)
-			m.StepBudget = s.Program.Budget
-			hd := m.NewArray(in)
-			if _, err := m.Call(h, hd, int64(len(in))); err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", s.Program.Name, h, err)
-			}
-			res.Cycles += m.Cycles
-			res.Steps += m.Steps
-			res.Output = append(res.Output, m.Output()...)
-			ran = true
-		}
-	}
-	if !ran {
-		m := vm.New(bin)
-		m.StepBudget = s.Program.Budget
-		if _, err := m.Call(s.Program.Entry); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", s.Program.Name, s.Program.Entry, err)
-		}
-		res.Cycles, res.Steps, res.Output = m.Cycles, m.Steps, m.Output()
-	}
-	return res, nil
 }
 
 // Stats reproduces the Table III row for the subject.
@@ -218,8 +164,7 @@ var liteCache evalcache.Cache[*Subject]
 
 // LoadLite front-ends a subject without growing a corpus: no fuzzing,
 // no minimization, no inputs installed. Suitable for consumers that
-// only build and inspect the subject (the passreport damage table);
-// Run on a lite subject executes the entry function.
+// only build and inspect the subject (the passreport damage table).
 func LoadLite(name string) (*Subject, error) {
 	return liteCache.Do(name, func() (*Subject, error) {
 		src, err := Source(name)
@@ -257,7 +202,7 @@ func Programs(subjects []*Subject) []*tuner.Program {
 // ComputeStats builds the Table III row: input counts, reductions, and
 // debug coverage at -O0.
 func (s *Subject) ComputeStats() (Stats, error) {
-	st := Stats{Name: s.Program.Name}
+	st := Stats{Name: s.Name}
 	base, err := s.Baseline()
 	if err != nil {
 		return st, err

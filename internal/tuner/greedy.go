@@ -1,10 +1,8 @@
 package tuner
 
 import (
-	"context"
-
 	"debugtuner/internal/pipeline"
-	"debugtuner/internal/workerpool"
+	"debugtuner/internal/suite"
 )
 
 // Greedy subset search — the paper's future-work direction (§VI):
@@ -19,28 +17,23 @@ import (
 type GreedyResult struct {
 	Pass    string
 	Product float64
+	// Quarantined names the subjects left out of the step's means.
+	Quarantined []string
 }
 
 // GreedySelect starts from the reference level and greedily disables
 // passes from the ranking (inliner excluded, as in the paper's
 // configuration construction) while the suite-average product improves
-// by at least minGain. It returns the accepted steps and the final
-// configuration.
+// by at least minGain. Each step is one suite.Evaluate over the current
+// configuration and every candidate, so all the means it compares cover
+// the same subjects; a step whose subjects are all quarantined ends the
+// search. It returns the accepted steps and the final configuration.
 func (la *LevelAnalysis) GreedySelect(progs []*Program, maxPasses int, minGain float64) ([]GreedyResult, pipeline.Config, error) {
-	avg := func(cfg pipeline.Config) (float64, error) {
-		ms, err := workerpool.Map(context.Background(), progs,
-			func(_ context.Context, _ int, p *Program) (float64, error) {
-				return p.Product(cfg)
-			})
-		if err != nil {
-			return 0, err
-		}
-		sum := 0.0
-		for _, m := range ms {
-			sum += m
-		}
-		return sum / float64(len(progs)), nil
+	names := make([]string, len(progs))
+	for i, p := range progs {
+		names[i] = p.Name
 	}
+	product := func(s int, cfg pipeline.Config) (float64, error) { return progs[s].Product(cfg) }
 
 	chosen := map[string]bool{}
 	mkCfg := func(extra string) pipeline.Config {
@@ -51,25 +44,32 @@ func (la *LevelAnalysis) GreedySelect(progs []*Program, maxPasses int, minGain f
 		return pipeline.MustConfig(la.Profile, la.Level, opts...)
 	}
 	cfg := mkCfg("")
-	best, err := avg(cfg)
-	if err != nil {
-		return nil, cfg, err
-	}
 	var steps []GreedyResult
 	for len(steps) < maxPasses {
-		var bestPass string
-		bestScore := best
+		cfgs := []pipeline.Config{cfg}
+		var cands []string
 		for _, rp := range la.Ranking {
 			if rp.Name == "inline" || chosen[rp.Name] {
 				continue
 			}
-			score, err := avg(mkCfg(rp.Name))
-			if err != nil {
-				return nil, cfg, err
-			}
+			cands = append(cands, rp.Name)
+			cfgs = append(cfgs, mkCfg(rp.Name))
+		}
+		set, err := suite.Evaluate(names, cfgs, product)
+		if err != nil {
+			return nil, cfg, err
+		}
+		best, ok := suite.Mean(set, 0)
+		if !ok {
+			break
+		}
+		var bestPass string
+		bestScore := best
+		for c, pass := range cands {
+			score, _ := suite.Mean(set, c+1)
 			if score > bestScore+minGain {
 				bestScore = score
-				bestPass = rp.Name
+				bestPass = pass
 			}
 		}
 		if bestPass == "" {
@@ -77,8 +77,7 @@ func (la *LevelAnalysis) GreedySelect(progs []*Program, maxPasses int, minGain f
 		}
 		chosen[bestPass] = true
 		cfg = mkCfg("")
-		best = bestScore
-		steps = append(steps, GreedyResult{Pass: bestPass, Product: best})
+		steps = append(steps, GreedyResult{Pass: bestPass, Product: bestScore, Quarantined: set.Quarantined})
 	}
 	return steps, cfg, nil
 }

@@ -1,7 +1,7 @@
 // Package workerpool is the bounded fan-out primitive shared by every
 // parallel evaluation loop: the tuner's (program × pass) build matrix,
-// the experiments table generators, specsuite.SuiteSpeedup, and
-// testsuite.LoadAll.
+// the suite evaluator's (subject × config) cells (suite.Evaluate), the
+// experiments table generators, and testsuite.LoadAll.
 //
 // The design constraints come from DebugTuner's determinism requirement
 // (§III rankings must not depend on scheduling): Map always returns
