@@ -94,12 +94,12 @@ rm -f /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
 # must reproduce the committed golden (any diff to it is explained in
 # CHANGES.md), then a warm rerun from it — the warm run must be
 # byte-identical and measurably faster (it skips every fingerprinted
-# build+trace). Then corrupt one entry in place: the store must
-# self-heal (recompute the cell, delete the bad file) and still produce
-# identical output. Last, a -j 4 run with the cache disabled proves
-# stdout depends on neither the cache nor the worker count. The golden
-# is also the exactness gate for the VM's block core, which every
-# quick-all table runs on.
+# build+trace). Then corrupt one record in place inside a segment: the
+# store must self-heal (drop the record from disk, recompute the cell)
+# and still produce identical output. Last, a -j 4 run with the cache
+# disabled proves stdout depends on neither the cache nor the worker
+# count. The golden is also the exactness gate for the VM's block core,
+# which every quick-all table runs on.
 go build -o /tmp/ci-experiments ./cmd/experiments
 rm -rf /tmp/ci-cache
 T0=$(date +%s)
@@ -111,15 +111,16 @@ T2=$(date +%s)
 cmp /tmp/ci-cold.txt /tmp/ci-warm.txt
 COLD=$((T1 - T0)); WARM=$((T2 - T1))
 test $((WARM * 2)) -lt "$COLD"
-ENTRY=$(find /tmp/ci-cache -name '*.json' | head -n 1)
-test -n "$ENTRY"
-printf 'garbage' > "$ENTRY"
+SEG=$(find /tmp/ci-cache -name '*.seg' | head -n 1)
+test -n "$SEG"
+sed -i '1s/"sum":"[0-9a-f]*"/"sum":"garbage"/' "$SEG"
+grep -q garbage "$SEG"
 /tmp/ci-experiments -quick -j 1 -cachedir /tmp/ci-cache all > /tmp/ci-heal.txt
 cmp /tmp/ci-cold.txt /tmp/ci-heal.txt
-# The corrupt bytes must be gone: self-heal deletes the bad entry and
-# the recompute rewrites the slot. (Explicit if: `set -e` skips negated
-# commands.)
-if grep -qs garbage "$ENTRY"; then echo "corrupt entry survived"; exit 1; fi
+# The corrupt bytes must be gone: self-heal rewrites the segment without
+# the bad record and the recompute appends the cell again. (Explicit if:
+# `set -e` skips negated commands.)
+if grep -qs garbage /tmp/ci-cache/*.seg; then echo "corrupt record survived"; exit 1; fi
 /tmp/ci-experiments -quick -j 4 -cachedir off all > /tmp/ci-nocache-j4.txt
 cmp /tmp/ci-cold.txt /tmp/ci-nocache-j4.txt
 # Cache keys must cover every input a flag can change: a directory filled
@@ -148,7 +149,8 @@ rm -f /tmp/ci-experiments /tmp/ci-full.txt
 # depend on -j or cache state (a second, differently-configured server
 # must agree byte for byte), (c) SIGTERM drains gracefully — new
 # requests get the typed 503 during the grace window and the process
-# exits 0.
+# exits 0, (d) a new tunerd on the drained one's cache directory answers
+# from the disk store: the golden body, a disk hit and no disk write.
 go build -o /tmp/ci-tunerd ./cmd/tunerd
 go build -o /tmp/ci-tunerd-client ./cmd/tunerd-client
 rm -rf /tmp/ci-tunerd-cache
@@ -199,9 +201,29 @@ rc=0; /tmp/ci-tunerd-client -addr "$ADDR" tune -level O1 $FIB \
 test "$rc" -ne 0
 grep -q 'draining' /tmp/ci-drain-err.txt
 wait "$TUNERD_PID"
+/tmp/ci-tunerd -addr 127.0.0.1:0 -cachedir /tmp/ci-tunerd-cache \
+    > /tmp/ci-tunerd3.log 2>&1 &
+TUNERD3_PID=$!
+ADDR3=""
+for _ in $(seq 1 50); do
+    ADDR3=$(sed -n 's/^tunerd listening on //p' /tmp/ci-tunerd3.log)
+    test -n "$ADDR3" && break
+    sleep 0.1
+done
+test -n "$ADDR3"
+/tmp/ci-tunerd-client -addr "$ADDR3" tune -level O1 -raw $FIB > /tmp/ci-tune-4.json
+cmp /tmp/ci-tune-4.json $GOLD/tune-gcc-O1.golden.json
+/tmp/ci-tunerd-client -addr "$ADDR3" metrics > /tmp/ci-tunerd3-metrics.json
+grep -q '"diskcache.tunerd.resp.hit"' /tmp/ci-tunerd3-metrics.json
+if grep -q '"diskcache.write"' /tmp/ci-tunerd3-metrics.json; then
+    echo "restarted tunerd recomputed a stored response"; exit 1
+fi
+kill -TERM "$TUNERD3_PID"
+wait "$TUNERD3_PID"
 rm -rf /tmp/ci-tunerd /tmp/ci-tunerd-client /tmp/ci-tunerd-cache \
-    /tmp/ci-tunerd.log /tmp/ci-tunerd2.log /tmp/ci-tune-1.json \
-    /tmp/ci-tune-2.json /tmp/ci-tune-3.json /tmp/ci-pareto.json \
+    /tmp/ci-tunerd.log /tmp/ci-tunerd2.log /tmp/ci-tunerd3.log \
+    /tmp/ci-tune-1.json /tmp/ci-tune-2.json /tmp/ci-tune-3.json \
+    /tmp/ci-tune-4.json /tmp/ci-tunerd3-metrics.json /tmp/ci-pareto.json \
     /tmp/ci-report.json /tmp/ci-drain-err.txt
 
 # Hunt smoke: a small seeded campaign with a planted bug must (a) find

@@ -21,6 +21,7 @@ package evalcache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -69,23 +70,31 @@ type Cache[V any] struct {
 }
 
 // diskBinding scopes a cache's disk traffic: the namespace prefixes
-// every key so distinct caches sharing one store cannot collide.
+// every key so distinct caches sharing one store cannot collide, and
+// the cache counts its own disk hits, misses and writes.
 type diskBinding struct {
-	d         *Disk
-	namespace string
+	d                *Disk
+	namespace        string
+	hit, miss, write string
 }
 
 // SetDisk binds the cache to a persistent store. Keys are stored under
 // the namespace (which must capture everything the in-memory key does
 // not — subject identity, source hash), so the disk entry is valid
 // exactly when an equal-keyed recompute would produce the same value.
-// V must round-trip through encoding/json. A nil Disk detaches.
+// The namespace up to its first '|' names the cache in telemetry
+// (diskcache.<name>.hit, .miss, .write), so per-run parameters such as
+// a sample period or a budget go after it. V must round-trip through
+// encoding/json. A nil Disk detaches.
 func (c *Cache[V]) SetDisk(d *Disk, namespace string) {
 	if d == nil {
 		c.disk.Store(nil)
 		return
 	}
-	c.disk.Store(&diskBinding{d: d, namespace: namespace})
+	name, _, _ := strings.Cut(namespace, "|")
+	p := "diskcache." + name + "."
+	c.disk.Store(&diskBinding{d: d, namespace: namespace,
+		hit: p + "hit", miss: p + "miss", write: p + "write"})
 }
 
 // shardFor hashes the key onto a shard (FNV-1a).
@@ -149,12 +158,14 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
 		if b := c.disk.Load(); b != nil {
 			dk := b.namespace + "|" + key
 			if b.d.Get(dk, &e.val) {
+				telemetry.Add(b.hit, 1)
 				e.done.Store(true)
 				return
 			}
+			telemetry.Add(b.miss, 1)
 			e.val, e.err = compute()
-			if e.err == nil {
-				b.d.Put(dk, e.val)
+			if e.err == nil && b.d.put(dk, e.val) {
+				telemetry.Add(b.write, 1)
 			}
 			e.done.Store(true)
 			return

@@ -141,7 +141,7 @@ func New(opts Options) *Server {
 		slots: make(chan struct{}, opts.maxInflight()),
 	}
 	s.resp.SetDisk(evalcache.DefaultDisk(),
-		fmt.Sprintf("tunerd.resp.v%d.b%d", api.Version, s.Svc.budget()))
+		fmt.Sprintf("tunerd.resp|v%d|b%d", api.Version, s.Svc.budget()))
 	return s
 }
 
