@@ -93,24 +93,32 @@ rm -f /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
 # Persistent-cache smoke: a cold quick-all into a fresh cache directory
 # must reproduce the committed golden (any diff to it is explained in
 # CHANGES.md), then a warm rerun from it — the warm run must be
-# byte-identical and measurably faster (it skips every fingerprinted
-# build+trace). Then corrupt one record in place inside a segment: the
-# store must self-heal (drop the record from disk, recompute the cell)
-# and still produce identical output. Last, a -j 4 run with the cache
-# disabled proves stdout depends on neither the cache nor the worker
-# count. The golden is also the exactness gate for the VM's block core,
-# which every quick-all table runs on.
+# byte-identical and measurably faster, and its metrics must show that
+# it computed no cell the store holds: no disk miss or write, and Table
+# I's cells and the suite's corpora read back. Then corrupt one record
+# in place inside a segment: the store must self-heal (drop the record
+# from disk, recompute the cell) and still produce identical output.
+# Last, a -j 4 run with the cache disabled proves stdout depends on
+# neither the cache nor the worker count. The golden is also the
+# exactness gate for the VM's block core, which every quick-all table
+# runs on.
 go build -o /tmp/ci-experiments ./cmd/experiments
 rm -rf /tmp/ci-cache
 T0=$(date +%s)
 /tmp/ci-experiments -quick -j 1 -cachedir /tmp/ci-cache all > /tmp/ci-cold.txt
 T1=$(date +%s)
 cmp /tmp/ci-cold.txt testdata/golden/quick-all.txt
-/tmp/ci-experiments -quick -j 1 -cachedir /tmp/ci-cache all > /tmp/ci-warm.txt
+/tmp/ci-experiments -quick -j 1 -cachedir /tmp/ci-cache \
+    -metrics /tmp/ci-warm-metrics.json all > /tmp/ci-warm.txt
 T2=$(date +%s)
 cmp /tmp/ci-cold.txt /tmp/ci-warm.txt
 COLD=$((T1 - T0)); WARM=$((T2 - T1))
 test $((WARM * 2)) -lt "$COLD"
+if grep -Eq '"diskcache\.(miss|write)"' /tmp/ci-warm-metrics.json; then
+    echo "warm quick-all recomputed a stored cell"; exit 1
+fi
+grep -Eq '"diskcache\.experiments\.synth\.hit": [1-9]' /tmp/ci-warm-metrics.json
+grep -Eq '"diskcache\.testsuite\.corpus\.hit": [1-9]' /tmp/ci-warm-metrics.json
 SEG=$(find /tmp/ci-cache -name '*.seg' | head -n 1)
 test -n "$SEG"
 sed -i '1s/"sum":"[0-9a-f]*"/"sum":"garbage"/' "$SEG"
@@ -125,13 +133,16 @@ if grep -qs garbage /tmp/ci-cache/*.seg; then echo "corrupt record survived"; ex
 cmp /tmp/ci-cold.txt /tmp/ci-nocache-j4.txt
 # Cache keys must cover every input a flag can change: a directory filled
 # by a -quick run (smaller fuzz corpus) must not answer a full run.
+# Table III prints the corpus sizes, so a corpus key without the fuzz
+# budget fails here.
 rm -rf /tmp/ci-cache
-/tmp/ci-experiments -quick -cachedir /tmp/ci-cache table2 > /dev/null
-/tmp/ci-experiments -cachedir /tmp/ci-cache table2 > /tmp/ci-budget-warm.txt
-/tmp/ci-experiments -cachedir off table2 > /tmp/ci-budget-cold.txt
+/tmp/ci-experiments -quick -cachedir /tmp/ci-cache table2 table3 > /dev/null
+/tmp/ci-experiments -cachedir /tmp/ci-cache table2 table3 > /tmp/ci-budget-warm.txt
+/tmp/ci-experiments -cachedir off table2 table3 > /tmp/ci-budget-cold.txt
 cmp /tmp/ci-budget-cold.txt /tmp/ci-budget-warm.txt
 rm -rf /tmp/ci-experiments /tmp/ci-cache /tmp/ci-default-cache \
-    /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt \
+    /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-warm-metrics.json \
+    /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt \
     /tmp/ci-budget-warm.txt /tmp/ci-budget-cold.txt
 
 # Full-run golden: a cold full `all` must reproduce the committed

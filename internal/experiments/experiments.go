@@ -23,6 +23,7 @@ import (
 	"debugtuner/internal/ir"
 	"debugtuner/internal/metrics"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/resilience"
 	"debugtuner/internal/sema"
 	"debugtuner/internal/specsuite"
 	"debugtuner/internal/suite"
@@ -61,31 +62,34 @@ func DefaultOptions() Options {
 }
 
 // Runner executes and caches the evaluation: the loaded suite, the
-// per-level pass analyses and the AutoFDO measurements. Each is an
-// evalcache.Cache, so concurrent table generators asking for the same
-// intermediate block on one computation instead of duplicating it.
-// Suite averages are not memoized here: every table evaluates its
-// (subject × config) set through suite.Evaluate, whose cells hit the
-// measurement caches underneath (tuner.Program's scores, specsuite's
-// cycle counts).
+// per-level pass analyses, the AutoFDO measurements and the Table I
+// cells. Each is an evalcache.Cache, so concurrent table generators
+// asking for the same intermediate block on one computation instead of
+// duplicating it. Suite averages are not memoized here: every table
+// evaluates its (subject × config) set through suite.Evaluate, whose
+// cells hit the measurement caches underneath (tuner.Program's scores,
+// specsuite's cycle counts, the synth cells below).
 type Runner struct {
 	Opts Options
 
 	subjects evalcache.Cache[[]*testsuite.Subject]
 	analyses evalcache.Cache[*tuner.LevelAnalysis]
-	fdo      evalcache.Cache[fdoResult] // bench|final|profiling -> AutoFDO measurement
+	fdo      evalcache.Cache[fdoResult]    // bench|final|profiling -> AutoFDO measurement
+	synth    evalcache.Cache[methodScores] // synthCell.key() -> Table I cell
 }
 
-// NewRunner creates a runner. AutoFDO measurements are bound to the
-// process-wide persistent store when one is installed: their cache key
-// (benchmark × final fingerprint × profiling fingerprint) plus the
-// sampling period in the namespace fully determines the result, since
-// benchmark sources are embedded in the executable and therefore covered
-// by the store's tool hash.
+// NewRunner creates a runner. AutoFDO measurements and Table I cells
+// are bound to the process-wide persistent store when one is installed.
+// An AutoFDO key (benchmark × final fingerprint × profiling fingerprint)
+// plus the sampling period in the namespace fully determines the
+// result, since benchmark sources are embedded in the executable and
+// therefore covered by the store's tool hash; a Table I key is built
+// from its declared inputs (synthCell).
 func NewRunner(opts Options) *Runner {
 	r := &Runner{Opts: opts}
 	r.fdo.SetDisk(evalcache.DefaultDisk(),
 		fmt.Sprintf("experiments.fdo|sample%d", opts.SampleEvery))
+	r.synth.SetDisk(evalcache.DefaultDisk(), "experiments.synth")
 	return r
 }
 
@@ -158,8 +162,13 @@ func leftOut(w io.Writer, what string, names []string) {
 
 // ---- Synthetic corpus (Table I) ----
 
+// synthTraceBudget is the step budget of every Table I trace, the O0
+// baseline's included.
+const synthTraceBudget = 1 << 22
+
 // synthProgram is one loaded synthetic subject.
 type synthProgram struct {
+	src  uint64 // hash of the generated source
 	info *sema.Info
 	dr   *sema.DefRanges
 	ir0  *ir.Program
@@ -193,7 +202,8 @@ func trySynth(seed int64) *synthProgram {
 		return nil
 	}
 	return &synthProgram{
-		info: info, dr: sema.ComputeDefRanges(info), ir0: ir0,
+		src: resilience.HashBytes([]byte(src)), info: info,
+		dr: sema.ComputeDefRanges(info), ir0: ir0,
 		stmt: sema.StatementLines(info),
 	}
 }
@@ -231,22 +241,50 @@ func loadSynth(n int) []*synthProgram {
 	return out
 }
 
-// methodScores computes the four methods of §II for one build, plus
-// the dataflow-proven variant of the static method (its numerator
-// restricted to claims the owner analysis guarantees materialize).
+// methodScores is one Table I cell: the four methods of §II for one
+// build, plus the dataflow-proven variant of the static method (its
+// numerator restricted to claims the owner analysis guarantees
+// materialize). Fields are exported so a cell round-trips through the
+// persistent store's JSON envelope.
 type methodScores struct {
-	static, staticDbg, dynamic, hybrid metrics.Scores
-	staticProven                       metrics.Scores
+	Static, StaticDbg, Dynamic, Hybrid metrics.Scores
+	StaticProven                       metrics.Scores
 }
 
-func (sp *synthProgram) measure(cfg pipeline.Config, base *dbgtrace.Trace) (methodScores, error) {
+// synthCell declares every input of one Table I cell. The O0 baseline
+// the cell is measured against is a function of the source and the
+// budget; everything else is code, which the store's tool hash covers.
+type synthCell struct {
+	Src    uint64 // hash of the generated source
+	Config string // config fingerprint
+	Budget int64  // trace step budget
+}
+
+// key is the one constructor of an experiments.synth key.
+func (c synthCell) key() string {
+	return fmt.Sprintf("synth#%016x|b%d|%s", c.Src, c.Budget, c.Config)
+}
+
+// synthScores returns program sp's Table I cell under cfg, from the
+// runner's cache when it holds the cell.
+func (r *Runner) synthScores(sp *synthProgram, cfg pipeline.Config) (methodScores, error) {
+	cell := synthCell{Src: sp.src, Config: memoKey(cfg), Budget: synthTraceBudget}
+	return r.synth.Do(cell.key(), func() (methodScores, error) { return sp.measure(cfg) })
+}
+
+// measure builds sp under cfg and scores it against its O0 baseline.
+func (sp *synthProgram) measure(cfg pipeline.Config) (methodScores, error) {
 	var ms methodScores
+	base, err := sp.baseline()
+	if err != nil {
+		return ms, err
+	}
 	bin := pipeline.Build(sp.ir0, cfg)
 	sess, err := debugger.NewSession(bin)
 	if err != nil {
 		return ms, err
 	}
-	tr, err := sess.TraceMain("main", 1<<22)
+	tr, err := sess.TraceMain("main", synthTraceBudget)
 	if err != nil {
 		return ms, err
 	}
@@ -254,11 +292,11 @@ func (sp *synthProgram) measure(cfg pipeline.Config, base *dbgtrace.Trace) (meth
 	if err != nil {
 		return ms, err
 	}
-	ms.dynamic = metrics.Dynamic(tr, base)
-	ms.hybrid = metrics.Hybrid(tr, base, sp.dr)
-	ms.static = metrics.Static(table, sp.stmt, sp.dr)
-	ms.staticDbg = metrics.StaticDbg(table, base, sp.dr)
-	ms.staticProven = metrics.StaticProven(bin, table, sp.stmt, sp.dr)
+	ms.Dynamic = metrics.Dynamic(tr, base)
+	ms.Hybrid = metrics.Hybrid(tr, base, sp.dr)
+	ms.Static = metrics.Static(table, sp.stmt, sp.dr)
+	ms.StaticDbg = metrics.StaticDbg(table, base, sp.dr)
+	ms.StaticProven = metrics.StaticProven(bin, table, sp.stmt, sp.dr)
 	return ms, nil
 }
 
@@ -270,7 +308,7 @@ func (sp *synthProgram) baseline() (*dbgtrace.Trace, error) {
 			sp.baseErr = err
 			return
 		}
-		sp.base, sp.baseErr = sess.TraceMain("main", 1<<22)
+		sp.base, sp.baseErr = sess.TraceMain("main", synthTraceBudget)
 	})
 	return sp.base, sp.baseErr
 }

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/telemetry"
 )
 
 // quickRunner shares a tiny-scale runner across the tests.
@@ -88,5 +91,70 @@ func TestLoadSynthDeterministic(t *testing.T) {
 		if a[i].info.Program.File.Name != b[i].info.Program.File.Name {
 			t.Fatal("different programs selected")
 		}
+	}
+}
+
+// TestSynthCellKey: equal inputs give equal keys, and changing any one
+// declared input of a Table I cell changes its key.
+func TestSynthCellKey(t *testing.T) {
+	base := synthCell{Src: 0x5eed, Config: "fp", Budget: synthTraceBudget}
+	if again := (synthCell{Src: 0x5eed, Config: "fp", Budget: synthTraceBudget}); again.key() != base.key() {
+		t.Fatalf("equal inputs give keys %q and %q", base.key(), again.key())
+	}
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		c := base
+		f := reflect.ValueOf(&c).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		case reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("field %s: no perturbation for kind %s", reflect.TypeOf(base).Field(i).Name, f.Kind())
+		}
+		if c.key() == base.key() {
+			t.Errorf("changing %s leaves the key at %q", reflect.TypeOf(base).Field(i).Name, base.key())
+		}
+	}
+}
+
+// TestTable1FromStore renders Table I cold into a store, then again from
+// a fresh runner on a second handle of that store, as a warm process
+// does: the bytes must match, and every cell must come from the store.
+func TestTable1FromStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	dir := t.TempDir()
+	opts := Options{SynthCount: 4, SampleEvery: 997}
+	render := func() (string, map[string]int64) {
+		t.Helper()
+		d, err := evalcache.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evalcache.SetDefaultDisk(d)
+		snk := telemetry.NewSink()
+		defer telemetry.Install(telemetry.Install(snk))
+		var buf bytes.Buffer
+		if err := NewRunner(opts).Table1(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), snk.Counters()
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	cold, coldCounts := render()
+	warm, warmCounts := render()
+	if warm != cold {
+		t.Fatalf("Table I from the store differs from the cold render:\n%s\nwant:\n%s", warm, cold)
+	}
+	cells := int64(opts.SynthCount * len(levelsUnderTest()))
+	if got := coldCounts["diskcache.experiments.synth.write"]; got != cells {
+		t.Errorf("cold render wrote %d cells, want %d", got, cells)
+	}
+	if hit, miss := warmCounts["diskcache.experiments.synth.hit"], warmCounts["diskcache.experiments.synth.miss"]; hit != cells || miss != 0 {
+		t.Errorf("warm render: %d hits and %d misses, want %d and 0", hit, miss, cells)
 	}
 }

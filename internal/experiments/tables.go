@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -9,12 +8,14 @@ import (
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/suite"
 	"debugtuner/internal/testsuite"
-	"debugtuner/internal/workerpool"
 )
 
 // Table1 compares the four measurement methods on synthetic programs
 // (paper Table I): availability of variables, line coverage, and the
 // product, per compiler profile and level, aggregated by geometric mean.
+// The (program × level) cells are one suite.Evaluate set, so each is
+// measured once; every row and the gcc-O1 spread read it in program
+// order.
 func (r *Runner) Table1(w io.Writer) error {
 	progs := loadSynth(r.Opts.SynthCount)
 	fmt.Fprintf(w, "Table I — methods on %d synthetic programs (geomean)\n", len(progs))
@@ -23,45 +24,43 @@ func (r *Runner) Table1(w io.Writer) error {
 		"lc.stat", "lc.statdbg", "lc.dyn", "pr.stat", "pr.statdbg", "pr.dyn", "pr.hyb")
 	hr(w, 132)
 
-	// Per configuration, fan the per-program measurements out over the
-	// worker pool; the geomean aggregation consumes them in program
-	// order, identical to the serial loop.
-	measureAll := func(cfg pipeline.Config) ([]methodScores, error) {
-		return workerpool.Map(context.Background(), progs,
-			func(_ context.Context, _ int, sp *synthProgram) (methodScores, error) {
-				base, err := sp.baseline()
-				if err != nil {
-					return methodScores{}, err
-				}
-				return sp.measure(cfg, base)
-			})
+	names := make([]string, len(progs))
+	for i, sp := range progs {
+		names[i] = sp.info.Program.File.Name
 	}
-
+	cfgs := levelsUnderTest()
+	set, err := suite.Evaluate(names, cfgs, func(s int, cfg pipeline.Config) (methodScores, error) {
+		return r.synthScores(progs[s], cfg)
+	})
+	if err != nil {
+		return err
+	}
 	type agg struct {
 		avS, avSD, avD, avH, lcS, lcSD, lcD, prS, prSD, prD, prH []float64
 		avP, prP                                                 []float64
 	}
 	var provenRows []string
-	for _, cfg := range levelsUnderTest() {
+	var gccO1 []float64
+	for c, cfg := range cfgs {
 		var a agg
-		all, err := measureAll(cfg)
-		if err != nil {
-			return err
+		for s := range progs {
+			ms := set.Cells[s][c].Value
+			a.avS = append(a.avS, ms.Static.Avail)
+			a.avSD = append(a.avSD, ms.StaticDbg.Avail)
+			a.avD = append(a.avD, ms.Dynamic.Avail)
+			a.avH = append(a.avH, ms.Hybrid.Avail)
+			a.lcS = append(a.lcS, ms.Static.LineCov)
+			a.lcSD = append(a.lcSD, ms.StaticDbg.LineCov)
+			a.lcD = append(a.lcD, ms.Dynamic.LineCov)
+			a.prS = append(a.prS, ms.Static.Product)
+			a.prSD = append(a.prSD, ms.StaticDbg.Product)
+			a.prD = append(a.prD, ms.Dynamic.Product)
+			a.prH = append(a.prH, ms.Hybrid.Product)
+			a.avP = append(a.avP, ms.StaticProven.Avail)
+			a.prP = append(a.prP, ms.StaticProven.Product)
 		}
-		for _, ms := range all {
-			a.avS = append(a.avS, ms.static.Avail)
-			a.avSD = append(a.avSD, ms.staticDbg.Avail)
-			a.avD = append(a.avD, ms.dynamic.Avail)
-			a.avH = append(a.avH, ms.hybrid.Avail)
-			a.lcS = append(a.lcS, ms.static.LineCov)
-			a.lcSD = append(a.lcSD, ms.staticDbg.LineCov)
-			a.lcD = append(a.lcD, ms.dynamic.LineCov)
-			a.prS = append(a.prS, ms.static.Product)
-			a.prSD = append(a.prSD, ms.staticDbg.Product)
-			a.prD = append(a.prD, ms.dynamic.Product)
-			a.prH = append(a.prH, ms.hybrid.Product)
-			a.avP = append(a.avP, ms.staticProven.Avail)
-			a.prP = append(a.prP, ms.staticProven.Product)
+		if cfg.Profile == pipeline.GCC && cfg.Level == "O1" {
+			gccO1 = a.prH
 		}
 		fmt.Fprintf(w, "%-6s %-4s | %8.4f %10.4f %8.4f %8.4f | %8.4f %10.4f %8.4f | %8.4f %10.4f %8.4f %8.4f\n",
 			cfg.Profile, cfg.Level,
@@ -86,16 +85,8 @@ func (r *Runner) Table1(w io.Writer) error {
 	}
 	// Geometric standard deviation of the hybrid product at gcc O1, the
 	// paper's per-program variability check.
-	all, err := measureAll(pipeline.MustConfig(pipeline.GCC, "O1"))
-	if err != nil {
-		return err
-	}
-	var prods []float64
-	for _, ms := range all {
-		prods = append(prods, ms.hybrid.Product)
-	}
 	fmt.Fprintf(w, "geometric std dev of hybrid product at gcc-O1: %.3f\n",
-		metrics.GeoStdDev(prods))
+		metrics.GeoStdDev(gccO1))
 	return nil
 }
 

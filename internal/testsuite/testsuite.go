@@ -16,6 +16,7 @@ import (
 	"debugtuner/internal/debugger"
 	"debugtuner/internal/evalcache"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/resilience"
 	"debugtuner/internal/tuner"
 	"debugtuner/internal/workerpool"
 )
@@ -83,9 +84,30 @@ var (
 	loadMemo = map[string]*Subject{}
 )
 
+// corpusKey declares every input of one subject's corpora: the subject
+// and its source, and the corpus options. Everything else the fuzzer,
+// cmin and cover pruning compute from is code, which the store's tool
+// hash covers.
+type corpusKey struct {
+	Name       string
+	Src        uint64 // hash of the subject's source
+	Execs      int
+	StepBudget int64
+	Seed       int64
+}
+
+// String is the one constructor of a testsuite.corpus key; the subject
+// memo shares it.
+func (k corpusKey) String() string {
+	return fmt.Sprintf("%s#%016x|e%d|b%d|s%d", k.Name, k.Src, k.Execs, k.StepBudget, k.Seed)
+}
+
 // Load builds one subject: front-end the source, grow a corpus per
 // harness, run cmin and trace-cover pruning, and install the final
-// inputs in the tuner.Program. Results are memoized per (name, options).
+// inputs in the tuner.Program. Results are memoized per (name,
+// options). The corpora also persist in the process-wide store under
+// testsuite.corpus: a later process front-ends the subject and installs
+// the stored inputs without fuzzing.
 func Load(name string, opts CorpusOptions) (*Subject, error) {
 	if opts.Execs == 0 {
 		opts.Execs = 600
@@ -93,7 +115,12 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 	if opts.StepBudget == 0 {
 		opts.StepBudget = 1 << 19
 	}
-	key := fmt.Sprintf("%s/%d/%d/%d", name, opts.Execs, opts.StepBudget, opts.Seed)
+	src, err := Source(name)
+	if err != nil {
+		return nil, err
+	}
+	key := corpusKey{Name: name, Src: resilience.HashBytes(src),
+		Execs: opts.Execs, StepBudget: opts.StepBudget, Seed: opts.Seed}.String()
 	loadMu.Lock()
 	if s := loadMemo[key]; s != nil {
 		loadMu.Unlock()
@@ -101,14 +128,36 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 	}
 	loadMu.Unlock()
 
-	src, err := Source(name)
-	if err != nil {
-		return nil, err
-	}
 	prog, err := tuner.LoadProgram(name, src, nil)
 	if err != nil {
 		return nil, err
 	}
+	// The memo is the in-process level of the corpora; this cache only
+	// adds the store's level and its diskcache.testsuite.corpus counters.
+	var stored evalcache.Cache[[]HarnessCorpus]
+	stored.SetDisk(evalcache.DefaultDisk(), "testsuite.corpus")
+	corpora, err := stored.Do(key, func() ([]HarnessCorpus, error) {
+		return growCorpora(prog, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	inputs := map[string][][]int64{}
+	for _, hc := range corpora {
+		inputs[hc.Harness] = hc.Inputs
+	}
+	prog.Inputs = inputs
+	subject := &Subject{Program: prog, Corpora: corpora}
+
+	loadMu.Lock()
+	loadMemo[key] = subject
+	loadMu.Unlock()
+	return subject, nil
+}
+
+// growCorpora grows, minimizes and trace-prunes one corpus per harness
+// of prog, in harness order.
+func growCorpora(prog *tuner.Program, opts CorpusOptions) ([]HarnessCorpus, error) {
 	// The corpus is grown against the -O0 build: coverage-guided
 	// fuzzing needs the unoptimized edge structure, like OSS-Fuzz's
 	// coverage builds.
@@ -117,13 +166,11 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	subject := &Subject{Program: prog}
-	inputs := map[string][][]int64{}
+	var corpora []HarnessCorpus
 	for hi, h := range prog.Info.Harnesses {
 		fz := &corpus.Fuzzer{
 			Bin: bin, Harness: h,
-			Seed:       opts.Seed + int64(hi)*7919 + hash(name),
+			Seed:       opts.Seed + int64(hi)*7919 + hash(prog.Name),
 			Execs:      opts.Execs,
 			StepBudget: opts.StepBudget,
 		}
@@ -136,7 +183,7 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 		for i, idx := range kept {
 			tr, err := sess.Trace(h, [][]int64{queue.Entries[idx].Input}, opts.StepBudget*4)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, h, err)
+				return nil, fmt.Errorf("%s/%s: %w", prog.Name, h, err)
 			}
 			perInput[i] = tr
 		}
@@ -145,18 +192,12 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 		for _, i := range finalIdx {
 			final = append(final, queue.Entries[kept[i]].Input)
 		}
-		inputs[h] = final
-		subject.Corpora = append(subject.Corpora, HarnessCorpus{
+		corpora = append(corpora, HarnessCorpus{
 			Harness: h, Queue: len(queue.Entries),
 			AfterCMin: len(kept), Inputs: final,
 		})
 	}
-	prog.Inputs = inputs
-
-	loadMu.Lock()
-	loadMemo[key] = subject
-	loadMu.Unlock()
-	return subject, nil
+	return corpora, nil
 }
 
 // liteCache memoizes corpus-less subjects per name.

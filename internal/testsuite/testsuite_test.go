@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/ir"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/telemetry"
 	"debugtuner/internal/vm"
 )
 
@@ -161,6 +163,95 @@ func TestSuiteDebugQualityShape(t *testing.T) {
 				t.Errorf("%s gcc-%s: product %v rose sharply from %v", name, l, m, prev)
 			}
 			prev = m
+		}
+	}
+}
+
+// TestCorpusKey: equal inputs give equal keys, and changing any one
+// declared input of a subject's corpora changes its key.
+func TestCorpusKey(t *testing.T) {
+	base := corpusKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19, Seed: 0}
+	if again := (corpusKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19}); again.String() != base.String() {
+		t.Fatalf("equal inputs give keys %q and %q", base, again)
+	}
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		k := base
+		f := reflect.ValueOf(&k).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("field %s: no perturbation for kind %s", reflect.TypeOf(base).Field(i).Name, f.Kind())
+		}
+		if k.String() == base.String() {
+			t.Errorf("changing %s leaves the key at %q", reflect.TypeOf(base).Field(i).Name, base)
+		}
+	}
+}
+
+// TestCorporaFromStore loads every subject cold into a store, forgets
+// it, and loads it again from a second handle of that store, as a warm
+// process does. The stored corpora must come back equal, and so must
+// every level's cell key: an input vector that came back as [] where it
+// was nil (or the reverse) and changed the key would make every warm
+// tuner cell miss.
+func TestCorporaFromStore(t *testing.T) {
+	opts := CorpusOptions{Execs: 40, StepBudget: 1 << 17, Seed: 3}
+	dir := t.TempDir()
+	loadAll := func() ([]*Subject, map[string]int64) {
+		t.Helper()
+		d, err := evalcache.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evalcache.SetDefaultDisk(d)
+		snk := telemetry.NewSink()
+		defer telemetry.Install(telemetry.Install(snk))
+		subjects, err := LoadAll(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return subjects, snk.Counters()
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	cold, coldCounts := loadAll()
+	loadMu.Lock()
+	for k, s := range loadMemo {
+		for _, c := range cold {
+			if s == c {
+				delete(loadMemo, k)
+			}
+		}
+	}
+	loadMu.Unlock()
+	warm, warmCounts := loadAll()
+
+	n := int64(len(Names))
+	if got := coldCounts["diskcache.testsuite.corpus.write"]; got != n {
+		t.Errorf("cold load wrote %d corpora, want %d", got, n)
+	}
+	if hit, miss := warmCounts["diskcache.testsuite.corpus.hit"], warmCounts["diskcache.testsuite.corpus.miss"]; hit != n || miss != 0 {
+		t.Errorf("warm load: %d hits and %d misses, want %d and 0", hit, miss, n)
+	}
+	for i, name := range Names {
+		c, w := cold[i], warm[i]
+		if w == c {
+			t.Fatalf("%s: the warm load returned the forgotten subject", name)
+		}
+		if !reflect.DeepEqual(w.Corpora, c.Corpora) {
+			t.Errorf("%s: corpora from the store differ from the cold ones", name)
+		}
+		for _, p := range []pipeline.Profile{pipeline.GCC, pipeline.Clang} {
+			for _, l := range append([]string{"O0"}, pipeline.Levels(p)...) {
+				fp, _ := pipeline.MustConfig(p, l).Fingerprint()
+				if wk, ck := w.CellKey(fp), c.CellKey(fp); wk != ck {
+					t.Errorf("%s %s-%s: cell key %s from the store, %s cold", name, p, l, wk, ck)
+				}
+			}
 		}
 	}
 }
