@@ -27,7 +27,10 @@ go test -race -count=1 \
     ./internal/difftest/
 
 # Keep the binary smokes hermetic: the persistent evalcache defaults to
-# the user cache dir, which CI must neither read nor pollute.
+# the user cache dir, which CI must neither read nor pollute. Every
+# comparison of two runs (-j 1 vs -j 4, run vs rerun) and every clean
+# gate passes -cachedir off, so it never compares a cold run with a
+# warm one; the resume drills use a fresh store directory each.
 DEBUGTUNER_CACHE_DIR=/tmp/ci-default-cache
 export DEBUGTUNER_CACHE_DIR
 rm -rf /tmp/ci-default-cache
@@ -35,8 +38,8 @@ rm -rf /tmp/ci-default-cache
 # Differential smoke: a small fixed seed set over the plain level matrix
 # must report zero findings, and stdout must not depend on parallelism.
 go build -o /tmp/ci-experiments ./cmd/experiments
-/tmp/ci-experiments -j 1 -seeds 5 -configs levels difftest > /tmp/ci-difftest-j1.txt
-/tmp/ci-experiments -j 4 -seeds 5 -configs levels difftest > /tmp/ci-difftest-j4.txt
+/tmp/ci-experiments -j 1 -cachedir off -seeds 5 -configs levels difftest > /tmp/ci-difftest-j1.txt
+/tmp/ci-experiments -j 4 -cachedir off -seeds 5 -configs levels difftest > /tmp/ci-difftest-j4.txt
 cmp /tmp/ci-difftest-j1.txt /tmp/ci-difftest-j4.txt
 grep -q '^PASS$' /tmp/ci-difftest-j1.txt
 rm -f /tmp/ci-experiments /tmp/ci-difftest-j1.txt /tmp/ci-difftest-j4.txt
@@ -45,8 +48,8 @@ rm -f /tmp/ci-experiments /tmp/ci-difftest-j1.txt /tmp/ci-difftest-j4.txt
 # must be debugify-clean, byte-stable across worker counts; and the
 # verify-each driver must pass on a known-good fixture.
 go build -o /tmp/ci-experiments ./cmd/experiments
-/tmp/ci-experiments -j 1 -dbg-subjects libpng debugify > /tmp/ci-debugify-j1.txt
-/tmp/ci-experiments -j 4 -dbg-subjects libpng debugify > /tmp/ci-debugify-j4.txt
+/tmp/ci-experiments -j 1 -cachedir off -dbg-subjects libpng debugify > /tmp/ci-debugify-j1.txt
+/tmp/ci-experiments -j 4 -cachedir off -dbg-subjects libpng debugify > /tmp/ci-debugify-j4.txt
 cmp /tmp/ci-debugify-j1.txt /tmp/ci-debugify-j4.txt
 grep -q '^PASS$' /tmp/ci-debugify-j1.txt
 rm -f /tmp/ci-experiments /tmp/ci-debugify-j1.txt /tmp/ci-debugify-j4.txt
@@ -58,24 +61,31 @@ go run ./cmd/minicc -profile clang -O 3 -verify-each internal/difftest/testdata/
 # Chaos smoke: under deterministic fault injection the same bounded
 # matrix must (a) complete with quarantined cells and the distinct
 # "completed with gaps" exit code 3, (b) produce byte-identical output
-# at any worker count, and (c) after checkpointing the faulted run to a
-# journal, resume WITHOUT chaos, rerun only the incomplete and
-# quarantined cells, and finish clean with exit 0.
+# at any worker count, and (c) after the faulted run filled a fresh
+# store, resume on it WITHOUT chaos: read back the subjects it finished
+# (a subject with a quarantined cell is never stored), rerun the rest,
+# and print a cold clean run's bytes with exit 0.
 go build -o /tmp/ci-experiments ./cmd/experiments
-rc=0; /tmp/ci-experiments -j 1 -chaos rate=0.5,seed=21 -seeds 3 -suite=false -configs levels \
+CHAOSDT='-seeds 6 -suite=false -configs levels'
+# shellcheck disable=SC2086  # CHAOSDT is a word list by construction
+rc=0; /tmp/ci-experiments -j 1 -cachedir off -chaos rate=0.5,seed=21 $CHAOSDT \
     difftest > /tmp/ci-chaos-j1.txt || rc=$?
 test "$rc" -eq 3
-rc=0; /tmp/ci-experiments -j 4 -chaos rate=0.5,seed=21 -seeds 3 -suite=false -configs levels \
+rc=0; /tmp/ci-experiments -j 4 -cachedir off -chaos rate=0.5,seed=21 $CHAOSDT \
     difftest > /tmp/ci-chaos-j4.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt
 grep -q '^QUARANTINED(' /tmp/ci-chaos-j1.txt
-rc=0; /tmp/ci-experiments -j 4 -chaos rate=0.5,seed=21 -seeds 3 -suite=false -configs levels \
-    -journal /tmp/ci-chaos.jsonl difftest > /dev/null || rc=$?
+rm -rf /tmp/ci-chaos-store
+rc=0; /tmp/ci-experiments -j 4 -cachedir /tmp/ci-chaos-store -chaos rate=0.5,seed=21 $CHAOSDT \
+    difftest > /dev/null || rc=$?
 test "$rc" -eq 3
-/tmp/ci-experiments -j 4 -resume /tmp/ci-chaos.jsonl -seeds 3 -suite=false -configs levels \
-    difftest > /tmp/ci-resume.txt
-grep -q '^PASS$' /tmp/ci-resume.txt
+/tmp/ci-experiments -j 4 -cachedir off $CHAOSDT difftest > /tmp/ci-chaos-cold.txt
+/tmp/ci-experiments -j 4 -cachedir /tmp/ci-chaos-store -metrics /tmp/ci-rerun-metrics.json \
+    $CHAOSDT difftest > /tmp/ci-rerun.txt
+cmp /tmp/ci-chaos-cold.txt /tmp/ci-rerun.txt
+grep -q '^PASS$' /tmp/ci-rerun.txt
+grep -Eq '"diskcache\.difftest\.hit": [1-9]' /tmp/ci-rerun-metrics.json
 # The suite tables under fault injection: a quarantined cell leaves its
 # subject out of every average of the table (named), so each table
 # completes with gaps, exit 3, and the same bytes at any worker count.
@@ -86,8 +96,9 @@ rc=0; /tmp/ci-experiments -j 2 -quick -cachedir off -chaos rate=0.2,seed=3 \
     table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j2.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
-rm -f /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
-    /tmp/ci-chaos.jsonl /tmp/ci-resume.txt \
+rm -rf /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
+    /tmp/ci-chaos-store /tmp/ci-chaos-cold.txt /tmp/ci-rerun.txt \
+    /tmp/ci-rerun-metrics.json \
     /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
 
 # Persistent-cache smoke: a cold quick-all into a fresh cache directory
@@ -239,18 +250,19 @@ rm -rf /tmp/ci-tunerd /tmp/ci-tunerd-client /tmp/ci-tunerd-cache \
 
 # Hunt smoke: a small seeded campaign with a planted bug must (a) find
 # and bucket the plant with byte-identical reports across two runs,
-# (b) survive SIGTERM mid-campaign — distinct exit code 4, journal
-# flushed — and resume to the uninterrupted run's exact bytes.
+# (b) survive SIGTERM mid-campaign into a fresh store — distinct exit
+# code 4, store synced — and resume on that store to the uninterrupted
+# run's exact bytes, reading back the candidates the first run finished.
 go build -o /tmp/ci-experiments ./cmd/experiments
 HUNT='-hunt-epochs 1 -hunt-candidates 4 -hunt-configs gcc-O2 -hunt-plant scope-nesting@dse'
 # shellcheck disable=SC2086  # HUNT is a word list by construction
-/tmp/ci-experiments $HUNT hunt > /tmp/ci-hunt-ref.txt
+/tmp/ci-experiments -cachedir off $HUNT hunt > /tmp/ci-hunt-ref.txt
 grep -q 'HUNT FINDINGS' /tmp/ci-hunt-ref.txt
 grep -q 'scope-nesting @ dse' /tmp/ci-hunt-ref.txt
-/tmp/ci-experiments $HUNT hunt > /tmp/ci-hunt-2.txt
+/tmp/ci-experiments -cachedir off $HUNT hunt > /tmp/ci-hunt-2.txt
 cmp /tmp/ci-hunt-ref.txt /tmp/ci-hunt-2.txt
-rm -f /tmp/ci-hunt.jsonl
-/tmp/ci-experiments -journal /tmp/ci-hunt.jsonl $HUNT hunt \
+rm -rf /tmp/ci-hunt-store
+/tmp/ci-experiments -cachedir /tmp/ci-hunt-store $HUNT hunt \
     > /tmp/ci-hunt-int.txt &
 HUNT_PID=$!
 sleep 1.5
@@ -258,29 +270,31 @@ kill -TERM "$HUNT_PID"
 rc=0; wait "$HUNT_PID" || rc=$?
 test "$rc" -eq 4
 grep -q 'HUNT INTERRUPTED' /tmp/ci-hunt-int.txt
-test -s /tmp/ci-hunt.jsonl
-/tmp/ci-experiments -resume /tmp/ci-hunt.jsonl $HUNT hunt \
-    > /tmp/ci-hunt-resume.txt
-cmp /tmp/ci-hunt-ref.txt /tmp/ci-hunt-resume.txt
-rm -f /tmp/ci-experiments /tmp/ci-hunt-ref.txt /tmp/ci-hunt-2.txt \
-    /tmp/ci-hunt.jsonl /tmp/ci-hunt-int.txt /tmp/ci-hunt-resume.txt
+/tmp/ci-experiments -cachedir /tmp/ci-hunt-store -metrics /tmp/ci-hunt-metrics.json \
+    $HUNT hunt > /tmp/ci-hunt-rerun.txt
+cmp /tmp/ci-hunt-ref.txt /tmp/ci-hunt-rerun.txt
+grep -Eq '"diskcache\.hunt\.hit": [1-9]' /tmp/ci-hunt-metrics.json
+rm -rf /tmp/ci-experiments /tmp/ci-hunt-ref.txt /tmp/ci-hunt-2.txt \
+    /tmp/ci-hunt-store /tmp/ci-hunt-int.txt /tmp/ci-hunt-rerun.txt \
+    /tmp/ci-hunt-metrics.json
 
 # Dataflow-analyzer smoke: loc-stale is a binary-level violation the IR
 # analyzer cannot see — a planted one must be caught through the
 # verify-each mid-chain attribution path and bucketed at the planted
-# pass, byte-identically at -j 1 and -j 4 and across SIGTERM + -resume.
-# Then the full debugify matrix (every subject x both profiles x every
-# level) must be clean: zero non-advisory findings, no allowlist.
+# pass, byte-identically at -j 1 and -j 4 and across SIGTERM and a
+# rerun on the interrupted run's store. Then the full debugify matrix
+# (every subject x both profiles x every level) must be clean: zero
+# non-advisory findings, no allowlist.
 go build -o /tmp/ci-experiments ./cmd/experiments
 DFHUNT='-hunt-epochs 1 -hunt-candidates 4 -hunt-configs gcc-O2 -hunt-plant loc-stale@dse'
 # shellcheck disable=SC2086  # DFHUNT is a word list by construction
-/tmp/ci-experiments -j 1 $DFHUNT hunt > /tmp/ci-df-j1.txt
+/tmp/ci-experiments -j 1 -cachedir off $DFHUNT hunt > /tmp/ci-df-j1.txt
 grep -q 'HUNT FINDINGS' /tmp/ci-df-j1.txt
 grep -q 'loc-stale @ dse' /tmp/ci-df-j1.txt
-/tmp/ci-experiments -j 4 $DFHUNT hunt > /tmp/ci-df-j4.txt
+/tmp/ci-experiments -j 4 -cachedir off $DFHUNT hunt > /tmp/ci-df-j4.txt
 cmp /tmp/ci-df-j1.txt /tmp/ci-df-j4.txt
-rm -f /tmp/ci-df.jsonl
-/tmp/ci-experiments -journal /tmp/ci-df.jsonl $DFHUNT hunt \
+rm -rf /tmp/ci-df-store
+/tmp/ci-experiments -cachedir /tmp/ci-df-store $DFHUNT hunt \
     > /tmp/ci-df-int.txt &
 DF_PID=$!
 sleep 1.5
@@ -288,12 +302,12 @@ kill -TERM "$DF_PID"
 rc=0; wait "$DF_PID" || rc=$?
 test "$rc" -eq 4
 grep -q 'HUNT INTERRUPTED' /tmp/ci-df-int.txt
-test -s /tmp/ci-df.jsonl
-/tmp/ci-experiments -resume /tmp/ci-df.jsonl $DFHUNT hunt \
-    > /tmp/ci-df-resume.txt
-cmp /tmp/ci-df-j1.txt /tmp/ci-df-resume.txt
-/tmp/ci-experiments -j 4 debugify > /tmp/ci-df-matrix.txt
+/tmp/ci-experiments -cachedir /tmp/ci-df-store -metrics /tmp/ci-df-metrics.json \
+    $DFHUNT hunt > /tmp/ci-df-rerun.txt
+cmp /tmp/ci-df-j1.txt /tmp/ci-df-rerun.txt
+grep -Eq '"diskcache\.hunt\.hit": [1-9]' /tmp/ci-df-metrics.json
+/tmp/ci-experiments -j 4 -cachedir off debugify > /tmp/ci-df-matrix.txt
 grep -q '^PASS$' /tmp/ci-df-matrix.txt
-rm -f /tmp/ci-experiments /tmp/ci-df-j1.txt /tmp/ci-df-j4.txt \
-    /tmp/ci-df.jsonl /tmp/ci-df-int.txt /tmp/ci-df-resume.txt \
-    /tmp/ci-df-matrix.txt
+rm -rf /tmp/ci-experiments /tmp/ci-df-j1.txt /tmp/ci-df-j4.txt \
+    /tmp/ci-df-store /tmp/ci-df-int.txt /tmp/ci-df-rerun.txt \
+    /tmp/ci-df-metrics.json /tmp/ci-df-matrix.txt

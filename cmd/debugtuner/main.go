@@ -14,8 +14,7 @@
 //	-perf                 also measure SPEC speedups per configuration
 //
 // plus the shared runtime flags (-j, -cachedir, -trace, -metrics,
-// -journal, -resume, -chaos, -cell-timeout, -retries) of
-// internal/options. The tune result is computed by the same function as
+// -chaos, -cell-timeout, -retries) of internal/options. The tune result is computed by the same function as
 // tunerd's /v1/tune (serve.TunePrograms) and rendered from the same
 // internal/api structs, so CLI output and service responses cannot
 // drift. Every mean, -perf speedups and -greedy steps included, comes

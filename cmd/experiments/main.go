@@ -38,21 +38,23 @@
 // -hunt-plant rule@pass arms the planted-bug self-test. Findings are
 // the campaign's product, not an error: a fruitful hunt exits 0.
 //
-// SIGINT/SIGTERM stops the journal-writing experiments (difftest,
-// debugify, hunt) between cells: work in flight finishes and
-// checkpoints, the journal is flushed, and the run exits 4 — distinct
-// from failure (1), usage (2), and quarantine gaps (3) — so -resume
-// picks up exactly where the signal landed. A second signal kills the
-// process the default way.
+// Every completed cell goes to the persistent evaluation store
+// (-cachedir), so resuming an interrupted run means rerunning it on the
+// same store: completed cells are read back and only the rest is
+// computed, and the rerun prints the bytes an uninterrupted run would.
+// SIGINT/SIGTERM stops difftest, debugify and hunt between units of
+// work: work in flight finishes into the store, the store is synced,
+// and the run exits 4 — distinct from failure (1), usage (2), and
+// quarantine gaps (3). A second signal kills the process the default
+// way.
 //
-// The resilience flags (-retries, -cell-timeout, -chaos, -journal,
-// -resume) wrap every evaluation cell in the fault-tolerant layer of
-// internal/resilience: cells that panic, stall, or fail transiently are
-// retried and, on exhaustion, quarantined rather than fatal. A run that
-// completes with quarantined cells prints a QUARANTINED(n) report and
-// exits 3; -journal checkpoints completed cells to an append-only JSONL
-// file, and -resume replays it, rerunning only incomplete or quarantined
-// cells. Without these flags nothing is installed and output is
+// The resilience flags (-retries, -cell-timeout, -chaos) wrap every
+// evaluation cell in the fault-tolerant layer of internal/resilience:
+// cells that panic, stall, or fail transiently are retried and, on
+// exhaustion, quarantined rather than fatal. A run that completes with
+// quarantined cells prints a QUARANTINED(n) report and exits 3. A
+// result with a quarantine in it is never stored, so a rerun retries
+// those cells. Without these flags nothing is installed and output is
 // byte-identical to the pre-resilience harness.
 package main
 
@@ -108,8 +110,9 @@ type cli struct {
 	huntState        *string
 	huntReduceProbes *int
 
-	// interrupt is cancelled by the first SIGINT/SIGTERM; journal-writing
-	// experiments stop between cells and the command exits ExitInterrupted.
+	// interrupt is cancelled by the first SIGINT/SIGTERM; difftest,
+	// debugify and hunt stop between cells and the command exits
+	// ExitInterrupted.
 	interrupt context.Context
 }
 
@@ -241,7 +244,7 @@ func main() {
 }
 
 // runMain parses argv, executes the requested experiment set and
-// finishes the runtime (quarantine report, journal close, telemetry
+// finishes the runtime (store sync, quarantine report, telemetry
 // export), returning the exit code.
 func runMain(argv []string) int {
 	c := newCLI()
@@ -377,10 +380,11 @@ func runMain(argv []string) int {
 		start := time.Now()
 		if err := e.run(os.Stdout); err != nil {
 			if errors.Is(err, options.ErrInterrupted) {
-				// Flush the journal and quarantine report before exiting so
-				// the work completed so far is resumable, then exit with the
-				// distinct interrupted code.
-				fmt.Fprintf(os.Stderr, "%s: interrupted; journal flushed, resume with -resume\n", e.name)
+				// Sync the store and print the quarantine report before
+				// exiting, so a rerun on the same -cachedir resumes from
+				// the work completed so far; then exit with the distinct
+				// interrupted code.
+				fmt.Fprintf(os.Stderr, "%s: interrupted; rerun on the same -cachedir to resume\n", e.name)
 				if _, ferr := rt.Finish(os.Stdout); ferr != nil {
 					fmt.Fprintln(os.Stderr, ferr)
 					return 1

@@ -26,8 +26,10 @@
 //     fixture under testdata/.
 //
 // Builds fan out over internal/workerpool and are memoized per
-// (subject, config fingerprint) via internal/evalcache; the report is
-// byte-identical at any worker count.
+// (subject, config fingerprint) via internal/evalcache; each subject's
+// findings over the matrix are kept in the persistent store, so a rerun
+// on the same store resumes an interrupted run. The report is
+// byte-identical at any worker count and any store state.
 package difftest
 
 import (
@@ -36,6 +38,7 @@ import (
 	"io"
 	"sort"
 
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/telemetry"
 	"debugtuner/internal/testsuite"
 	"debugtuner/internal/workerpool"
@@ -58,7 +61,7 @@ type Options struct {
 	Budget int64
 	// Interrupt, when non-nil, stops the run between subjects once the
 	// context is cancelled (a SIGINT/SIGTERM drain): subjects already in
-	// flight finish and checkpoint, no new subject starts, and Run
+	// flight finish into the store, no new subject starts, and Run
 	// returns the context error so the caller can exit distinctly.
 	Interrupt context.Context
 }
@@ -180,10 +183,24 @@ func (o *Oracle) Check(subjects []*Subject) ([]Finding, error) {
 
 // CheckContext is Check under a cancellation context: once ctx is
 // cancelled no new subject starts and the context error is returned.
+// Each subject's findings are one unit of the store; a unit with a
+// quarantine in it is reported but not kept, so a rerun retries it.
 func (o *Oracle) CheckContext(ctx context.Context, subjects []*Subject) ([]Finding, error) {
+	matrix, keyed := o.matrixDigest()
 	perSubject, err := workerpool.Map(ctx, subjects,
 		func(_ context.Context, _ int, s *Subject) ([]Finding, error) {
-			return o.CheckSubject(s)
+			if !keyed {
+				return o.CheckSubject(s)
+			}
+			return o.units.Do(o.unit(s, matrix).key(), func() ([]Finding, error) {
+				fs, err := o.CheckSubject(s)
+				for _, f := range fs {
+					if f.Kind == KindQuarantine {
+						return nil, evalcache.Unstored[[]Finding]{Value: fs}
+					}
+				}
+				return fs, err
+			})
 		})
 	if err != nil {
 		return nil, err

@@ -8,8 +8,11 @@ import (
 
 	"debugtuner/internal/dbgtrace"
 	"debugtuner/internal/debuginfo"
+	"debugtuner/internal/evalcache"
+	"debugtuner/internal/keytest"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
+	"debugtuner/internal/telemetry"
 	"debugtuner/internal/vm"
 	"debugtuner/internal/workerpool"
 )
@@ -457,4 +460,60 @@ func TestRunNoExecutorByteCompat(t *testing.T) {
 	if !strings.Contains(buf.String(), "PASS") {
 		t.Fatalf("expected PASS:\n%s", buf.String())
 	}
+}
+
+// runOnStore renders opts with the store in dir as the process-wide
+// store, as a process started with -cachedir dir does, and ex (nil for
+// none) as the resilience executor.
+func runOnStore(t *testing.T, dir string, ex *resilience.Executor, opts Options) (string, *Report, *telemetry.Sink) {
+	t.Helper()
+	d, err := evalcache.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(d)
+	defer resilience.Install(resilience.Install(ex))
+	snk := telemetry.NewSink()
+	defer telemetry.Install(telemetry.Install(snk))
+	var buf bytes.Buffer
+	rep, err := Run(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), rep, snk
+}
+
+// TestChaosRunStoresNoQuarantine: a run under fault injection fills a
+// store, and a clean rerun on it must print the cold run's bytes. The
+// subjects the chaos run finished are read back; the ones with a
+// quarantined cell were never stored and are recomputed.
+func TestChaosRunStoresNoQuarantine(t *testing.T) {
+	opts := Options{Seeds: []int64{1, 2, 3, 4, 5, 6}, Spec: "levels"}
+	var cold bytes.Buffer
+	if _, err := Run(&cold, opts); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ex := resilience.NewExecutor(resilience.Policy{
+		BackoffBase: time.Microsecond, BackoffCap: 10 * time.Microsecond})
+	ex.Chaos = &resilience.Chaos{Rate: 0.5, Seed: 21}
+	if _, rep, _ := runOnStore(t, dir, ex, opts); rep.Quarantined == 0 {
+		t.Fatal("chaos quarantined nothing; the test exercises no policy")
+	}
+	clean, _, snk := runOnStore(t, dir, nil, opts)
+	if clean != cold.String() {
+		t.Fatalf("clean rerun on the chaos run's store differs from a cold run:\n--- rerun:\n%s--- cold:\n%s", clean, cold.String())
+	}
+	if snk.Counter("diskcache.difftest.hit") == 0 || snk.Counter("diskcache.difftest.miss") == 0 {
+		t.Fatalf("rerun read %d and recomputed %d subjects, want some of each",
+			snk.Counter("diskcache.difftest.hit"), snk.Counter("diskcache.difftest.miss"))
+	}
+}
+
+// TestSubjectUnitKey: changing any one declared input of a subject's
+// stored findings changes its key.
+func TestSubjectUnitKey(t *testing.T) {
+	keytest.Perturb(t, subjectUnit{Name: "synth-0001", Src: 0x5eed, Inputs: 1, Matrix: 2,
+		Budget: DefaultBudget, TraceBudget: DefaultTraceBudget, CheckDebug: true}, subjectUnit.key)
 }

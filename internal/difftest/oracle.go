@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -115,10 +116,8 @@ type Observation struct {
 	Budget bool
 }
 
-// caseResult memoizes one (subject, config) evaluation. Fields are
-// exported so the resilience journal can round-trip the result through
-// JSON: a resumed run restores completed cells from disk instead of
-// rebuilding them.
+// caseResult memoizes one (subject, config) evaluation in memory. Raw
+// observations are never stored: the store holds a subject's findings.
 type caseResult struct {
 	Obs        Observation
 	Violations []string
@@ -137,16 +136,67 @@ type Oracle struct {
 	CheckDebug bool
 
 	cache evalcache.Cache[*caseResult]
+	// units holds each subject's findings over the whole matrix, bound
+	// to the persistent store: CheckContext's unit of work, the unit an
+	// interrupt stops between, and what a rerun reads back.
+	units evalcache.Cache[[]Finding]
 }
 
 // NewOracle returns an oracle over the configuration set with the
-// default budget and the invariant checker enabled.
+// default budget and the invariant checker enabled, its subject units
+// bound to the process-wide store.
 func NewOracle(configs []pipeline.Config) *Oracle {
-	return &Oracle{
+	o := &Oracle{
 		Configs:     configs,
 		Budget:      DefaultBudget,
 		TraceBudget: DefaultTraceBudget,
 		CheckDebug:  true,
+	}
+	o.units.SetDisk(evalcache.DefaultDisk(), "difftest")
+	return o
+}
+
+// subjectUnit declares every input of one subject's findings over the
+// matrix. The O0 reference and the checks are code, which the store's
+// tool hash covers.
+type subjectUnit struct {
+	Name        string // findings carry it
+	Src         uint64 // source hash
+	Inputs      uint64 // harness order, input vectors and entry point
+	Matrix      uint64 // label and fingerprint of every config, in order
+	Budget      int64
+	TraceBudget int64
+	CheckDebug  bool
+}
+
+// key is the one constructor of a difftest key.
+func (u subjectUnit) key() string {
+	return fmt.Sprintf("%s#%016x|in%016x|m%016x|b%d|tb%d|dbg%t",
+		u.Name, u.Src, u.Inputs, u.Matrix, u.Budget, u.TraceBudget, u.CheckDebug)
+}
+
+// matrixDigest hashes the configs' labels and fingerprints, in order;
+// ok is false when a config has no fingerprint (an FDO payload), so
+// the matrix cannot be keyed.
+func (o *Oracle) matrixDigest() (uint64, bool) {
+	parts := make([]string, 0, 2*len(o.Configs))
+	for _, cfg := range o.Configs {
+		fp, ok := cfg.Fingerprint()
+		if !ok {
+			return 0, false
+		}
+		parts = append(parts, configLabel(cfg), fp)
+	}
+	return resilience.HashString(parts...), true
+}
+
+// unit declares subject s's unit under the oracle's current settings.
+func (o *Oracle) unit(s *Subject, matrix uint64) subjectUnit {
+	// Marshal cannot fail on strings and integers; it sorts map keys.
+	in, _ := json.Marshal([]any{s.Harnesses, s.Inputs, s.entry()})
+	return subjectUnit{
+		Name: s.Name, Src: resilience.HashBytes(s.Src), Inputs: resilience.HashBytes(in),
+		Matrix: matrix, Budget: o.Budget, TraceBudget: o.TraceBudget, CheckDebug: o.CheckDebug,
 	}
 }
 
@@ -232,7 +282,7 @@ func (o *Oracle) DiffOne(s *Subject, cfg pipeline.Config) ([]Finding, error) {
 
 // observe builds the subject under the configuration and runs it,
 // memoized per (subject, fingerprint) and — when a resilience executor
-// is installed — isolated, retried, journaled, and quarantined per cell.
+// is installed — isolated, retried, and quarantined per cell.
 // The resilience wrapper sits inside the cache's singleflight so
 // concurrent requests for one cell still coalesce into a single attempt
 // chain; a quarantined result is Uncacheable and evicts itself.
@@ -268,9 +318,9 @@ func (o *Oracle) observe(s *Subject, cfg pipeline.Config) (*caseResult, error) {
 	})
 }
 
-// cellKey is the journal/quarantine key of one (subject, config) cell:
-// subject name and source hash × config fingerprint, stable across
-// processes so a resumed run addresses the same cells.
+// cellKey is the quarantine key of one (subject, config) cell: subject
+// name and source hash × config fingerprint. The chaos schedule is a
+// function of it, so it is stable across processes.
 func cellKey(s *Subject, fp string) string {
 	return fmt.Sprintf("difftest|%s#%016x|%s", s.Name, resilience.HashBytes(s.Src), fp)
 }

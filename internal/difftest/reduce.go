@@ -174,7 +174,7 @@ func FailsUnderTimeout(cfg pipeline.Config, timeout time.Duration) func(src []by
 			return v
 		}
 		key := fmt.Sprintf("reduce|%016x|%s", resilience.HashBytes(src), configLabel(cfg))
-		v, err := resilience.RunEphemeral(ex, context.Background(), key, probe)
+		v, err := resilience.Run(ex, context.Background(), key, probe)
 		return err == nil && v
 	}
 }

@@ -12,6 +12,12 @@
 // first Get or Put, and indexes the records by key hash; it sees what
 // was on disk then plus its own writes, and never re-scans.
 //
+// Durability: a record is one write and no sync; the process's owner
+// syncs its segments once, at exit (Sync). A killed process loses
+// nothing it wrote. An OS crash between syncs can lose or tear records,
+// which costs recomputation but never a wrong value, since each record
+// is tool-scoped and checksummed.
+//
 // Robustness contract: the store is best-effort and self-healing. A
 // newline-terminated record that fails verification (envelope parse,
 // format version, tool, checksum over key and value) is a miss; the
@@ -279,6 +285,24 @@ func (d *Disk) put(key string, val any) bool {
 	d.wend += int64(len(rec))
 	telemetry.Add("diskcache.write", 1)
 	return true
+}
+
+// Sync flushes this process's segments to stable storage.
+func (d *Disk) Sync() error {
+	if d == nil {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var first error
+	for _, s := range d.segs {
+		if s.f != nil {
+			if err := s.f.Sync(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // claim creates a fresh segment of this process, exclusively, so it

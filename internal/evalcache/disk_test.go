@@ -1,6 +1,7 @@
 package evalcache
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"debugtuner/internal/telemetry"
 )
@@ -609,5 +611,145 @@ func TestDiskConcurrentProcesses(t *testing.T) {
 		if got != want {
 			t.Fatalf("shared-%d: got %+v", k, got)
 		}
+	}
+}
+
+var crashDir = flag.String("crash-dir", "",
+	"internal: run as the kill -9 drill's cell writer on this store")
+
+// crashCells is the drill's matrix; the helper finishes crashDone of them.
+const crashCells, crashDone = 5, 2
+
+func crashValue(key string) string { return "value-of-" + key }
+
+// crashCache is the drill's disk-bound cache on d.
+func crashCache(d *Disk) *Cache[string] {
+	c := &Cache[string]{}
+	c.SetDisk(d, "drill")
+	return c
+}
+
+// TestCacheCrashHelper is re-executed as a separate OS process by
+// TestDiskKillNineResume. It computes the first crashDone cells through
+// a disk-bound cache, then announces readiness from inside the next
+// cell and hangs there until the parent kills it with SIGKILL.
+func TestCacheCrashHelper(t *testing.T) {
+	if *crashDir == "" {
+		t.Skip("not in helper mode")
+	}
+	d, err := OpenDisk(*crashDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := crashCache(d)
+	for k := 0; k < crashCells; k++ {
+		key := fmt.Sprintf("cell-%d", k)
+		c.Do(key, func() (string, error) {
+			if k == crashDone {
+				fmt.Println("CRASH_READY")
+				os.Stdout.Sync()
+				time.Sleep(time.Minute) // killed long before this returns
+			}
+			return crashValue(key), nil
+		})
+	}
+	t.Fatal("helper was not killed")
+}
+
+// TestDiskKillNineResume is the crash drill behind "rerun on the same
+// store": a process computes two of five cells and is killed -9
+// mid-cell, and a torn record is appended to its segment the way a kill
+// mid-write leaves one. A fresh handle must read the two finished cells
+// without computing them, compute the other three, and leave five
+// verified records.
+func TestDiskKillNineResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process")
+	}
+	dir := t.TempDir()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-test.run", "^TestCacheCrashHelper$", "-crash-dir", dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ready := false
+	for sc := bufio.NewScanner(stdout); sc.Scan(); {
+		if strings.Contains(sc.Text(), "CRASH_READY") {
+			ready = true
+			break
+		}
+	}
+	cmd.Process.Kill() // SIGKILL: no deferred cleanup, no sync
+	cmd.Wait()
+	if !ready {
+		t.Fatal("helper never reached CRASH_READY")
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("killed helper left segments %v (%v), want one", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"v":2,"tool":"`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	snk := telemetry.NewSink()
+	defer telemetry.Install(telemetry.Install(snk))
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := crashCache(d)
+	computed := 0
+	for k := 0; k < crashCells; k++ {
+		key := fmt.Sprintf("cell-%d", k)
+		v, err := c.Do(key, func() (string, error) {
+			computed++
+			return crashValue(key), nil
+		})
+		if err != nil || v != crashValue(key) {
+			t.Fatalf("%s = %q, %v", key, v, err)
+		}
+	}
+	if computed != crashCells-crashDone {
+		t.Fatalf("rerun computed %d cells, want %d", computed, crashCells-crashDone)
+	}
+	if n := snk.Counter("diskcache.drill.hit"); n != crashDone {
+		t.Fatalf("rerun read %d cells, want %d", n, crashDone)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < crashCells; k++ {
+		key := fmt.Sprintf("cell-%d", k)
+		var got string
+		if !d2.Get("drill|"+key, &got) || got != crashValue(key) {
+			t.Fatalf("%s: stored %q, want %q", key, got, crashValue(key))
+		}
+	}
+	records := 0
+	for _, l := range segmentLines(t, d2) {
+		if strings.HasSuffix(l, "\n") {
+			records++
+		}
+	}
+	if records != crashCells {
+		t.Fatalf("store holds %d records, want %d", records, crashCells)
 	}
 }

@@ -1,10 +1,11 @@
 // Package evalcache is the content-addressed result cache of the
-// evaluation engine. Keys are configuration fingerprints (see
-// pipeline.Config.Fingerprint) scoped by subject name; values are the
-// expensive measurement products — a build's TextHash and hybrid scores
-// in the tuner, ref-workload cycle counts in specsuite — so table
-// generators that revisit the same Ox-dy configuration (Fig2, Tables
-// VIII–X) reuse one build+trace instead of redoing it.
+// evaluation engine. Each cache holds one kind of cell — a build's
+// TextHash and hybrid scores in the tuner, ref-workload cycle counts in
+// specsuite, a subject's difftest findings — and its keys are built by
+// one constructor over the cell's declared inputs (source hash, inputs
+// digest, budgets, config fingerprint), so table generators that
+// revisit the same Ox-dy configuration (Fig2, Tables VIII–X) reuse one
+// build+trace instead of redoing it.
 //
 // Do has singleflight semantics: concurrent workers asking for the same
 // key block on a single computation instead of duplicating it, which is
@@ -15,7 +16,9 @@
 //
 // A cache can additionally be bound to an on-disk store (see Disk) that
 // persists successful results across processes, making warm reruns skip
-// the build+trace entirely.
+// the build+trace entirely. The store is also how an interrupted run
+// resumes: rerun it on the same store, and every cell the first run
+// completed is read back instead of recomputed.
 package evalcache
 
 import (
@@ -113,15 +116,26 @@ func shardFor(key string) int {
 
 // uncacheable matches errors that must not be memoized. The resilience
 // layer's CellError implements it: a quarantined cell's failure may be
-// environmental, and pinning it in the cache would make a -resume run's
-// retry return the stale failure instead of recomputing.
+// environmental, and pinning it in the cache would make a rerun return
+// the stale failure instead of recomputing.
 type uncacheable interface{ Uncacheable() bool }
+
+// Unstored carries a value that must be used but never kept: a compute
+// returns it as its error when the value has a quarantine gap inside it
+// that a rerun may fill. Do hands every waiter the value with a nil
+// error, writes nothing to disk and evicts the entry, so the next
+// request (in this process or a rerun) recomputes.
+type Unstored[V any] struct{ Value V }
+
+func (Unstored[V]) Error() string     { return "evalcache: value not kept" }
+func (Unstored[V]) Uncacheable() bool { return true }
 
 // Do returns the cached value for key, computing it at most once across
 // all goroutines. Errors are cached as well: the evaluation treats most
 // measurement failures as deterministic, so retrying a failed key is
 // not useful. The exception is errors marked Uncacheable() (quarantined
-// cells) — those evict their entry so a later request recomputes.
+// cells, Unstored values) — those evict their entry so a later request
+// recomputes.
 //
 // With a disk store attached, a memory miss consults the store before
 // computing, and a successful compute is written through; errors never
@@ -184,6 +198,9 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
 			}
 			s.mu.Unlock()
 			telemetry.Add("evalcache.evicted", 1)
+		}
+		if u, ok := e.err.(Unstored[V]); ok {
+			return u.Value, nil
 		}
 	}
 	return e.val, e.err

@@ -100,3 +100,32 @@ func TestDoEvictsUncacheableErrors(t *testing.T) {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
 }
+
+// TestDoUnstored: a compute that returns Unstored hands its value to the
+// caller with a nil error, and the value is neither memoized nor written
+// to disk, so the next request recomputes.
+func TestDoUnstored(t *testing.T) {
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Cache[int]
+	c.SetDisk(d, "ns")
+	calls := 0
+	for i := 0; i < 2; i++ {
+		v, err := c.Do("gap", func() (int, error) {
+			calls++
+			return 0, Unstored[int]{Value: 7}
+		})
+		if err != nil || v != 7 {
+			t.Fatalf("v=%d err=%v, want 7 and no error", v, err)
+		}
+	}
+	if calls != 2 || c.Len() != 0 {
+		t.Fatalf("unstored value memoized: %d calls, Len %d", calls, c.Len())
+	}
+	var got int
+	if d.Get("ns|gap", &got) {
+		t.Fatal("unstored value reached the disk")
+	}
+}

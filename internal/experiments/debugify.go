@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/ir"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
@@ -29,8 +30,8 @@ type DebugifyOptions struct {
 	// bench_eval.sh measures verify-each overhead against.
 	Verify bool
 	// Interrupt, when non-nil and cancelled, stops the matrix before the
-	// next cell: completed cells are already journaled, so a -resume run
-	// replays them and only the remainder is rebuilt.
+	// next cell: completed cells are already in the store, so a rerun on
+	// the same store reads them back and only the remainder is rebuilt.
 	Interrupt context.Context
 }
 
@@ -87,6 +88,19 @@ type debugifyCell struct {
 	cfg     pipeline.Config
 }
 
+// debugifyKey declares every input of one stored debugify report. The
+// subject's name is not one: the report never mentions it.
+type debugifyKey struct {
+	Src    uint64 // source hash
+	Config string // config fingerprint
+	Verify bool
+}
+
+// key is the one constructor of a debugify key.
+func (k debugifyKey) key() string {
+	return fmt.Sprintf("%016x|%s|verify%t", k.Src, k.Config, k.Verify)
+}
+
 type debugifyCellResult struct {
 	rep        *pipeline.VerifyReport
 	quarantine string // non-empty when the cell was lost
@@ -96,7 +110,9 @@ type debugifyCellResult struct {
 // cell of the matrix and aggregates per-pass losses. Cells are fanned
 // over the worker pool in deterministic order and wrapped in the
 // resilience layer: one pass panicking on one subject quarantines that
-// cell instead of killing the matrix.
+// cell instead of killing the matrix. Each cell's report, without its
+// binary (VerifyReport.Bin is never encoded), is kept in the
+// process-wide store.
 func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 	span := telemetry.Begin("experiments", "debugify")
 	defer span.End()
@@ -137,6 +153,8 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 		}
 	}
 
+	var reports evalcache.Cache[*pipeline.VerifyReport]
+	reports.SetDisk(evalcache.DefaultDisk(), "debugify")
 	mctx := context.Background()
 	if opts.Interrupt != nil {
 		mctx = opts.Interrupt
@@ -144,15 +162,18 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 	results, err := workerpool.Map(mctx, cells,
 		func(_ context.Context, _ int, c debugifyCell) (*debugifyCellResult, error) {
 			fp, _ := c.cfg.Fingerprint()
-			key := fmt.Sprintf("debugify|%s#%016x|%s", c.subject, c.srcHash, fp)
-			rep, err := resilience.Run(resilience.Active(), context.Background(), key,
-				func(context.Context) (*pipeline.VerifyReport, error) {
-					if !opts.Verify {
-						pipeline.Build(c.ir0, c.cfg)
-						return &pipeline.VerifyReport{}, nil
-					}
-					return pipeline.BuildVerified(c.ir0, c.cfg, true), nil
-				})
+			k := debugifyKey{Src: c.srcHash, Config: fp, Verify: opts.Verify}
+			rep, err := reports.Do(k.key(), func() (*pipeline.VerifyReport, error) {
+				qkey := fmt.Sprintf("debugify|%s#%016x|%s", c.subject, c.srcHash, fp)
+				return resilience.Run(resilience.Active(), context.Background(), qkey,
+					func(context.Context) (*pipeline.VerifyReport, error) {
+						if !opts.Verify {
+							pipeline.Build(c.ir0, c.cfg)
+							return &pipeline.VerifyReport{}, nil
+						}
+						return pipeline.BuildVerified(c.ir0, c.cfg, true), nil
+					})
+			})
 			if resilience.IsQuarantined(err) {
 				return &debugifyCellResult{quarantine: err.Error()}, nil
 			}

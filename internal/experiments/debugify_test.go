@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/pipeline"
+	"debugtuner/internal/resilience"
+	"debugtuner/internal/telemetry"
 	"debugtuner/internal/workerpool"
 )
 
@@ -114,5 +117,78 @@ func TestWriteDebugifyDeterministic(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("report differs between -j1 and -j4:\n--- j1 ---\n%s--- j4 ---\n%s",
 			serial, parallel)
+	}
+}
+
+// debugifyOnStore renders debugify with the store in dir as the
+// process-wide store, as a process started with -cachedir dir does, and
+// ex (nil for none) as the resilience executor.
+func debugifyOnStore(t *testing.T, dir string, ex *resilience.Executor, opts DebugifyOptions) (string, *DebugifyReport, *telemetry.Sink) {
+	t.Helper()
+	d, err := evalcache.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(d)
+	defer resilience.Install(resilience.Install(ex))
+	snk := telemetry.NewSink()
+	defer telemetry.Install(telemetry.Install(snk))
+	var buf bytes.Buffer
+	rep, err := WriteDebugify(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), rep, snk
+}
+
+// storeDebugifyOpts is a small matrix for the store tests.
+var storeDebugifyOpts = DebugifyOptions{
+	Subjects: []string{"libpng", "zlib"},
+	Profiles: []pipeline.Profile{pipeline.GCC},
+	Verify:   true,
+}
+
+// TestDebugifyStoreKeysVerify: a plain debugify (verify-each off) into a
+// store, then a verified one from it, must print a cold verified run's
+// bytes. A key without the verify flag reads the plain run's empty
+// reports and prints 100% survival with no scoreboard.
+func TestDebugifyStoreKeysVerify(t *testing.T) {
+	var cold bytes.Buffer
+	if _, err := WriteDebugify(&cold, storeDebugifyOpts); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plain := storeDebugifyOpts
+	plain.Verify = false
+	debugifyOnStore(t, dir, nil, plain)
+	got, _, _ := debugifyOnStore(t, dir, nil, storeDebugifyOpts)
+	if got != cold.String() {
+		t.Fatalf("verified run on a plain run's store differs from a cold one:\n--- store:\n%s--- cold:\n%s", got, cold.String())
+	}
+}
+
+// TestDebugifyChaosRunStoresNoQuarantine: a debugify under fault
+// injection fills a store, and a clean rerun on it must print the cold
+// run's bytes: finished cells are read back, quarantined ones were
+// never stored and are rebuilt.
+func TestDebugifyChaosRunStoresNoQuarantine(t *testing.T) {
+	var cold bytes.Buffer
+	if _, err := WriteDebugify(&cold, storeDebugifyOpts); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ex := resilience.NewExecutor(resilience.DefaultPolicy())
+	ex.Chaos = &resilience.Chaos{Rate: 0.5, Seed: 3}
+	if _, rep, _ := debugifyOnStore(t, dir, ex, storeDebugifyOpts); rep.Quarantined == 0 {
+		t.Fatal("chaos quarantined nothing; the test exercises no policy")
+	}
+	clean, rep, snk := debugifyOnStore(t, dir, nil, storeDebugifyOpts)
+	if clean != cold.String() || rep.Quarantined != 0 {
+		t.Fatalf("clean rerun on the chaos run's store differs from a cold run:\n--- rerun:\n%s--- cold:\n%s", clean, cold.String())
+	}
+	if snk.Counter("diskcache.debugify.hit") == 0 || snk.Counter("diskcache.debugify.miss") == 0 {
+		t.Fatalf("rerun read %d and rebuilt %d cells, want some of each",
+			snk.Counter("diskcache.debugify.hit"), snk.Counter("diskcache.debugify.miss"))
 	}
 }

@@ -3,11 +3,11 @@ package experiments
 import (
 	"bytes"
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 
 	"debugtuner/internal/evalcache"
+	"debugtuner/internal/keytest"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/telemetry"
 )
@@ -97,27 +97,13 @@ func TestLoadSynthDeterministic(t *testing.T) {
 // TestSynthCellKey: equal inputs give equal keys, and changing any one
 // declared input of a Table I cell changes its key.
 func TestSynthCellKey(t *testing.T) {
-	base := synthCell{Src: 0x5eed, Config: "fp", Budget: synthTraceBudget}
-	if again := (synthCell{Src: 0x5eed, Config: "fp", Budget: synthTraceBudget}); again.key() != base.key() {
-		t.Fatalf("equal inputs give keys %q and %q", base.key(), again.key())
-	}
-	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
-		c := base
-		f := reflect.ValueOf(&c).Elem().Field(i)
-		switch f.Kind() {
-		case reflect.String:
-			f.SetString(f.String() + "'")
-		case reflect.Int64:
-			f.SetInt(f.Int() + 1)
-		case reflect.Uint64:
-			f.SetUint(f.Uint() + 1)
-		default:
-			t.Fatalf("field %s: no perturbation for kind %s", reflect.TypeOf(base).Field(i).Name, f.Kind())
-		}
-		if c.key() == base.key() {
-			t.Errorf("changing %s leaves the key at %q", reflect.TypeOf(base).Field(i).Name, base.key())
-		}
-	}
+	keytest.Perturb(t, synthCell{Src: 0x5eed, Config: "fp", Budget: synthTraceBudget}, synthCell.key)
+}
+
+// TestDebugifyKey: changing any one declared input of a stored debugify
+// report changes its key; the verify flag is one.
+func TestDebugifyKey(t *testing.T) {
+	keytest.Perturb(t, debugifyKey{Src: 0x5eed, Config: "fp", Verify: true}, debugifyKey.key)
 }
 
 // TestTable1FromStore renders Table I cold into a store, then again from

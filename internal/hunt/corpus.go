@@ -7,15 +7,37 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"debugtuner/internal/difftest"
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
 )
 
+// reductionKey declares every input of one stored witness reduction:
+// the bucket's predicate (rule@pass, finding kind, config label), the
+// witness source and the campaign, whose fingerprint covers the primary
+// config, the plant and the probe budget.
+type reductionKey struct {
+	Bucket   string
+	Kind     string
+	Config   string
+	Src      uint64 // witness source hash
+	Campaign string
+}
+
+// key is the one constructor of a hunt-reduce key; it doubles as the
+// reduction's quarantine key under the "hunt-reduce|" prefix.
+func (k reductionKey) key() string {
+	return fmt.Sprintf("%s#%016x|%s|%s|%s", k.Bucket, k.Src, k.Kind, k.Config, k.Campaign)
+}
+
 // reduceNew ddmin-reduces one witness per bucket that is new to this
-// campaign (absent from the loaded state), each as its own journaled
-// resilience cell so reductions resume like evaluations.
+// campaign (absent from the loaded state), each as its own resilience
+// cell and store unit, so reductions resume like evaluations. A
+// reduction during which a probe's oracle cell was quarantined is used
+// but not stored: that probe's verdict may differ on a rerun.
 // Quarantine buckets have nothing to reduce — the cell never produced a
 // verdict.
 func (c *campaign) reduceNew() error {
@@ -28,18 +50,25 @@ func (c *campaign) reduceNew() error {
 		if c.known(key) || b.Rule == "quarantine" || b.Rule == "frontend" {
 			continue
 		}
-		pred := c.reducePredicate(b)
+		var gaps atomic.Bool
+		pred := c.reducePredicate(b, &gaps)
 		if pred == nil {
 			continue
 		}
-		rkey := fmt.Sprintf("hunt-reduce|%s#%016x|%s",
-			key, resilience.HashBytes(b.WitnessSrc), c.fp)
 		src := b.WitnessSrc
 		budget := difftest.Budget{MaxProbes: c.opts.ReduceProbes}
-		reduced, err := resilience.Run(c.ex, context.Background(), rkey,
-			func(context.Context) (string, error) {
-				return string(difftest.ReduceWith(src, pred, budget)), nil
-			})
+		rkey := reductionKey{Bucket: key, Kind: b.Kind, Config: b.Config,
+			Src: resilience.HashBytes(src), Campaign: c.fp}.key()
+		reduced, err := c.reductions.Do(rkey, func() (string, error) {
+			r, err := resilience.Run(c.ex, context.Background(), "hunt-reduce|"+rkey,
+				func(context.Context) (string, error) {
+					return string(difftest.ReduceWith(src, pred, budget)), nil
+				})
+			if err == nil && gaps.Load() {
+				return "", evalcache.Unstored[string]{Value: r}
+			}
+			return r, err
+		})
 		if resilience.IsQuarantined(err) {
 			continue // reported as "(not reduced)"
 		}
@@ -53,8 +82,9 @@ func (c *campaign) reduceNew() error {
 
 // reducePredicate builds the bucket's failure predicate: the reduced
 // source must still front-end and still reproduce a finding of the same
-// (rule, pass) class through the channel that found it.
-func (c *campaign) reducePredicate(b *bucket) func([]byte) bool {
+// (rule, pass) class through the channel that found it. A probe whose
+// oracle reports a quarantined cell sets gaps.
+func (c *campaign) reducePredicate(b *bucket, gaps *atomic.Bool) func([]byte) bool {
 	if b.Kind == "verify" {
 		return c.verifyPredicate(b.Rule, b.Pass)
 	}
@@ -69,12 +99,16 @@ func (c *campaign) reducePredicate(b *bucket) func([]byte) bool {
 		if err != nil {
 			return false
 		}
+		found := false
 		for _, f := range fs {
+			if f.Kind == difftest.KindQuarantine {
+				gaps.Store(true)
+			}
 			if f.Kind == kind && oracleRule(f) == rule {
-				return true
+				found = true
 			}
 		}
-		return false
+		return found
 	}
 }
 

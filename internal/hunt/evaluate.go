@@ -11,6 +11,7 @@ import (
 	"debugtuner/internal/debugger"
 	"debugtuner/internal/debuginfo"
 	"debugtuner/internal/difftest"
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/ir"
 	"debugtuner/internal/metrics"
 	"debugtuner/internal/pipeline"
@@ -55,8 +56,8 @@ func (c *campaign) generate(epoch int, w synth.Weights) []candidate {
 
 // weightsFor is the current feedback signal: the calibration baseline
 // plus a boost per known bucket's pass family (state buckets and the
-// ones this run already found). Deterministic on resume because journal
-// replay reproduces earlier epochs' buckets exactly.
+// ones this run already found). Deterministic on a rerun because stored
+// cells reproduce earlier epochs' buckets exactly.
 func (c *campaign) weightsFor() synth.Weights {
 	w := c.base
 	boost := func(pass string) {
@@ -153,7 +154,7 @@ func passFamily(pass string) string {
 }
 
 // cellFinding is one attributed finding; fields are exported so the
-// resilience journal round-trips the cell result through JSON.
+// store round-trips the cell result through JSON.
 type cellFinding struct {
 	Rule   string
 	Pass   string
@@ -162,7 +163,7 @@ type cellFinding struct {
 	Detail string
 }
 
-// cellResult is one candidate's journaled evaluation. Scored marks a
+// cellResult is one candidate's stored evaluation. Scored marks a
 // completed measurement: quarantined and frontend-failed cells carry no
 // score, and folding their zero into the geomean would zero it.
 type cellResult struct {
@@ -172,17 +173,38 @@ type cellResult struct {
 	Scored   bool
 }
 
-// runCell evaluates one candidate as a resilience cell: journaled and
-// resumable under -journal/-resume, and — when the candidate is
-// pathological — retried, timed out, and finally quarantined into an
-// explicit bucket entry instead of killing the run.
+// candidateKey declares every input of one stored candidate
+// evaluation. The campaign fingerprint covers the matrix, the primary
+// config, the denominator and the plant.
+type candidateKey struct {
+	Name     string // findings and the witness carry it
+	Src      uint64 // source hash
+	Campaign string
+}
+
+// key is the one constructor of a hunt key; it doubles as the cell's
+// quarantine key under the "hunt|" prefix.
+func (k candidateKey) key() string {
+	return fmt.Sprintf("%s#%016x|%s", k.Name, k.Src, k.Campaign)
+}
+
+// runCell evaluates one candidate as a resilience cell, kept in the
+// store and — when the candidate is pathological — retried, timed out,
+// and finally quarantined into an explicit bucket entry instead of
+// killing the run. A result with a quarantine in it (an outer one, or
+// one inside the differential oracle) is never stored.
 func (c *campaign) runCell(cand candidate) (*cellResult, error) {
-	key := fmt.Sprintf("hunt|%s#%016x|%s",
-		cand.Name, resilience.HashBytes(cand.Src), c.fp)
-	res, err := resilience.Run(c.ex, context.Background(), key,
-		func(context.Context) (*cellResult, error) {
-			return c.evaluate(cand)
-		})
+	key := candidateKey{Name: cand.Name, Src: resilience.HashBytes(cand.Src), Campaign: c.fp}.key()
+	res, err := c.cells.Do(key, func() (*cellResult, error) {
+		res, err := resilience.Run(c.ex, context.Background(), "hunt|"+key,
+			func(context.Context) (*cellResult, error) {
+				return c.evaluate(cand)
+			})
+		if err == nil && res.quarantined() {
+			return nil, evalcache.Unstored[*cellResult]{Value: res}
+		}
+		return res, err
+	})
 	if resilience.IsQuarantined(err) {
 		return &cellResult{Name: cand.Name, Findings: []cellFinding{{
 			Rule: "quarantine", Pass: "cell", Config: c.plabel,
@@ -193,12 +215,23 @@ func (c *campaign) runCell(cand candidate) (*cellResult, error) {
 	return res, err
 }
 
+// quarantined reports whether a cell of the differential oracle was
+// quarantined while evaluating the candidate.
+func (r *cellResult) quarantined() bool {
+	for _, f := range r.Findings {
+		if f.Kind == difftest.KindQuarantine {
+			return true
+		}
+	}
+	return false
+}
+
 // evaluate runs both detection channels over one candidate and scores
 // it. Channel one is the differential oracle across the full matrix;
 // channel two is the verify-each build under the primary config, which
 // attributes every analyzer violation to the exact pass (and is where a
-// planted bug is injected). Findings are sorted so the journaled value
-// is canonical.
+// planted bug is injected). Findings are sorted so the stored value is
+// canonical.
 func (c *campaign) evaluate(cand candidate) (*cellResult, error) {
 	res := &cellResult{Name: cand.Name}
 	ir0, info, err := frontendIR(cand.Name+".mc", cand.Src)

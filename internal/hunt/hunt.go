@@ -9,11 +9,12 @@
 // across campaign runs.
 //
 // Robustness contract: every candidate evaluation and every reduction
-// is one resilience cell, keyed by candidate fingerprint × source hash
-// × campaign fingerprint, so a -journal'd campaign killed mid-run and
-// resumed with -resume replays completed cells from disk and produces a
-// byte-identical final report. A cancelled Interrupt context stops the
-// campaign between candidates: work in flight finishes and checkpoints,
+// is one resilience cell and one unit of the evaluation store, keyed by
+// candidate name × source hash × campaign fingerprint, so a campaign
+// killed mid-run and rerun on the same store reads completed cells back
+// and produces a byte-identical final report. A unit with a quarantine
+// in it is never stored. A cancelled Interrupt context stops the
+// campaign between candidates: work in flight finishes into the store,
 // the report covers everything completed, and Report.Interrupted tells
 // the caller to exit with the distinct interrupted code. A pathological
 // candidate (stalling build, crashing pass) degrades into a quarantine
@@ -29,6 +30,7 @@ import (
 	"strings"
 
 	"debugtuner/internal/difftest"
+	"debugtuner/internal/evalcache"
 	"debugtuner/internal/metrics"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
@@ -123,12 +125,16 @@ type campaign struct {
 	plantPass string
 
 	// ex executes every cell. It is the installed resilience executor
-	// when the command's flags built one (journal, chaos); with
+	// when the command's flags built one (chaos, retries, timeout); with
 	// none installed the campaign still gets a local default executor, so
 	// a panicking candidate quarantines into a bucket entry instead of
 	// killing the run — the degrade-not-die contract must not depend on
 	// resilience flags.
 	ex *resilience.Executor
+	// cells and reductions keep candidate evaluations and witness
+	// reductions in the process-wide store.
+	cells      evalcache.Cache[*cellResult]
+	reductions evalcache.Cache[string]
 
 	state   *stateFile
 	base    synth.Weights // calibration weights (damage ledger)
@@ -308,6 +314,8 @@ func newCampaign(opts Options) (*campaign, error) {
 	if c.ex == nil {
 		c.ex = resilience.NewExecutor(resilience.DefaultPolicy())
 	}
+	c.cells.SetDisk(evalcache.DefaultDisk(), "hunt")
+	c.reductions.SetDisk(evalcache.DefaultDisk(), "hunt-reduce")
 	c.base = calibrate(c.primary)
 	return c, nil
 }

@@ -3,13 +3,18 @@ package hunt
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"debugtuner/internal/difftest"
+	"debugtuner/internal/evalcache"
+	"debugtuner/internal/keytest"
 	"debugtuner/internal/resilience"
+	"debugtuner/internal/synth"
+	"debugtuner/internal/telemetry"
 	"debugtuner/internal/workerpool"
 )
 
@@ -120,89 +125,79 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// runJournaled runs one campaign with a journal opened by open at jpath
-// installed on the active executor, and returns the rendered report.
-func runJournaled(t *testing.T, open func(string) (*resilience.Journal, error), jpath string, opts Options) string {
+// runOnStore runs one campaign with the store in dir as the
+// process-wide store, as a process started with -cachedir dir does, and
+// returns the rendered report and the run's telemetry.
+func runOnStore(t *testing.T, dir string, opts Options) (string, *telemetry.Sink) {
 	t.Helper()
-	j, err := open(jpath)
+	d, err := evalcache.OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := resilience.NewExecutor(resilience.DefaultPolicy())
-	ex.Journal = j
-	prev := resilience.Install(ex)
-	defer resilience.Install(prev)
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(d)
+	snk := telemetry.NewSink()
+	defer telemetry.Install(telemetry.Install(snk))
 	out, _ := runCampaign(t, opts)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return out, snk
 }
 
-// TestResumeByteIdentical: a journaled campaign resumed from its own
-// journal replays every cell from disk and renders identical bytes.
+// TestResumeByteIdentical: a campaign rerun on the store a first run
+// filled reads every cell back instead of evaluating it and renders
+// identical bytes.
 func TestResumeByteIdentical(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "hunt.jsonl")
+	dir := t.TempDir()
 	opts := smallOpts()
 	opts.Plant = "dbg-orphan@dce"
 
-	first := runJournaled(t, resilience.CreateJournal, jpath, opts)
-	resumed := runJournaled(t, resilience.ResumeJournal, jpath, opts)
+	first, cold := runOnStore(t, dir, opts)
+	resumed, warm := runOnStore(t, dir, opts)
 	if first != resumed {
 		t.Fatalf("resumed report differs:\n--- first:\n%s--- resumed:\n%s", first, resumed)
 	}
+	if n := cold.Counter("diskcache.hunt.write"); n != int64(opts.Candidates) {
+		t.Fatalf("first run stored %d candidates, want %d", n, opts.Candidates)
+	}
+	if n := warm.Counter("diskcache.hunt.hit"); n != int64(opts.Candidates) {
+		t.Fatalf("rerun read %d candidates, want %d", n, opts.Candidates)
+	}
 }
 
-// TestWorkerLeaseMergeDedup: two campaign runs sharing one journal
-// compute each cell once — the second is a pure replay, so the journal
-// holds one record per cell — and the replayed run commits exactly one
-// fixture and matches the single-process run byte for byte. Each run
-// commits to a fresh corpus, so all three render against the same empty
-// trend state.
-func TestWorkerLeaseMergeDedup(t *testing.T) {
+// TestSecondCampaignReadsStore: a second campaign on one store computes
+// no cell — every candidate and every reduction is read back — matches
+// a storeless run byte for byte, and commits exactly one fixture. Each
+// run commits to a fresh corpus, so all three render against the same
+// empty trend state.
+func TestSecondCampaignReadsStore(t *testing.T) {
 	opts := smallOpts()
 	// The dse plant stays a single bucket: later passes do not clone the
 	// planted binding (an early-pass plant gets duplicated by downstream
 	// unrolling/jump-threading into extra per-pass buckets).
 	opts.Plant = "scope-nesting@dse"
 
-	// Reference: plain single-process run with a commit dir.
 	refOpts := opts
 	refOpts.CorpusDir = t.TempDir()
 	want, _ := runCampaign(t, refOpts)
 
-	jpath := filepath.Join(t.TempDir(), "hunt.jsonl")
+	dir := t.TempDir()
 	firstOpts := opts
 	firstOpts.CorpusDir = t.TempDir()
-	runJournaled(t, resilience.CreateJournal, jpath, firstOpts)
+	runOnStore(t, dir, firstOpts)
 	outDir := t.TempDir()
-	replayOpts := opts
-	replayOpts.CorpusDir = outDir
-	got := runJournaled(t, resilience.ResumeJournal, jpath, replayOpts)
-
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec resilience.Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		seen[rec.Key]++
-	}
-	if len(seen) == 0 {
-		t.Fatal("journal holds no records")
-	}
-	for k, n := range seen {
-		if n > 1 {
-			t.Fatalf("journal holds %d records for cell %s", n, k)
-		}
-	}
+	secondOpts := opts
+	secondOpts.CorpusDir = outDir
+	got, snk := runOnStore(t, dir, secondOpts)
 
 	if got != want {
-		t.Fatalf("replayed render differs from single-process run:\n--- replayed:\n%s--- plain:\n%s", got, want)
+		t.Fatalf("second run differs from a storeless run:\n--- second:\n%s--- storeless:\n%s", got, want)
+	}
+	for _, name := range []string{"hunt.miss", "hunt-reduce.miss", "miss", "write"} {
+		if n := snk.Counter("diskcache." + name); n != 0 {
+			t.Errorf("second run: diskcache.%s = %d, want 0", name, n)
+		}
+	}
+	if snk.Counter("diskcache.hunt-reduce.hit") == 0 {
+		t.Error("second run read no reduction from the store")
 	}
 	entries, err := os.ReadDir(outDir)
 	if err != nil {
@@ -215,8 +210,72 @@ func TestWorkerLeaseMergeDedup(t *testing.T) {
 		}
 	}
 	if fixtures != 1 {
-		t.Fatalf("want exactly 1 fixture from the replayed render, got %d", fixtures)
+		t.Fatalf("want exactly 1 fixture from the second run, got %d", fixtures)
 	}
+}
+
+// TestChaosRunStoresNoQuarantine: a campaign under fault injection, the
+// differential oracle's own cells included, fills a store; a clean
+// rerun on that store must print the cold run's bytes. A stored
+// candidate whose oracle cell was quarantined would replay as a phantom
+// [quarantine @ cell] bucket.
+func TestChaosRunStoresNoQuarantine(t *testing.T) {
+	opts := smallOpts()
+	opts.Plant = "scope-nesting@dse"
+	cold, _ := runCampaign(t, opts)
+
+	dir := t.TempDir()
+	ex := resilience.NewExecutor(resilience.Policy{Retries: 1})
+	ex.Chaos = &resilience.Chaos{Rate: 0.3, Seed: 5}
+	prev := resilience.Install(ex)
+	chaos, _ := runOnStore(t, dir, opts)
+	resilience.Install(prev)
+	inner := false
+	for _, ce := range ex.Quarantined() {
+		inner = inner || strings.HasPrefix(ce.Key, "difftest|")
+	}
+	if !inner || !strings.Contains(chaos, "[quarantine @ cell]") {
+		t.Fatalf("chaos run quarantined no oracle cell (%d quarantines):\n%s", len(ex.Quarantined()), chaos)
+	}
+
+	clean, snk := runOnStore(t, dir, opts)
+	if clean != cold {
+		t.Fatalf("clean rerun on the chaos run's store differs from a cold run:\n--- rerun:\n%s--- cold:\n%s", clean, cold)
+	}
+	if snk.Counter("diskcache.hunt.hit") == 0 {
+		t.Fatal("clean rerun read no candidate from the store")
+	}
+}
+
+// TestReducePredicateFlagsQuarantine: a reduction probe whose oracle
+// reports a quarantined cell sets the gap flag that keeps the
+// reduction out of the store: the probe's verdict may differ on a
+// clean rerun.
+func TestReducePredicateFlagsQuarantine(t *testing.T) {
+	c, err := newCampaign(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &bucket{Rule: difftest.KindBehavior, Pass: "level", Kind: difftest.KindBehavior, Config: c.plabel}
+	src := []byte(synth.Generate(1, synth.DefaultOptions()))
+	var gaps atomic.Bool
+	if c.reducePredicate(b, &gaps)(src); gaps.Load() {
+		t.Fatal("a fault-free probe set the gap flag")
+	}
+	ex := resilience.NewExecutor(resilience.Policy{})
+	ex.Chaos = &resilience.Chaos{Rate: 1, Seed: 1}
+	defer resilience.Install(resilience.Install(ex))
+	if c.reducePredicate(b, &gaps)(src); !gaps.Load() {
+		t.Fatal("a probe with every oracle cell quarantined left the gap flag clear")
+	}
+}
+
+// TestCellKeys: changing any one declared input of a stored candidate
+// or reduction changes its key.
+func TestCellKeys(t *testing.T) {
+	keytest.Perturb(t, candidateKey{Name: "hunt-e0c00", Src: 0x5eed, Campaign: "fp"}, candidateKey.key)
+	keytest.Perturb(t, reductionKey{Bucket: "loc-stale@dse", Kind: "verify", Config: "gcc-O2",
+		Src: 0x5eed, Campaign: "fp"}, reductionKey.key)
 }
 
 // TestInterruptedCampaignReportsAndSkipsCommit: a cancelled Interrupt

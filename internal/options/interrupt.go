@@ -9,18 +9,19 @@ import (
 )
 
 // ExitInterrupted is the exit code for a run stopped by SIGINT/SIGTERM
-// after flushing its journal: distinct from failure (1), usage (2), and
-// quarantine gaps (3) so CI and the work supervisor can tell "killed
-// but resumable" apart from "broken".
+// after syncing its store: distinct from failure (1), usage (2), and
+// quarantine gaps (3) so CI and scripts can tell "stopped but
+// resumable" apart from "broken".
 const ExitInterrupted = 4
 
 // ErrInterrupted is the sentinel an experiment returns when it stopped
 // early on the interrupt context. The command maps it to
-// ExitInterrupted after flushing the runtime, so the journal written so
-// far is complete and a -resume run picks up where the signal landed.
+// ExitInterrupted after flushing the runtime, so every cell completed so
+// far is in the store and a rerun on the same store picks up where the
+// signal landed.
 var ErrInterrupted = errors.New("interrupted by signal")
 
-// IsInterrupted reports whether err means "stopped by signal, journal
+// IsInterrupted reports whether err means "stopped by signal, store
 // intact" — either the sentinel itself or the context cancellation that
 // the worker pool surfaces when the interrupt context fires mid-map.
 func IsInterrupted(err error) bool {

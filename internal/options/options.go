@@ -1,7 +1,7 @@
 // Package options is the one place the shared runtime flags of the
 // DebugTuner commands live: the worker-pool size, telemetry outputs,
 // the persistent evalcache directory, and the resilience layer's
-// retry/timeout/chaos/journal knobs. Before this package each command
+// retry/timeout/chaos knobs. Before this package each command
 // re-declared its own copies and they drifted (debugtuner had no
 // -cachedir, minicc no -j); now every command calls Install on its flag
 // set and Build once flags are parsed, and the flags cannot diverge.
@@ -26,8 +26,6 @@ type Flags struct {
 	Jobs        *int
 	Trace       *string
 	Metrics     *string
-	Journal     *string
-	Resume      *string
 	Chaos       *string
 	CacheDir    *string
 	CellTimeout *time.Duration
@@ -43,10 +41,6 @@ func Install(fs *flag.FlagSet) *Flags {
 			"write spans and counters as Chrome trace-event JSON to this file"),
 		Metrics: fs.String("metrics", "",
 			"write a JSON telemetry summary (counters, maxima, damage ledger) to this file"),
-		Journal: fs.String("journal", "",
-			"resilience: write a fresh checkpoint journal (JSONL) to this file"),
-		Resume: fs.String("resume", "",
-			"resilience: resume from an existing checkpoint journal, skipping completed cells"),
 		Chaos: fs.String("chaos", "",
 			"resilience: deterministic fault injection, e.g. rate=0.05,seed=7"),
 		CacheDir: fs.String("cachedir", "",
@@ -89,13 +83,11 @@ type Runtime struct {
 // directory) go to stderr; real failures return an error, marked
 // UsageError when the flags themselves are wrong.
 func (f *Flags) Build() (*Runtime, error) {
-	if *f.Journal != "" && *f.Resume != "" {
-		return nil, &UsageError{"-journal and -resume are mutually exclusive"}
-	}
 	// The persistent measurement store makes warm reruns skip the
-	// build+trace work entirely. Results are keyed by tool hash × store
-	// format × subject source hash × config fingerprint, so stdout is
-	// byte-identical with a cold cache, a warm cache, or none at all.
+	// build+trace work entirely, and is what an interrupted run resumes
+	// from. Each record is keyed by tool hash × store format × the
+	// cell's declared inputs, so stdout is byte-identical with a cold
+	// cache, a warm cache, or none at all.
 	if *f.CacheDir != "off" {
 		d, err := evalcache.OpenDisk(*f.CacheDir)
 		if err != nil {
@@ -109,8 +101,7 @@ func (f *Flags) Build() (*Runtime, error) {
 	rt := &Runtime{trace: *f.Trace, metrics: *f.Metrics}
 	// The resilience layer stays uninstalled (nil executor = direct call,
 	// byte-identical fault-free path) unless a resilience flag asks for it.
-	if *f.Chaos != "" || *f.Journal != "" || *f.Resume != "" ||
-		*f.CellTimeout > 0 || *f.Retries != 2 {
+	if *f.Chaos != "" || *f.CellTimeout > 0 || *f.Retries != 2 {
 		pol := resilience.DefaultPolicy()
 		pol.Retries = *f.Retries
 		pol.CellTimeout = *f.CellTimeout
@@ -122,23 +113,6 @@ func (f *Flags) Build() (*Runtime, error) {
 			}
 			ex.Chaos = c
 			ex.Policy.Seed = c.Seed
-		}
-		switch {
-		case *f.Journal != "":
-			j, err := resilience.CreateJournal(*f.Journal)
-			if err != nil {
-				return nil, fmt.Errorf("-journal: %v", err)
-			}
-			ex.Journal = j
-		case *f.Resume != "":
-			j, err := resilience.ResumeJournal(*f.Resume)
-			if err != nil {
-				return nil, fmt.Errorf("-resume: %v", err)
-			}
-			if j.Torn() {
-				fmt.Fprintln(os.Stderr, "resume: discarded torn final journal record")
-			}
-			ex.Journal = j
 		}
 		resilience.Install(ex)
 		rt.Executor = ex
@@ -153,20 +127,21 @@ func (f *Flags) Build() (*Runtime, error) {
 	return rt, nil
 }
 
-// Finish flushes the runtime at the end of a command: the quarantine
-// gap report and journal (when an executor was installed) and the
-// telemetry exports. It returns the command's exit code — 3 when the
-// run completed but quarantined cells — or an error for IO failures
-// (exit 1 at the caller).
+// Finish flushes the runtime at the end of a command, interrupted or
+// not: the quarantine gap report (when an executor was installed), the
+// process's one sync of its store segments, and the telemetry exports.
+// It returns the command's exit code — 3 when the run completed but
+// quarantined cells — or an error for IO failures (exit 1 at the
+// caller).
 func (rt *Runtime) Finish(w io.Writer) (int, error) {
 	code := 0
+	// Like every store failure, a failed sync costs recomputation on a
+	// rerun, never a result: warn and go on.
+	if err := evalcache.DefaultDisk().Sync(); err != nil {
+		fmt.Fprintf(os.Stderr, "-cachedir: sync: %v\n", err)
+	}
 	if rt.Executor != nil {
 		rt.Executor.WriteReport(w)
-		if rt.Executor.Journal != nil {
-			if err := rt.Executor.Journal.Close(); err != nil {
-				return 1, fmt.Errorf("journal close: %v", err)
-			}
-		}
 		if len(rt.Executor.Quarantined()) > 0 {
 			code = 3
 		}

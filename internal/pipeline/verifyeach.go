@@ -41,7 +41,9 @@ type VerifyReport struct {
 	// survival in the emitted debug section.
 	FinalIR staticdbg.Survival
 	Final   staticdbg.Survival
-	Bin     *vm.Binary
+	// Bin is the built binary. It is never encoded: a stored report
+	// (experiments debugify) is read back without it.
+	Bin *vm.Binary `json:"-"`
 }
 
 // Violations returns every violation the build introduced, in step

@@ -31,7 +31,7 @@ const (
 // implements Uncacheable so content-addressed caches (evalcache) evict
 // it instead of memoizing the failure, letting a resumed run retry.
 type CellError struct {
-	// Key is the cell's journal key (config fingerprint × subject hash).
+	// Key is the cell's key (config fingerprint × subject hash).
 	Key string
 	// Kind is the failure mode of the final attempt.
 	Kind Kind
@@ -64,15 +64,6 @@ func (e *CellError) Uncacheable() bool { return true }
 func IsQuarantined(err error) bool {
 	var ce *CellError
 	return errors.As(err, &ce)
-}
-
-// AsCellError unwraps err to its CellError, or nil.
-func AsCellError(err error) *CellError {
-	var ce *CellError
-	if errors.As(err, &ce) {
-		return ce
-	}
-	return nil
 }
 
 // Class is the retry classifier's verdict on one attempt's error.
@@ -185,7 +176,7 @@ func attributePass(stack []byte) string {
 }
 
 // HashBytes returns the FNV-1a hash of b — the subject-hash half of a
-// journal key. Callers combine it with Config.Fingerprint to address a
+// cell key. Callers combine it with Config.Fingerprint to address a
 // cell stably across processes.
 func HashBytes(b []byte) uint64 {
 	h := fnv.New64a()
@@ -195,7 +186,7 @@ func HashBytes(b []byte) uint64 {
 
 // HashString mixes the parts into one FNV-1a hash with NUL separators,
 // so ("ab","c") and ("a","bc") differ. Campaign drivers use it to
-// fingerprint their parameter set into stable journal-key suffixes.
+// fingerprint their parameter set into stable cell-key suffixes.
 func HashString(parts ...string) uint64 {
 	return hashParts(0, parts...)
 }

@@ -19,16 +19,15 @@
 //     explicit QUARANTINED gaps, and the process exits with a distinct
 //     nonzero code instead of aborting the run.
 //
-//   - Journaled checkpoint/resume (Journal): an append-only, fsynced
-//     JSONL journal keyed by config fingerprint × subject hash lets an
-//     interrupted matrix resume, skipping completed cells and rerunning
-//     only incomplete or quarantined ones. A torn final record (the
-//     half-written line a kill leaves behind) is detected and discarded.
-//
 //   - Deterministic chaos (Chaos): a seeded fault injector makes wrapped
 //     cells panic, stall past their deadline, or fail transiently on a
 //     schedule derived only from the cell key, so tests and the CI smoke
-//     can prove isolation, retry, quarantine, and resume actually work.
+//     can prove isolation, retry and quarantine actually work.
+//
+// Resuming is not this package's job: a completed cell's result lives
+// in the evaluation store (evalcache), so an interrupted run resumes by
+// rerunning on the same store. A quarantine is never stored, so the
+// rerun retries every cell the interrupted run lost.
 //
 // Like telemetry, the layer is off by default: a nil *Executor makes Run
 // a direct call with zero overhead, so the fault-free fast path is
@@ -37,7 +36,6 @@ package resilience
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -81,9 +79,8 @@ func DefaultPolicy() Policy {
 // Executor runs cells under a policy and records quarantines. The zero
 // executor is not usable; construct with NewExecutor.
 type Executor struct {
-	Policy  Policy
-	Chaos   *Chaos
-	Journal *Journal
+	Policy Policy
+	Chaos  *Chaos
 
 	mu          sync.Mutex
 	quarantined map[string]*CellError
@@ -150,80 +147,29 @@ func (ex *Executor) WriteReport(w io.Writer) {
 
 // Run executes one cell under the executor's policy: chaos injection,
 // panic capture, deadline enforcement, retry with deterministic backoff,
-// journal lookup/append, and quarantine on exhaustion. A nil executor is
-// a direct call. V must round-trip through encoding/json for journaled
-// results to be reusable on resume; values that fail to marshal are
-// simply recomputed on resume.
+// and quarantine on exhaustion. A nil executor is a direct call.
 func Run[V any](ex *Executor, ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error) {
 	var zero V
 	if ex == nil {
 		return fn(ctx)
 	}
 	telemetry.Add("resilience.cells", 1)
-	if ex.Journal != nil {
-		if rec, ok := ex.Journal.Lookup(key); ok && rec.Status == StatusOK && len(rec.Value) > 0 {
-			var v V
-			if err := json.Unmarshal(rec.Value, &v); err == nil {
-				telemetry.Add("resilience.journal.hits", 1)
-				return v, nil
-			}
-			// Undecodable value (the journaled type changed shape):
-			// fall through and recompute.
-		}
-	}
-	v, used, err := runCell(ex, ctx, key, fn)
-	if err == nil {
-		ex.journalOK(key, used, v)
-		return v, nil
-	}
-	if ce := AsCellError(err); ce != nil && ex.Journal != nil {
-		_ = ex.Journal.Append(Record{
-			Key: key, Status: StatusQuarantined, Attempts: ce.Attempts,
-			Kind: string(ce.Kind), Pass: ce.Pass, Error: ce.Err.Error(),
-		})
-	}
-	return zero, err
-}
-
-// RunEphemeral is Run without journal interaction: same isolation,
-// retries, chaos, and quarantine, but nothing read from or written to the
-// checkpoint journal. It exists for cells whose key cannot address their
-// full inputs — FDO configurations fall outside the fingerprint domain,
-// so a journaled value could be replayed against a different profile
-// payload.
-func RunEphemeral[V any](ex *Executor, ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error) {
-	var zero V
-	if ex == nil {
-		return fn(ctx)
-	}
-	telemetry.Add("resilience.cells", 1)
-	v, _, err := runCell(ex, ctx, key, fn)
-	if err != nil {
-		return zero, err
-	}
-	return v, nil
-}
-
-// runCell is the attempt loop shared by Run and RunEphemeral; it returns
-// the cell's value and the attempt count, or its terminal *CellError.
-func runCell[V any](ex *Executor, ctx context.Context, key string, fn func(context.Context) (V, error)) (V, int, error) {
-	var zero V
 	attempts := ex.Policy.Retries + 1
 	var lastErr error
 	used := 0
 	for a := 0; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
-			return zero, used, err
+			return zero, err
 		}
 		used = a + 1
 		v, err := runOnce(ex, ctx, key, a, fn)
 		if err == nil {
-			return v, used, nil
+			return v, nil
 		}
 		if err == ctx.Err() && err != nil {
 			// Parent cancellation is the caller's signal, not a cell
 			// fault: propagate without quarantining.
-			return zero, used, err
+			return zero, err
 		}
 		lastErr = err
 		if Classify(err) == ClassPermanent {
@@ -234,7 +180,7 @@ func runCell[V any](ex *Executor, ctx context.Context, key string, fn func(conte
 			sleepCtx(ctx, ex.backoff(key, a))
 		}
 	}
-	return zero, used, ex.quarantine(key, used, lastErr)
+	return zero, ex.quarantine(key, used, lastErr)
 }
 
 // runOnce executes a single attempt on its own goroutine so panics are
@@ -348,19 +294,4 @@ func (ex *Executor) quarantine(key string, attempts int, cause error) *CellError
 	ex.mu.Unlock()
 	telemetry.Add("resilience.quarantined", 1)
 	return ce
-}
-
-// journalOK appends a completed cell's result. Marshal failures drop the
-// value (the cell will recompute on resume) but never fail the run.
-func (ex *Executor) journalOK(key string, attempts int, v any) {
-	if ex.Journal == nil {
-		return
-	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		raw = nil
-	}
-	_ = ex.Journal.Append(Record{
-		Key: key, Status: StatusOK, Attempts: attempts, Value: raw,
-	})
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -45,8 +43,8 @@ func TestRunCapturesPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected quarantine error")
 	}
-	ce := AsCellError(err)
-	if ce == nil {
+	var ce *CellError
+	if !errors.As(err, &ce) {
 		t.Fatalf("error %v is not a CellError", err)
 	}
 	if ce.Kind != KindPanic {
@@ -106,8 +104,8 @@ func TestBudgetErrorsArePermanent(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("permanent failure retried %d times, want 1 attempt total", calls)
 	}
-	ce := AsCellError(err)
-	if ce == nil || ce.Kind != KindPermanent {
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Kind != KindPermanent {
 		t.Fatalf("err = %v, want permanent CellError", err)
 	}
 }
@@ -124,8 +122,8 @@ func TestRunDeadline(t *testing.T) {
 		return 0, nil
 	})
 	elapsed := time.Since(start)
-	ce := AsCellError(err)
-	if ce == nil || ce.Kind != KindDeadline {
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Kind != KindDeadline {
 		t.Fatalf("err = %v, want deadline CellError", err)
 	}
 	if ce.Attempts != 2 {
@@ -255,111 +253,6 @@ func TestParseChaos(t *testing.T) {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Fatalf("ParseChaos(%q) accepted", bad)
 		}
-	}
-}
-
-func TestJournalRoundTripAndResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := CreateJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor(fastPolicy(0))
-	ex.Journal = j
-	type cell struct{ X, Y int64 }
-	want := cell{X: 1 << 60, Y: -9} // int64 past float53 must round-trip exactly
-	v, err := Run(ex, context.Background(), "k1", func(context.Context) (cell, error) {
-		return want, nil
-	})
-	if err != nil || v != want {
-		t.Fatalf("v=%+v err=%v", v, err)
-	}
-	_, _ = Run(ex, context.Background(), "k2", func(context.Context) (cell, error) {
-		return cell{}, errors.New("deterministic failure")
-	})
-	j.Close()
-
-	j2, err := ResumeJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Torn() {
-		t.Fatal("clean journal reported torn")
-	}
-	ex2 := NewExecutor(fastPolicy(0))
-	ex2.Journal = j2
-	ran := false
-	v2, err := Run(ex2, context.Background(), "k1", func(context.Context) (cell, error) {
-		ran = true
-		return cell{}, nil
-	})
-	if err != nil || v2 != want {
-		t.Fatalf("resume: v=%+v err=%v", v2, err)
-	}
-	if ran {
-		t.Fatal("completed cell recomputed on resume")
-	}
-	// The quarantined cell reruns — and succeeds this time.
-	v3, err := Run(ex2, context.Background(), "k2", func(context.Context) (cell, error) {
-		return cell{X: 5}, nil
-	})
-	if err != nil || v3.X != 5 {
-		t.Fatalf("quarantined cell not rerun: v=%+v err=%v", v3, err)
-	}
-	if rec, ok := j2.Lookup("k2"); !ok || rec.Status != StatusOK {
-		t.Fatalf("journal not updated after rerun: %+v ok=%v", rec, ok)
-	}
-}
-
-func TestJournalTornFinalRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	body := `{"key":"a","status":"ok","value":1}` + "\n" +
-		`{"key":"b","status":"ok","val` // torn mid-write, no newline
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := ResumeJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.Torn() {
-		t.Fatal("torn record not detected")
-	}
-	if _, ok := j.Lookup("b"); ok {
-		t.Fatal("torn record survived")
-	}
-	if _, ok := j.Lookup("a"); !ok {
-		t.Fatal("valid record lost")
-	}
-	// Appending after the truncation keeps the file valid JSONL.
-	if err := j.Append(Record{Key: "c", Status: StatusOK}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	j2, err := ResumeJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Torn() {
-		t.Fatal("repaired journal still torn")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := j2.Lookup(k); !ok {
-			t.Fatalf("record %q lost after repair", k)
-		}
-	}
-}
-
-func TestJournalCorruptMiddleRecordFatal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	body := `{"key":"a","status":"ok"}` + "\n" + `garbage` + "\n" + `{"key":"b","status":"ok"}` + "\n"
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeJournal(path); err == nil {
-		t.Fatal("mid-file corruption accepted")
 	}
 }
 

@@ -145,11 +145,11 @@ func TunePrograms(progs []*tuner.Program, profile pipeline.Profile, level string
 }
 
 // cycles measures one (program, config) timing run on the cycle-exact
-// VM, as an ephemeral resilience cell so a panicking build quarantines
-// instead of unwinding through the server.
+// VM, as a resilience cell so a panicking build quarantines instead of
+// unwinding through the server.
 func (sv *Service) cycles(p *tuner.Program, cfg pipeline.Config) (int64, error) {
 	key := fmt.Sprintf("serve.cycles|%s|%s", p.CellKey(cfg.Name()), cfg.Name())
-	return resilience.RunEphemeral(resilience.Active(), context.Background(), key,
+	return resilience.Run(resilience.Active(), context.Background(), key,
 		func(context.Context) (int64, error) {
 			bin := pipeline.Build(p.IR0, cfg)
 			m := vm.New(bin)

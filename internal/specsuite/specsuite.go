@@ -148,8 +148,7 @@ func Cycles(name string, cfg pipeline.Config) (int64, error) {
 // under cfg's profile over its count under cfg. It runs as one
 // resilience cell, spec|<name>|<fingerprint>, so a panicking or runaway
 // build quarantines this (benchmark, config) measurement alone. FDO
-// configurations have no fingerprint and run unjournaled under their
-// display name.
+// configurations have no fingerprint and run under their display name.
 func OverO0(name string, cfg pipeline.Config) (float64, error) {
 	compute := func(context.Context) (float64, error) {
 		base, err := Cycles(name, pipeline.MustConfig(cfg.Profile, "O0"))
@@ -162,10 +161,9 @@ func OverO0(name string, cfg pipeline.Config) (float64, error) {
 		}
 		return float64(base) / float64(opt), nil
 	}
-	if fp, ok := cfg.Fingerprint(); ok {
-		return resilience.Run(resilience.Active(), context.Background(),
-			"spec|"+name+"|"+fp, compute)
+	id, ok := cfg.Fingerprint()
+	if !ok {
+		id = cfg.Name()
 	}
-	return resilience.RunEphemeral(resilience.Active(), context.Background(),
-		"spec|"+name+"|"+cfg.Name(), compute)
+	return resilience.Run(resilience.Active(), context.Background(), "spec|"+name+"|"+id, compute)
 }

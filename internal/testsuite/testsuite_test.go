@@ -6,6 +6,7 @@ import (
 
 	"debugtuner/internal/evalcache"
 	"debugtuner/internal/ir"
+	"debugtuner/internal/keytest"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/telemetry"
 	"debugtuner/internal/vm"
@@ -170,27 +171,7 @@ func TestSuiteDebugQualityShape(t *testing.T) {
 // TestCorpusKey: equal inputs give equal keys, and changing any one
 // declared input of a subject's corpora changes its key.
 func TestCorpusKey(t *testing.T) {
-	base := corpusKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19, Seed: 0}
-	if again := (corpusKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19}); again.String() != base.String() {
-		t.Fatalf("equal inputs give keys %q and %q", base, again)
-	}
-	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
-		k := base
-		f := reflect.ValueOf(&k).Elem().Field(i)
-		switch f.Kind() {
-		case reflect.String:
-			f.SetString(f.String() + "'")
-		case reflect.Int, reflect.Int64:
-			f.SetInt(f.Int() + 1)
-		case reflect.Uint64:
-			f.SetUint(f.Uint() + 1)
-		default:
-			t.Fatalf("field %s: no perturbation for kind %s", reflect.TypeOf(base).Field(i).Name, f.Kind())
-		}
-		if k.String() == base.String() {
-			t.Errorf("changing %s leaves the key at %q", reflect.TypeOf(base).Field(i).Name, base)
-		}
-	}
+	keytest.Perturb(t, corpusKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19, Seed: 0}, corpusKey.String)
 }
 
 // TestCorporaFromStore loads every subject cold into a store, forgets

@@ -160,10 +160,10 @@ func (p *Program) Scores(cfg pipeline.Config) (metrics.Scores, error) {
 // Measure builds, traces, and scores the configuration. Results are
 // content-addressed by the config fingerprint; un-fingerprintable
 // configurations (FDO) are measured uncached. When a resilience executor
-// is installed, each measurement runs as an isolated, retried, journaled
-// cell; the wrapper sits inside the cache's singleflight so concurrent
-// requests coalesce, and a quarantined result (Uncacheable) evicts
-// itself instead of pinning the failure.
+// is installed, each measurement runs as an isolated, retried cell; the
+// wrapper sits inside the cache's singleflight so concurrent requests
+// coalesce, and a quarantined result (Uncacheable) evicts itself
+// instead of pinning the failure.
 func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
 	return p.measureBuilt(cfg, func() (*vm.Binary, error) { return p.Build(cfg), nil })
 }
@@ -173,27 +173,28 @@ func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
 func (p *Program) measureBuilt(cfg pipeline.Config, build func() (*vm.Binary, error)) (Measurement, error) {
 	fp, ok := cfg.Fingerprint()
 	if !ok {
-		// FDO payloads fall outside the fingerprint domain, so their
-		// results cannot be journaled safely — isolate without journal.
-		return resilience.RunEphemeral(resilience.Active(), context.Background(),
-			p.CellKey(cfg.Name()), func(context.Context) (Measurement, error) {
-				return p.measure(build)
-			})
+		fp = cfg.Name()
 	}
 	key := p.CellKey(fp)
-	return p.scores.Do(key, func() (Measurement, error) {
+	cell := func() (Measurement, error) {
 		return resilience.Run(resilience.Active(), context.Background(),
 			key, func(context.Context) (Measurement, error) {
 				return p.measure(build)
 			})
-	})
+	}
+	if !ok {
+		// FDO payloads fall outside the fingerprint domain, so their
+		// results cannot be stored — isolate them uncached.
+		return cell()
+	}
+	return p.scores.Do(key, cell)
 }
 
-// CellKey is the cache, journal and quarantine key of one
-// (program, config) measurement: program name and source hash × harness
-// inputs and entry (the corpus budget changes the inputs) × VM step
-// budget (it truncates the traces) × config fingerprint, stable across
-// processes so a resumed run addresses the same cells.
+// CellKey is the cache and quarantine key of one (program, config)
+// measurement: program name and source hash × harness inputs and entry
+// (the corpus budget changes the inputs) × VM step budget (it truncates
+// the traces) × config fingerprint, stable across processes so a rerun
+// addresses the same cells.
 func (p *Program) CellKey(fp string) string {
 	return fmt.Sprintf("tuner|%s#%016x|in%016x|b%d|%s",
 		p.Name, resilience.HashBytes(p.Src), p.inputsDigest(), p.Budget, fp)
