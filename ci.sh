@@ -105,8 +105,10 @@ rm -rf /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
 # must reproduce the committed golden (any diff to it is explained in
 # CHANGES.md), then a warm rerun from it — the warm run must be
 # byte-identical and measurably faster, and its metrics must show that
-# it computed no cell the store holds: no disk miss or write, and Table
-# I's cells and the suite's corpora read back. Then corrupt one record
+# it computed no cell the store holds: no disk miss or write, and every
+# namespace a quick-all fills read back (a cache that lost its
+# namespace is memory-only and shows neither a miss nor a hit). Then
+# corrupt one record
 # in place inside a segment: the store must self-heal (drop the record
 # from disk, recompute the cell) and still produce identical output.
 # Last, a -j 4 run with the cache disabled proves stdout depends on
@@ -128,8 +130,10 @@ test $((WARM * 2)) -lt "$COLD"
 if grep -Eq '"diskcache\.(miss|write)"' /tmp/ci-warm-metrics.json; then
     echo "warm quick-all recomputed a stored cell"; exit 1
 fi
-grep -Eq '"diskcache\.experiments\.synth\.hit": [1-9]' /tmp/ci-warm-metrics.json
-grep -Eq '"diskcache\.testsuite\.corpus\.hit": [1-9]' /tmp/ci-warm-metrics.json
+for NS in tuner.scores tuner.effect specsuite experiments.fdo \
+    experiments.synth testsuite.corpus; do
+    grep -Eq "\"diskcache\\.$NS\\.hit\": [1-9]" /tmp/ci-warm-metrics.json
+done
 SEG=$(find /tmp/ci-cache -name '*.seg' | head -n 1)
 test -n "$SEG"
 sed -i '1s/"sum":"[0-9a-f]*"/"sum":"garbage"/' "$SEG"
@@ -145,16 +149,23 @@ cmp /tmp/ci-cold.txt /tmp/ci-nocache-j4.txt
 # Cache keys must cover every input a flag can change: a directory filled
 # by a -quick run (smaller fuzz corpus) must not answer a full run.
 # Table III prints the corpus sizes, so a corpus key without the fuzz
-# budget fails here.
+# budget fails here. Likewise a directory filled under another AutoFDO
+# sampling period must not answer Figure 3.
 rm -rf /tmp/ci-cache
 /tmp/ci-experiments -quick -cachedir /tmp/ci-cache table2 table3 > /dev/null
 /tmp/ci-experiments -cachedir /tmp/ci-cache table2 table3 > /tmp/ci-budget-warm.txt
 /tmp/ci-experiments -cachedir off table2 table3 > /tmp/ci-budget-cold.txt
 cmp /tmp/ci-budget-cold.txt /tmp/ci-budget-warm.txt
+rm -rf /tmp/ci-cache
+/tmp/ci-experiments -quick -sample-every 499 -cachedir /tmp/ci-cache fig3 > /dev/null
+/tmp/ci-experiments -quick -cachedir /tmp/ci-cache fig3 > /tmp/ci-sample-warm.txt
+/tmp/ci-experiments -quick -cachedir off fig3 > /tmp/ci-sample-cold.txt
+cmp /tmp/ci-sample-cold.txt /tmp/ci-sample-warm.txt
 rm -rf /tmp/ci-experiments /tmp/ci-cache /tmp/ci-default-cache \
     /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-warm-metrics.json \
     /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt \
-    /tmp/ci-budget-warm.txt /tmp/ci-budget-cold.txt
+    /tmp/ci-budget-warm.txt /tmp/ci-budget-cold.txt \
+    /tmp/ci-sample-warm.txt /tmp/ci-sample-cold.txt
 
 # Full-run golden: a cold full `all` must reproduce the committed
 # experiments_output.txt, the numbers EXPERIMENTS.md quotes.

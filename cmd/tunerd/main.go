@@ -10,9 +10,8 @@
 //
 //	-addr host:port       listen address (default 127.0.0.1:8347;
 //	                      port 0 picks an ephemeral port)
-//	-max-inflight N       concurrently computing requests (0 = auto)
-//	-max-queue N          admission queue bound (0 = 4096)
 //	-drain-grace dur      503 window after SIGTERM before closing
+//	-drain-timeout dur    hard bound on the graceful drain
 //	-budget N             per-run VM step budget
 //
 // plus the shared runtime flags of internal/options (-j, -cachedir,
@@ -46,10 +45,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8347", "listen address (port 0 = ephemeral)")
-	maxInflight := flag.Int("max-inflight", 0,
-		"concurrently computing requests (0 = max(2, worker-pool size))")
-	maxQueue := flag.Int("max-queue", 0,
-		"admission queue bound; beyond it requests get a typed 503 (0 = 4096)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond,
 		"window after SIGTERM during which new requests get a typed 503 before the listener closes")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second,
@@ -76,11 +71,9 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		Addr:        *addr,
-		MaxInflight: *maxInflight,
-		MaxQueue:    *maxQueue,
-		DrainGrace:  *drainGrace,
-		Budget:      *budget,
+		Addr:       *addr,
+		DrainGrace: *drainGrace,
+		Budget:     *budget,
 	})
 	bound, err := srv.Start()
 	if err != nil {

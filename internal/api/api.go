@@ -52,9 +52,6 @@ const (
 	CodeInvalidArgument = "invalid_argument"
 	// CodeCompileError: a unit failed the MiniC front end.
 	CodeCompileError = "compile_error"
-	// CodeOverloaded: admission control rejected the request; retry
-	// later.
-	CodeOverloaded = "overloaded"
 	// CodeDraining: the server is shutting down gracefully and accepts
 	// no new work.
 	CodeDraining = "draining"
@@ -72,7 +69,7 @@ func HTTPStatus(code string) int {
 		return 400
 	case CodeNotFound:
 		return 404
-	case CodeOverloaded, CodeDraining:
+	case CodeDraining:
 		return 503
 	default:
 		return 500

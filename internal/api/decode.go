@@ -176,19 +176,25 @@ func DecodeReportRequest(r io.Reader) (*ReportRequest, *Error) {
 	return &req, nil
 }
 
-// CanonicalKey content-addresses a normalized request for the response
-// cache: endpoint × the canonical re-marshaling of the decoded struct.
-// Two requests that differ only in JSON whitespace, field order, or
-// defaulted fields share one key, so concurrent identical requests
-// single-flight onto one computation.
-func CanonicalKey(endpoint string, req any) string {
+// RequestKey content-addresses a normalized request for the response
+// cache.
+type RequestKey struct {
+	Endpoint string
+	Digest   string // hex SHA-256 of the canonical re-marshaling
+}
+
+// CanonicalKey keys a request by endpoint × the canonical re-marshaling
+// of the decoded struct. Two requests that differ only in JSON
+// whitespace, field order, or defaulted fields share one key, so
+// concurrent identical requests single-flight onto one computation.
+func CanonicalKey(endpoint string, req any) RequestKey {
 	data, err := json.Marshal(req)
 	if err != nil {
 		// DTOs are plain data; marshal cannot fail. Guard anyway.
 		data = []byte(fmt.Sprintf("%#v", req))
 	}
 	sum := sha256.Sum256(data)
-	return endpoint + "|" + hex.EncodeToString(sum[:])
+	return RequestKey{Endpoint: endpoint, Digest: hex.EncodeToString(sum[:])}
 }
 
 // MarshalEnvelope renders a response envelope to its canonical wire

@@ -54,7 +54,7 @@ func FuzzDecodeReportRequest(f *testing.F) {
 
 var knownCodes = map[string]bool{
 	CodeBadRequest: true, CodeUnsupportedVersion: true, CodeInvalidArgument: true,
-	CodeCompileError: true, CodeOverloaded: true, CodeDraining: true,
+	CodeCompileError: true, CodeDraining: true,
 	CodeInternal: true, CodeNotFound: true,
 }
 

@@ -192,7 +192,7 @@ func (o *Oracle) CheckContext(ctx context.Context, subjects []*Subject) ([]Findi
 			if !keyed {
 				return o.CheckSubject(s)
 			}
-			return o.units.Do(o.unit(s, matrix).key(), func() ([]Finding, error) {
+			return o.units.Do(o.unit(s, matrix), func() ([]Finding, error) {
 				fs, err := o.CheckSubject(s)
 				for _, f := range fs {
 					if f.Kind == KindQuarantine {

@@ -9,7 +9,6 @@ import (
 	"debugtuner/internal/dbgtrace"
 	"debugtuner/internal/debuginfo"
 	"debugtuner/internal/evalcache"
-	"debugtuner/internal/keytest"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
 	"debugtuner/internal/telemetry"
@@ -511,9 +510,38 @@ func TestChaosRunStoresNoQuarantine(t *testing.T) {
 	}
 }
 
-// TestSubjectUnitKey: changing any one declared input of a subject's
-// stored findings changes its key.
+// TestSubjectUnitKey: every oracle setting and subject input that
+// shapes a subject's findings reaches the key of its stored unit.
 func TestSubjectUnitKey(t *testing.T) {
-	keytest.Perturb(t, subjectUnit{Name: "synth-0001", Src: 0x5eed, Inputs: 1, Matrix: 2,
-		Budget: DefaultBudget, TraceBudget: DefaultTraceBudget, CheckDebug: true}, subjectUnit.key)
+	unit := func(edit func(o *Oracle, s *Subject)) subjectUnit {
+		t.Helper()
+		configs, err := ParseMatrix("levels")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, s := NewOracle(configs), SynthSubject(1)
+		s.Harnesses, s.Inputs = []string{"fuzz"}, map[string][][]int64{"fuzz": {{1, 2}}}
+		edit(o, s)
+		matrix, ok := o.matrixDigest()
+		if !ok {
+			t.Fatal("matrix has no digest")
+		}
+		return o.unit(s, matrix)
+	}
+	base := unit(func(*Oracle, *Subject) {})
+	for name, edit := range map[string]func(o *Oracle, s *Subject){
+		"name":         func(_ *Oracle, s *Subject) { s.Name += "'" },
+		"source":       func(_ *Oracle, s *Subject) { s.Src = []byte(string(s.Src) + "\n") },
+		"harnesses":    func(_ *Oracle, s *Subject) { s.Harnesses = append(s.Harnesses, "other") },
+		"inputs":       func(_ *Oracle, s *Subject) { s.Inputs = map[string][][]int64{"fuzz": {{1, 3}}} },
+		"entry":        func(_ *Oracle, s *Subject) { s.Entry = "start" },
+		"matrix":       func(o *Oracle, _ *Subject) { o.Configs = o.Configs[1:] },
+		"budget":       func(o *Oracle, _ *Subject) { o.Budget++ },
+		"trace budget": func(o *Oracle, _ *Subject) { o.TraceBudget++ },
+		"check debug":  func(o *Oracle, _ *Subject) { o.CheckDebug = false },
+	} {
+		if unit(edit) == base {
+			t.Errorf("changing the %s leaves the unit key at %+v", name, base)
+		}
+	}
 }

@@ -135,25 +135,28 @@ type Oracle struct {
 	// default via NewOracle).
 	CheckDebug bool
 
-	cache evalcache.Cache[*caseResult]
-	// units holds each subject's findings over the whole matrix, bound
-	// to the persistent store: CheckContext's unit of work, the unit an
-	// interrupt stops between, and what a rerun reads back.
-	units evalcache.Cache[[]Finding]
+	cache evalcache.Cache[caseKey, *caseResult]
+	// units holds each subject's findings over the whole matrix:
+	// CheckContext's unit of work, the unit an interrupt stops between,
+	// and, in an oracle from NewOracle, what a rerun reads back from the
+	// process store.
+	units evalcache.Cache[subjectUnit, []Finding]
 }
+
+// caseKey names one (subject, config fingerprint) case in memory.
+type caseKey struct{ Subject, Config string }
 
 // NewOracle returns an oracle over the configuration set with the
 // default budget and the invariant checker enabled, its subject units
-// bound to the process-wide store.
+// kept in the process store.
 func NewOracle(configs []pipeline.Config) *Oracle {
-	o := &Oracle{
+	return &Oracle{
 		Configs:     configs,
 		Budget:      DefaultBudget,
 		TraceBudget: DefaultTraceBudget,
 		CheckDebug:  true,
+		units:       evalcache.Cache[subjectUnit, []Finding]{Namespace: "difftest"},
 	}
-	o.units.SetDisk(evalcache.DefaultDisk(), "difftest")
-	return o
 }
 
 // subjectUnit declares every input of one subject's findings over the
@@ -167,12 +170,6 @@ type subjectUnit struct {
 	Budget      int64
 	TraceBudget int64
 	CheckDebug  bool
-}
-
-// key is the one constructor of a difftest key.
-func (u subjectUnit) key() string {
-	return fmt.Sprintf("%s#%016x|in%016x|m%016x|b%d|tb%d|dbg%t",
-		u.Name, u.Src, u.Inputs, u.Matrix, u.Budget, u.TraceBudget, u.CheckDebug)
 }
 
 // matrixDigest hashes the configs' labels and fingerprints, in order;
@@ -310,7 +307,7 @@ func (o *Oracle) observe(s *Subject, cfg pipeline.Config) (*caseResult, error) {
 				return compute()
 			})
 	}
-	return o.cache.Do(s.Name+"\x00"+fp, func() (*caseResult, error) {
+	return o.cache.Do(caseKey{s.Name, fp}, func() (*caseResult, error) {
 		return resilience.Run(resilience.Active(), context.Background(),
 			cellKey(s, fp), func(context.Context) (*caseResult, error) {
 				return compute()

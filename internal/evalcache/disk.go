@@ -374,9 +374,9 @@ func heal(path string, keep []byte) {
 	}
 }
 
-// defaultDisk is the process-wide store bound by SetDefaultDisk
-// (normally from the -cachedir flag) and consumed by the measurement
-// layers (tuner, specsuite) when they construct their caches.
+// defaultDisk is the process store installed by SetDefaultDisk
+// (normally from the -cachedir flag); every stored cache looks it up on
+// each memory miss.
 var defaultDisk atomic.Pointer[Disk]
 
 // SetDefaultDisk installs the process-wide persistent store (nil

@@ -420,9 +420,9 @@ func TestOpenDiskNeedsToolIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheDiskCounters: a disk-bound cache counts its own disk hits,
-// misses and writes under the namespace's first field, beside the
-// store-wide aggregates.
+// TestCacheDiskCounters: a stored cache counts its own disk hits,
+// misses and writes under its namespace, beside the store-wide
+// aggregates.
 func TestCacheDiskCounters(t *testing.T) {
 	snk := telemetry.NewSink()
 	defer telemetry.Install(telemetry.Install(snk))
@@ -430,10 +430,10 @@ func TestCacheDiskCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	useDisk(t, d)
 	for i := 0; i < 2; i++ {
-		var c Cache[diskVal]
-		c.SetDisk(d, "unit.cells|sample7")
-		if _, err := c.Do("k", func() (diskVal, error) { return diskVal{N: 1}, nil }); err != nil {
+		c := Cache[testKey, diskVal]{Namespace: "unit.cells"}
+		if _, err := c.Do(testKey{"k"}, func() (diskVal, error) { return diskVal{N: 1}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,10 +457,10 @@ func TestCacheDiskWriteThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c1 Cache[diskVal]
-	c1.SetDisk(d, "ns")
+	useDisk(t, d)
+	c1 := Cache[testKey, diskVal]{Namespace: "ns"}
 	computes := 0
-	v, err := c1.Do("k", func() (diskVal, error) {
+	v, err := c1.Do(testKey{"k"}, func() (diskVal, error) {
 		computes++
 		return diskVal{N: 5}, nil
 	})
@@ -468,9 +468,8 @@ func TestCacheDiskWriteThrough(t *testing.T) {
 		t.Fatalf("cold compute: v=%+v err=%v computes=%d", v, err, computes)
 	}
 
-	var c2 Cache[diskVal]
-	c2.SetDisk(d, "ns")
-	v, err = c2.Do("k", func() (diskVal, error) {
+	c2 := Cache[testKey, diskVal]{Namespace: "ns"}
+	v, err = c2.Do(testKey{"k"}, func() (diskVal, error) {
 		computes++
 		return diskVal{N: -1}, nil
 	})
@@ -482,9 +481,8 @@ func TestCacheDiskWriteThrough(t *testing.T) {
 	}
 
 	// A different namespace must not see the entry.
-	var c3 Cache[diskVal]
-	c3.SetDisk(d, "other")
-	v, _ = c3.Do("k", func() (diskVal, error) {
+	c3 := Cache[testKey, diskVal]{Namespace: "other"}
+	v, _ = c3.Do(testKey{"k"}, func() (diskVal, error) {
 		return diskVal{N: 11}, nil
 	})
 	if v.N != 11 {
@@ -492,40 +490,18 @@ func TestCacheDiskWriteThrough(t *testing.T) {
 	}
 
 	// Errors are cached in memory but never written to disk.
-	var c4 Cache[diskVal]
-	c4.SetDisk(d, "errs")
-	if _, err := c4.Do("bad", func() (diskVal, error) {
+	c4 := Cache[testKey, diskVal]{Namespace: "errs"}
+	if _, err := c4.Do(testKey{"bad"}, func() (diskVal, error) {
 		return diskVal{}, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("error compute reported success")
 	}
-	var c5 Cache[diskVal]
-	c5.SetDisk(d, "errs")
-	v, err = c5.Do("bad", func() (diskVal, error) {
+	c5 := Cache[testKey, diskVal]{Namespace: "errs"}
+	v, err = c5.Do(testKey{"bad"}, func() (diskVal, error) {
 		return diskVal{N: 3}, nil
 	})
 	if err != nil || v.N != 3 {
 		t.Fatalf("error must not persist: v=%+v err=%v", v, err)
-	}
-}
-
-// TestDiskUnfingerprintableBypass pins the FDO-style contract: callers
-// with no stable fingerprint never enter Cache.Do, so a cache bound to a
-// store writes nothing for them. Modeled directly: only Do traffic can
-// reach disk, so a store that stays empty after uncached work proves the
-// bypass.
-func TestDiskUnfingerprintableBypass(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Cache[diskVal]
-	c.SetDisk(d, "ns")
-	// The FDO path: measured directly, not routed through c.Do.
-	uncachedMeasure := func() diskVal { return diskVal{N: 1} }
-	_ = uncachedMeasure()
-	if n := len(diskSegments(t, d)); n != 0 {
-		t.Fatalf("bypassed measurement left %d segments", n)
 	}
 }
 
@@ -622,11 +598,11 @@ const crashCells, crashDone = 5, 2
 
 func crashValue(key string) string { return "value-of-" + key }
 
-// crashCache is the drill's disk-bound cache on d.
-func crashCache(d *Disk) *Cache[string] {
-	c := &Cache[string]{}
-	c.SetDisk(d, "drill")
-	return c
+// crashCache is the drill's stored cache on d, installed as the
+// process store.
+func crashCache(t *testing.T, d *Disk) *Cache[testKey, string] {
+	useDisk(t, d)
+	return &Cache[testKey, string]{Namespace: "drill"}
 }
 
 // TestCacheCrashHelper is re-executed as a separate OS process by
@@ -641,10 +617,10 @@ func TestCacheCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := crashCache(d)
+	c := crashCache(t, d)
 	for k := 0; k < crashCells; k++ {
 		key := fmt.Sprintf("cell-%d", k)
-		c.Do(key, func() (string, error) {
+		c.Do(testKey{key}, func() (string, error) {
 			if k == crashDone {
 				fmt.Println("CRASH_READY")
 				os.Stdout.Sync()
@@ -710,11 +686,11 @@ func TestDiskKillNineResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := crashCache(d)
+	c := crashCache(t, d)
 	computed := 0
 	for k := 0; k < crashCells; k++ {
 		key := fmt.Sprintf("cell-%d", k)
-		v, err := c.Do(key, func() (string, error) {
+		v, err := c.Do(testKey{key}, func() (string, error) {
 			computed++
 			return crashValue(key), nil
 		})

@@ -1,22 +1,18 @@
 // Package evalcache is the content-addressed result cache of the
 // evaluation engine. Each cache holds one kind of cell — a build's
 // TextHash and hybrid scores in the tuner, ref-workload cycle counts in
-// specsuite, a subject's difftest findings — and its keys are built by
-// one constructor over the cell's declared inputs (source hash, inputs
-// digest, budgets, config fingerprint), so table generators that
-// revisit the same Ox-dy configuration (Fig2, Tables VIII–X) reuse one
-// build+trace instead of redoing it.
+// specsuite, a subject's difftest findings — under its declared key
+// type, so table generators that revisit the same Ox-dy configuration
+// (Fig2, Tables VIII–X) reuse one build+trace instead of redoing it.
 //
 // Do has singleflight semantics: concurrent workers asking for the same
 // key block on a single computation instead of duplicating it, which is
-// what makes the cache composable with the worker pool. The key space
-// is sharded 64 ways so parallel workers touching different keys do not
-// serialize on one mutex; per-shard contention is counted and surfaced
-// through telemetry (evalcache.contended, evalcache.shardNN.contended).
+// what makes the cache composable with the worker pool. Acquisitions
+// that find the cache's lock held are counted (evalcache.contended).
 //
-// A cache can additionally be bound to an on-disk store (see Disk) that
-// persists successful results across processes, making warm reruns skip
-// the build+trace entirely. The store is also how an interrupted run
+// A cache that declares a Namespace also keeps its successful results
+// in the process store (see Disk), making warm reruns skip the
+// build+trace entirely. The store is also how an interrupted run
 // resumes: rerun it on the same store, and every cell the first run
 // completed is read back instead of recomputed.
 package evalcache
@@ -24,6 +20,8 @@ package evalcache
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,80 +36,26 @@ type entry[V any] struct {
 	err  error
 }
 
-// numShards is the shard count of the key space. 64 keeps the worst
-// observed lock hold (a map grow) off the other 63 lanes while staying
-// small enough that Len/Contended stay cheap to aggregate.
-const numShards = 64
+// Cache memoizes computations keyed by K. The zero value is a
+// memory-only cache, ready to use.
+type Cache[K comparable, V any] struct {
+	// Namespace, when set, makes the cache a stored one: a memory miss
+	// consults the process store (DefaultDisk) before computing, and a
+	// successful compute is written through. K must then be a struct of
+	// string, integer and bool fields declaring every input of a cell,
+	// so a stored value is valid exactly when an equal-keyed recompute
+	// would produce it; V must round-trip through encoding/json. The
+	// namespace names the cache in telemetry (diskcache.<ns>.hit, .miss,
+	// .write) and must not contain '|'.
+	Namespace string
 
-type shard[V any] struct {
 	mu sync.Mutex
-	m  map[string]*entry[V]
-	// contended counts lock acquisitions that found the shard lock
-	// held — the signal the sharding exists to minimize.
-	contended atomic.Int64
-}
+	m  map[K]*entry[V]
 
-// lock acquires the shard lock, counting contended acquisitions.
-func (s *shard[V]) lock(idx int) {
-	if s.mu.TryLock() {
-		return
-	}
-	s.contended.Add(1)
-	if snk := telemetry.Active(); snk != nil {
-		snk.Add("evalcache.contended", 1)
-		snk.Add(fmt.Sprintf("evalcache.shard%02d.contended", idx), 1)
-	}
-	s.mu.Lock()
-}
-
-// Cache memoizes keyed computations. The zero value is ready to use.
-type Cache[V any] struct {
-	shards [numShards]shard[V]
-	// disk, when set, is the persistent second level consulted on a
-	// memory miss and written through on successful computes.
-	disk atomic.Pointer[diskBinding]
-}
-
-// diskBinding scopes a cache's disk traffic: the namespace prefixes
-// every key so distinct caches sharing one store cannot collide, and
-// the cache counts its own disk hits, misses and writes.
-type diskBinding struct {
-	d                *Disk
-	namespace        string
+	// stored validates K against the namespace once, at first use, and
+	// names the cache's store counters.
+	stored           sync.Once
 	hit, miss, write string
-}
-
-// SetDisk binds the cache to a persistent store. Keys are stored under
-// the namespace (which must capture everything the in-memory key does
-// not — subject identity, source hash), so the disk entry is valid
-// exactly when an equal-keyed recompute would produce the same value.
-// The namespace up to its first '|' names the cache in telemetry
-// (diskcache.<name>.hit, .miss, .write), so per-run parameters such as
-// a sample period or a budget go after it. V must round-trip through
-// encoding/json. A nil Disk detaches.
-func (c *Cache[V]) SetDisk(d *Disk, namespace string) {
-	if d == nil {
-		c.disk.Store(nil)
-		return
-	}
-	name, _, _ := strings.Cut(namespace, "|")
-	p := "diskcache." + name + "."
-	c.disk.Store(&diskBinding{d: d, namespace: namespace,
-		hit: p + "hit", miss: p + "miss", write: p + "write"})
-}
-
-// shardFor hashes the key onto a shard (FNV-1a).
-func shardFor(key string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % numShards)
 }
 
 // uncacheable matches errors that must not be memoized. The resilience
@@ -130,30 +74,44 @@ type Unstored[V any] struct{ Value V }
 func (Unstored[V]) Error() string     { return "evalcache: value not kept" }
 func (Unstored[V]) Uncacheable() bool { return true }
 
-// Do returns the cached value for key, computing it at most once across
+// lock acquires the cache lock, counting contended acquisitions.
+func (c *Cache[K, V]) lock() {
+	if c.mu.TryLock() {
+		return
+	}
+	telemetry.Add("evalcache.contended", 1)
+	c.mu.Lock()
+}
+
+// Do returns the cached value for k, computing it at most once across
 // all goroutines. Errors are cached as well: the evaluation treats most
 // measurement failures as deterministic, so retrying a failed key is
 // not useful. The exception is errors marked Uncacheable() (quarantined
 // cells, Unstored values) — those evict their entry so a later request
 // recomputes.
 //
-// With a disk store attached, a memory miss consults the store before
+// In a stored cache, a memory miss consults the process store before
 // computing, and a successful compute is written through; errors never
 // persist.
-func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
-	idx := shardFor(key)
-	s := &c.shards[idx]
-	s.lock(idx)
-	if s.m == nil {
-		s.m = map[string]*entry[V]{}
+func (c *Cache[K, V]) Do(k K, compute func() (V, error)) (V, error) {
+	if c.Namespace != "" {
+		c.stored.Do(func() {
+			checkKey(c.Namespace, reflect.TypeFor[K]())
+			p := "diskcache." + c.Namespace + "."
+			c.hit, c.miss, c.write = p+"hit", p+"miss", p+"write"
+		})
 	}
-	e := s.m[key]
+	c.lock()
+	if c.m == nil {
+		c.m = map[K]*entry[V]{}
+	}
+	e := c.m[k]
 	hit := e != nil
 	if e == nil {
 		e = &entry[V]{}
-		s.m[key] = e
+		c.m[k] = e
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if snk := telemetry.Active(); snk != nil {
 		if hit {
 			// A hit on an entry whose compute is still running is a
@@ -169,34 +127,19 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
 		}
 	}
 	e.once.Do(func() {
-		if b := c.disk.Load(); b != nil {
-			dk := b.namespace + "|" + key
-			if b.d.Get(dk, &e.val) {
-				telemetry.Add(b.hit, 1)
-				e.done.Store(true)
-				return
-			}
-			telemetry.Add(b.miss, 1)
-			e.val, e.err = compute()
-			if e.err == nil && b.d.put(dk, e.val) {
-				telemetry.Add(b.write, 1)
-			}
-			e.done.Store(true)
-			return
-		}
-		e.val, e.err = compute()
+		e.val, e.err = c.load(k, compute)
 		e.done.Store(true)
 	})
 	if e.err != nil {
 		var u uncacheable
 		if errors.As(e.err, &u) && u.Uncacheable() {
-			s.lock(idx)
+			c.lock()
 			// Guard against a racing request that already replaced the
 			// entry: only evict the one we observed.
-			if s.m[key] == e {
-				delete(s.m, key)
+			if c.m[k] == e {
+				delete(c.m, k)
 			}
-			s.mu.Unlock()
+			c.mu.Unlock()
 			telemetry.Add("evalcache.evicted", 1)
 		}
 		if u, ok := e.err.(Unstored[V]); ok {
@@ -206,27 +149,84 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Len reports how many keys have been requested (including in-flight
-// ones), summed across all shards, for tests and cache-effectiveness
-// accounting.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.lock(i)
-		n += len(s.m)
-		s.mu.Unlock()
+// load computes k's value, reading it from the process store instead
+// when the cache is stored and the store holds it.
+func (c *Cache[K, V]) load(k K, compute func() (V, error)) (V, error) {
+	d := DefaultDisk()
+	if c.Namespace == "" || d == nil {
+		return compute()
 	}
-	return n
+	key := encodeKey(c.Namespace, k)
+	var v V
+	if d.Get(key, &v) {
+		telemetry.Add(c.hit, 1)
+		return v, nil
+	}
+	telemetry.Add(c.miss, 1)
+	v, err := compute()
+	if err == nil && d.put(key, v) {
+		telemetry.Add(c.write, 1)
+	}
+	return v, err
 }
 
-// Contended reports how many lock acquisitions found a shard lock held,
-// summed across shards — the residual serialization the sharding did
-// not eliminate.
-func (c *Cache[V]) Contended() int64 {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].contended.Load()
+// Len reports how many keys have been requested (including in-flight
+// ones), for tests and cache-effectiveness accounting.
+func (c *Cache[K, V]) Len() int {
+	c.lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
+// checkKey panics unless t can key the stored cache ns: a struct of
+// string, integer and bool fields.
+func checkKey(ns string, t reflect.Type) {
+	if strings.Contains(ns, "|") {
+		panic(fmt.Sprintf("evalcache: namespace %q contains '|'", ns))
 	}
-	return n
+	if t.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("evalcache: stored cache %s is keyed by %s, not a struct", ns, t))
+	}
+	for i := 0; i < t.NumField(); i++ {
+		switch f := t.Field(i); f.Type.Kind() {
+		case reflect.String, reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			panic(fmt.Sprintf("evalcache: stored cache %s: key field %s.%s is a %s, not a string, integer or bool",
+				ns, t, f.Name, f.Type))
+		}
+	}
+}
+
+// encodeKey renders a checked key for the store: the namespace, then
+// each field's value in declaration order, each after a '|'. Strings
+// escape '\' and '|' with a backslash, so for one key type the
+// rendering is injective; signed integers are decimal, unsigned ones
+// (the source and input hashes) hex, bools true or false. Field and
+// type names are left out: a namespace has one key type.
+func encodeKey(ns string, k any) string {
+	v := reflect.ValueOf(k)
+	b := make([]byte, 0, 96)
+	b = append(b, ns...)
+	for i := 0; i < v.NumField(); i++ {
+		b = append(b, '|')
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			s := f.String()
+			for j := 0; j < len(s); j++ {
+				if s[j] == '|' || s[j] == '\\' {
+					b = append(b, '\\')
+				}
+				b = append(b, s[j])
+			}
+		case reflect.Bool:
+			b = strconv.AppendBool(b, f.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			b = strconv.AppendInt(b, f.Int(), 10)
+		default:
+			b = strconv.AppendUint(b, f.Uint(), 16)
+		}
+	}
+	return string(b)
 }

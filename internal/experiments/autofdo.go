@@ -55,12 +55,25 @@ type fdoResult struct {
 	Mapped    float64
 }
 
+// fdoKey declares every input of one AutoFDO measurement. The
+// benchmark's source is embedded in the executable, so the store's
+// tool hash covers it.
+type fdoKey struct {
+	Bench     string
+	Final     string // final config fingerprint
+	Profiling string // profiling config fingerprint
+	Sample    int64  // sampling period in cycles
+}
+
 // fdoMeasure caches the profile-collect + FDO-rebuild + run pipeline per
-// (benchmark, final config, profiling config). Fig3 and Table15 print
-// the same measurements at different verbosity; the cache makes the
-// second of the two free.
+// (benchmark, final config, profiling config, sampling period). Fig3
+// and Table15 print the same measurements at different verbosity; the
+// cache makes the second of the two free. The configs are plain levels
+// or Ox-dy configs, which always have a fingerprint.
 func (r *Runner) fdoMeasure(bench string, final, profiling pipeline.Config) (fdoResult, error) {
-	key := bench + "|" + memoKey(final) + "|" + memoKey(profiling)
+	ffp, _ := final.Fingerprint()
+	pfp, _ := profiling.Fingerprint()
+	key := fdoKey{Bench: bench, Final: ffp, Profiling: pfp, Sample: r.Opts.SampleEvery}
 	return r.fdo.Do(key, func() (fdoResult, error) {
 		prof, step, err := r.collectProfile(bench, profiling)
 		if err != nil {

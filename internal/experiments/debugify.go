@@ -96,11 +96,6 @@ type debugifyKey struct {
 	Verify bool
 }
 
-// key is the one constructor of a debugify key.
-func (k debugifyKey) key() string {
-	return fmt.Sprintf("%016x|%s|verify%t", k.Src, k.Config, k.Verify)
-}
-
 type debugifyCellResult struct {
 	rep        *pipeline.VerifyReport
 	quarantine string // non-empty when the cell was lost
@@ -153,8 +148,7 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 		}
 	}
 
-	var reports evalcache.Cache[*pipeline.VerifyReport]
-	reports.SetDisk(evalcache.DefaultDisk(), "debugify")
+	reports := evalcache.Cache[debugifyKey, *pipeline.VerifyReport]{Namespace: "debugify"}
 	mctx := context.Background()
 	if opts.Interrupt != nil {
 		mctx = opts.Interrupt
@@ -163,7 +157,7 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 		func(_ context.Context, _ int, c debugifyCell) (*debugifyCellResult, error) {
 			fp, _ := c.cfg.Fingerprint()
 			k := debugifyKey{Src: c.srcHash, Config: fp, Verify: opts.Verify}
-			rep, err := reports.Do(k.key(), func() (*pipeline.VerifyReport, error) {
+			rep, err := reports.Do(k, func() (*pipeline.VerifyReport, error) {
 				qkey := fmt.Sprintf("debugify|%s#%016x|%s", c.subject, c.srcHash, fp)
 				return resilience.Run(resilience.Active(), context.Background(), qkey,
 					func(context.Context) (*pipeline.VerifyReport, error) {

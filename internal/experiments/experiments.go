@@ -61,49 +61,47 @@ func DefaultOptions() Options {
 	}
 }
 
-// Runner executes and caches the evaluation: the loaded suite, the
-// per-level pass analyses, the AutoFDO measurements and the Table I
-// cells. Each is an evalcache.Cache, so concurrent table generators
-// asking for the same intermediate block on one computation instead of
-// duplicating it. Suite averages are not memoized here: every table
-// evaluates its (subject × config) set through suite.Evaluate, whose
-// cells hit the measurement caches underneath (tuner.Program's scores,
+// Runner executes and caches the evaluation: the per-level pass
+// analyses, the AutoFDO measurements and the Table I cells. Each is an
+// evalcache.Cache, so concurrent table generators asking for the same
+// intermediate block on one computation instead of duplicating it; the
+// AutoFDO measurements and Table I cells are also kept in the process
+// store. Suite averages are not memoized here: every table evaluates
+// its (subject × config) set through suite.Evaluate, whose cells hit
+// the measurement caches underneath (tuner.Program's scores,
 // specsuite's cycle counts, the synth cells below).
 type Runner struct {
 	Opts Options
 
-	subjects evalcache.Cache[[]*testsuite.Subject]
-	analyses evalcache.Cache[*tuner.LevelAnalysis]
-	fdo      evalcache.Cache[fdoResult]    // bench|final|profiling -> AutoFDO measurement
-	synth    evalcache.Cache[methodScores] // synthCell.key() -> Table I cell
+	analyses evalcache.Cache[analysisKey, *tuner.LevelAnalysis]
+	fdo      evalcache.Cache[fdoKey, fdoResult]
+	synth    evalcache.Cache[synthCell, methodScores]
 }
 
-// NewRunner creates a runner. AutoFDO measurements and Table I cells
-// are bound to the process-wide persistent store when one is installed.
-// An AutoFDO key (benchmark × final fingerprint × profiling fingerprint)
-// plus the sampling period in the namespace fully determines the
-// result, since benchmark sources are embedded in the executable and
-// therefore covered by the store's tool hash; a Table I key is built
-// from its declared inputs (synthCell).
+// analysisKey names one per-level pass analysis.
+type analysisKey struct {
+	Profile pipeline.Profile
+	Level   string
+}
+
+// NewRunner creates a runner.
 func NewRunner(opts Options) *Runner {
-	r := &Runner{Opts: opts}
-	r.fdo.SetDisk(evalcache.DefaultDisk(),
-		fmt.Sprintf("experiments.fdo|sample%d", opts.SampleEvery))
-	r.synth.SetDisk(evalcache.DefaultDisk(), "experiments.synth")
-	return r
+	return &Runner{
+		Opts:  opts,
+		fdo:   evalcache.Cache[fdoKey, fdoResult]{Namespace: "experiments.fdo"},
+		synth: evalcache.Cache[synthCell, methodScores]{Namespace: "experiments.synth"},
+	}
 }
 
-// Suite loads (once) the 13-program test suite with fuzzed corpora, in
-// testsuite.Names order.
+// Suite loads the 13-program test suite with fuzzed corpora, in
+// testsuite.Names order; testsuite loads each subject once.
 func (r *Runner) Suite() ([]*testsuite.Subject, error) {
-	return r.subjects.Do("suite", func() ([]*testsuite.Subject, error) {
-		return testsuite.LoadAll(testsuite.CorpusOptions{Execs: r.Opts.CorpusExecs})
-	})
+	return testsuite.LoadAll(testsuite.CorpusOptions{Execs: r.Opts.CorpusExecs})
 }
 
 // Analysis runs (once) the per-pass analysis for a profile/level.
 func (r *Runner) Analysis(p pipeline.Profile, level string) (*tuner.LevelAnalysis, error) {
-	return r.analyses.Do(string(p)+"/"+level, func() (*tuner.LevelAnalysis, error) {
+	return r.analyses.Do(analysisKey{p, level}, func() (*tuner.LevelAnalysis, error) {
 		subjects, err := r.Suite()
 		if err != nil {
 			return nil, err
@@ -118,16 +116,6 @@ func (r *Runner) specNames() []string {
 		return r.Opts.SpecSubset
 	}
 	return specsuite.Names
-}
-
-// memoKey renders the memoization key of a config: the content
-// fingerprint when it has one, else the display name (never reached by
-// the table generators, which pass no FDO configs here).
-func memoKey(cfg pipeline.Config) string {
-	if fp, ok := cfg.Fingerprint(); ok {
-		return fp
-	}
-	return cfg.Name()
 }
 
 // productSet evaluates the hybrid product metric of every suite subject
@@ -260,16 +248,13 @@ type synthCell struct {
 	Budget int64  // trace step budget
 }
 
-// key is the one constructor of an experiments.synth key.
-func (c synthCell) key() string {
-	return fmt.Sprintf("synth#%016x|b%d|%s", c.Src, c.Budget, c.Config)
-}
-
 // synthScores returns program sp's Table I cell under cfg, from the
-// runner's cache when it holds the cell.
+// runner's cache when it holds the cell. Table I's configs are plain
+// levels, which always have a fingerprint.
 func (r *Runner) synthScores(sp *synthProgram, cfg pipeline.Config) (methodScores, error) {
-	cell := synthCell{Src: sp.src, Config: memoKey(cfg), Budget: synthTraceBudget}
-	return r.synth.Do(cell.key(), func() (methodScores, error) { return sp.measure(cfg) })
+	fp, _ := cfg.Fingerprint()
+	cell := synthCell{Src: sp.src, Config: fp, Budget: synthTraceBudget}
+	return r.synth.Do(cell, func() (methodScores, error) { return sp.measure(cfg) })
 }
 
 // measure builds sp under cfg and scores it against its O0 baseline.

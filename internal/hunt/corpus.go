@@ -27,10 +27,9 @@ type reductionKey struct {
 	Campaign string
 }
 
-// key is the one constructor of a hunt-reduce key; it doubles as the
-// reduction's quarantine key under the "hunt-reduce|" prefix.
-func (k reductionKey) key() string {
-	return fmt.Sprintf("%s#%016x|%s|%s|%s", k.Bucket, k.Src, k.Kind, k.Config, k.Campaign)
+// String is the reduction's quarantine key.
+func (k reductionKey) String() string {
+	return fmt.Sprintf("hunt-reduce|%s#%016x|%s|%s|%s", k.Bucket, k.Src, k.Kind, k.Config, k.Campaign)
 }
 
 // reduceNew ddmin-reduces one witness per bucket that is new to this
@@ -58,9 +57,9 @@ func (c *campaign) reduceNew() error {
 		src := b.WitnessSrc
 		budget := difftest.Budget{MaxProbes: c.opts.ReduceProbes}
 		rkey := reductionKey{Bucket: key, Kind: b.Kind, Config: b.Config,
-			Src: resilience.HashBytes(src), Campaign: c.fp}.key()
+			Src: resilience.HashBytes(src), Campaign: c.fp}
 		reduced, err := c.reductions.Do(rkey, func() (string, error) {
-			r, err := resilience.Run(c.ex, context.Background(), "hunt-reduce|"+rkey,
+			r, err := resilience.Run(c.ex, context.Background(), rkey.String(),
 				func(context.Context) (string, error) {
 					return string(difftest.ReduceWith(src, pred, budget)), nil
 				})

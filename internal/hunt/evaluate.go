@@ -182,10 +182,9 @@ type candidateKey struct {
 	Campaign string
 }
 
-// key is the one constructor of a hunt key; it doubles as the cell's
-// quarantine key under the "hunt|" prefix.
-func (k candidateKey) key() string {
-	return fmt.Sprintf("%s#%016x|%s", k.Name, k.Src, k.Campaign)
+// String is the candidate's quarantine key.
+func (k candidateKey) String() string {
+	return fmt.Sprintf("hunt|%s#%016x|%s", k.Name, k.Src, k.Campaign)
 }
 
 // runCell evaluates one candidate as a resilience cell, kept in the
@@ -194,9 +193,9 @@ func (k candidateKey) key() string {
 // killing the run. A result with a quarantine in it (an outer one, or
 // one inside the differential oracle) is never stored.
 func (c *campaign) runCell(cand candidate) (*cellResult, error) {
-	key := candidateKey{Name: cand.Name, Src: resilience.HashBytes(cand.Src), Campaign: c.fp}.key()
+	key := candidateKey{Name: cand.Name, Src: resilience.HashBytes(cand.Src), Campaign: c.fp}
 	res, err := c.cells.Do(key, func() (*cellResult, error) {
-		res, err := resilience.Run(c.ex, context.Background(), "hunt|"+key,
+		res, err := resilience.Run(c.ex, context.Background(), key.String(),
 			func(context.Context) (*cellResult, error) {
 				return c.evaluate(cand)
 			})

@@ -74,7 +74,10 @@ type Options struct {
 	Interrupt context.Context
 }
 
-// DefaultOptions is a small campaign that finishes in seconds.
+// DefaultOptions is the default campaign: 2 epochs of 8 candidates
+// over the 27-config gcc-O2* matrix, with 300-probe reductions. Cold,
+// with no store, it takes minutes: 286 s on a 2-CPU host. ci.sh and
+// the tests run 3–4-candidate single-config campaigns instead.
 func DefaultOptions() Options {
 	return Options{
 		Seed: 1, Epochs: 2, Candidates: 8,
@@ -132,9 +135,9 @@ type campaign struct {
 	// resilience flags.
 	ex *resilience.Executor
 	// cells and reductions keep candidate evaluations and witness
-	// reductions in the process-wide store.
-	cells      evalcache.Cache[*cellResult]
-	reductions evalcache.Cache[string]
+	// reductions in the process store.
+	cells      evalcache.Cache[candidateKey, *cellResult]
+	reductions evalcache.Cache[reductionKey, string]
 
 	state   *stateFile
 	base    synth.Weights // calibration weights (damage ledger)
@@ -260,11 +263,13 @@ func newCampaign(opts Options) (*campaign, error) {
 		return nil, fmt.Errorf("hunt: empty configuration matrix")
 	}
 	c := &campaign{
-		opts:    opts,
-		configs: configs,
-		primary: configs[0],
-		buckets: map[string]*bucket{},
-		toggles: map[string][]string{},
+		opts:       opts,
+		configs:    configs,
+		primary:    configs[0],
+		buckets:    map[string]*bucket{},
+		toggles:    map[string][]string{},
+		cells:      evalcache.Cache[candidateKey, *cellResult]{Namespace: "hunt"},
+		reductions: evalcache.Cache[reductionKey, string]{Namespace: "hunt-reduce"},
 	}
 	if c.primary.Level == "O0" {
 		return nil, fmt.Errorf("hunt: primary config %s is unoptimized; lead the matrix with an optimizing config",
@@ -314,8 +319,6 @@ func newCampaign(opts Options) (*campaign, error) {
 	if c.ex == nil {
 		c.ex = resilience.NewExecutor(resilience.DefaultPolicy())
 	}
-	c.cells.SetDisk(evalcache.DefaultDisk(), "hunt")
-	c.reductions.SetDisk(evalcache.DefaultDisk(), "hunt-reduce")
 	c.base = calibrate(c.primary)
 	return c, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"debugtuner/internal/difftest"
 	"debugtuner/internal/evalcache"
-	"debugtuner/internal/keytest"
 	"debugtuner/internal/resilience"
 	"debugtuner/internal/synth"
 	"debugtuner/internal/telemetry"
@@ -270,12 +269,17 @@ func TestReducePredicateFlagsQuarantine(t *testing.T) {
 	}
 }
 
-// TestCellKeys: changing any one declared input of a stored candidate
-// or reduction changes its key.
+// TestCellKeys: a stored candidate's and reduction's quarantine keys
+// keep their exact strings, since the chaos schedule hashes them.
 func TestCellKeys(t *testing.T) {
-	keytest.Perturb(t, candidateKey{Name: "hunt-e0c00", Src: 0x5eed, Campaign: "fp"}, candidateKey.key)
-	keytest.Perturb(t, reductionKey{Bucket: "loc-stale@dse", Kind: "verify", Config: "gcc-O2",
-		Src: 0x5eed, Campaign: "fp"}, reductionKey.key)
+	cand := candidateKey{Name: "hunt-e0c00", Src: 0x5eed, Campaign: "fp"}
+	if got, want := cand.String(), "hunt|hunt-e0c00#0000000000005eed|fp"; got != want {
+		t.Errorf("candidate quarantine key %q, want %q", got, want)
+	}
+	red := reductionKey{Bucket: "loc-stale@dse", Kind: "verify", Config: "gcc-O2", Src: 0x5eed, Campaign: "fp"}
+	if got, want := red.String(), "hunt-reduce|loc-stale@dse#0000000000005eed|verify|gcc-O2|fp"; got != want {
+		t.Errorf("reduction quarantine key %q, want %q", got, want)
+	}
 }
 
 // TestInterruptedCampaignReportsAndSkipsCommit: a cancelled Interrupt

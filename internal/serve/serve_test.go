@@ -218,50 +218,6 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl exercises the slot/queue accounting directly:
-// the queue bound rejects, the semaphore serializes, and release
-// restores capacity.
-func TestAdmissionControl(t *testing.T) {
-	s := New(Options{MaxInflight: 1, MaxQueue: 1})
-	if err := s.admit(); err != nil {
-		t.Fatalf("first admit: %v", err)
-	}
-	if err := s.admit(); err == nil {
-		t.Fatal("second admit beyond the queue bound succeeded")
-	} else if _, ok := err.(overloadedErr); !ok {
-		t.Fatalf("rejection is %T, want overloadedErr", err)
-	}
-	s.release()
-	if err := s.admit(); err != nil {
-		t.Fatalf("admit after release: %v", err)
-	}
-	s.release()
-}
-
-// TestOverloadNotCached locks the hazard the Uncacheable marker exists
-// for: an admission rejection must not become the pinned forever-answer
-// for that request body.
-func TestOverloadNotCached(t *testing.T) {
-	s := New(Options{MaxInflight: 1, MaxQueue: 1})
-	// Occupy the only queue slot so the request is rejected.
-	if err := s.admit(); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	resp, raw := post(t, h, "/v1/tune", tuneBody("ovl"))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded request: HTTP %d (%s)", resp.StatusCode, raw)
-	}
-	if aerr := decodeErr(t, raw); aerr.Code != api.CodeOverloaded {
-		t.Fatalf("code %q, want %q", aerr.Code, api.CodeOverloaded)
-	}
-	s.release()
-	resp2, raw2 := post(t, h, "/v1/tune", tuneBody("ovl"))
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("retry after overload: HTTP %d (%s) — overload was cached", resp2.StatusCode, raw2)
-	}
-}
-
 // TestPanicQuarantine: a compute panic becomes a typed 500, does not
 // kill the process, and is not pinned in the response cache.
 func TestPanicQuarantine(t *testing.T) {

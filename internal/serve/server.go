@@ -15,21 +15,12 @@ import (
 	"debugtuner/internal/evalcache"
 	"debugtuner/internal/resilience"
 	"debugtuner/internal/telemetry"
-	"debugtuner/internal/workerpool"
 )
 
 // Options configures the HTTP server.
 type Options struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
-	// MaxInflight bounds concurrently *computing* requests (cache hits
-	// and coalesced requests do not consume a slot). 0 means
-	// max(2, workerpool.Workers()).
-	MaxInflight int
-	// MaxQueue bounds admitted-but-waiting plus computing requests;
-	// beyond it new computations are rejected with the typed
-	// "overloaded" error instead of queueing unboundedly. 0 means 4096.
-	MaxQueue int
 	// DrainGrace is the minimum window after Drain begins during which
 	// the listener keeps answering new requests with the typed 503
 	// "draining" error (so clients observe the drain instead of a
@@ -37,24 +28,6 @@ type Options struct {
 	DrainGrace time.Duration
 	// Budget is the per-run VM step budget (0 = DefaultBudget).
 	Budget int64
-}
-
-func (o Options) maxInflight() int {
-	if o.MaxInflight > 0 {
-		return o.MaxInflight
-	}
-	n := workerpool.Workers()
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-func (o Options) maxQueue() int {
-	if o.MaxQueue > 0 {
-		return o.MaxQueue
-	}
-	return 4096
 }
 
 func (o Options) drainGrace() time.Duration {
@@ -74,19 +47,21 @@ type cachedResp struct {
 	Body   []byte `json:"body"`
 }
 
-// overloadedErr is admission control's rejection. It is Uncacheable so
-// a transient overload is never pinned as the permanent answer for a
-// request body.
-type overloadedErr struct{}
-
-func (overloadedErr) Error() string     { return "admission queue full" }
-func (overloadedErr) Uncacheable() bool { return true }
+// respKey declares every input of one stored response: the API
+// version, the VM step budget, and the request's canonical key.
+type respKey struct {
+	API      int
+	Budget   int64
+	Endpoint string
+	Digest   string
+}
 
 // computePanic is a panic captured at the compute boundary. It is
-// Uncacheable for the same reason, and capturing it ourselves matters
-// doubly: sync.Once marks its entry done even when the function
-// panics, so an unrecovered panic would leave a permanently-empty
-// cache entry behind.
+// Uncacheable so a panic is never pinned as the permanent answer for a
+// request body, and capturing it ourselves matters doubly: sync.Once
+// marks its entry done even when the function panics, so an
+// unrecovered panic would leave a permanently-empty cache entry
+// behind.
 type computePanic struct {
 	val   any
 	stack []byte
@@ -95,16 +70,11 @@ type computePanic struct {
 func (p *computePanic) Error() string     { return fmt.Sprintf("request panicked: %v", p.val) }
 func (p *computePanic) Uncacheable() bool { return true }
 
-// Server is the tunerd HTTP server: admission control and response
-// caching around a Service.
+// Server is the tunerd HTTP server: response caching and a graceful
+// drain around a Service.
 type Server struct {
 	Svc  *Service
 	opts Options
-
-	// slots is the compute-concurrency semaphore; admitted counts
-	// waiting + computing requests against MaxQueue.
-	slots    chan struct{}
-	admitted atomic.Int64
 
 	// draining flips once, under gate's write side; enter reads it and
 	// registers in inflight under the read side. So every Add that
@@ -118,31 +88,27 @@ type Server struct {
 	// single-flight coalescing across concurrent identical requests.
 	// computing tracks keys whose compute closure is live, so the
 	// hit/coalesced telemetry split is observable at the response level.
-	resp      evalcache.Cache[cachedResp]
+	resp      evalcache.Cache[respKey, cachedResp]
 	computing sync.Map
 
 	httpSrv *http.Server
 	ln      net.Listener
 }
 
-// New returns a server over a fresh Service. When a default disk store
-// is bound (evalcache.SetDefaultDisk), responses persist across
-// restarts under a namespace scoped by API version and step budget.
-// Clients name their functions freely, so the installed telemetry
-// sink's damage ledger is folded to one cell per pass (FoldFuncs) and
-// stops growing with each new name.
+// New returns a server over a fresh Service. When a process store is
+// installed (evalcache.SetDefaultDisk), responses persist across
+// restarts under tunerd.resp. Clients name their functions freely, so
+// the installed telemetry sink's damage ledger is folded to one cell
+// per pass (FoldFuncs) and stops growing with each new name.
 func New(opts Options) *Server {
 	if snk := telemetry.Active(); snk != nil {
 		snk.FoldFuncs()
 	}
-	s := &Server{
-		Svc:   &Service{Budget: opts.Budget},
-		opts:  opts,
-		slots: make(chan struct{}, opts.maxInflight()),
+	return &Server{
+		Svc:  &Service{Budget: opts.Budget},
+		opts: opts,
+		resp: evalcache.Cache[respKey, cachedResp]{Namespace: "tunerd.resp"},
 	}
-	s.resp.SetDisk(evalcache.DefaultDisk(),
-		fmt.Sprintf("tunerd.resp|v%d|b%d", api.Version, s.Svc.budget()))
-	return s
 }
 
 // Handler returns the server's routing handler (also used directly by
@@ -208,19 +174,16 @@ func (s *Server) Handler() http.Handler {
 // request), computing and caching it on a miss. Identical concurrent
 // requests coalesce onto one computation (evalcache single-flight);
 // typed compute errors are deterministic verdicts on the body and cache
-// like results; overload and panics are Uncacheable and retriable.
+// like results; panics are Uncacheable and retriable.
 func (s *Server) cached(endpoint string, req any, compute func() (*api.Envelope, error)) (cachedResp, *api.Error) {
-	key := api.CanonicalKey(endpoint, req)
+	rk := api.CanonicalKey(endpoint, req)
+	key := respKey{API: api.Version, Budget: s.Svc.budget(), Endpoint: rk.Endpoint, Digest: rk.Digest}
 	_, wasComputing := s.computing.Load(key)
 	computed := false
 	cr, err := s.resp.Do(key, func() (cr cachedResp, err error) {
 		computed = true
 		s.computing.Store(key, struct{}{})
 		defer s.computing.Delete(key)
-		if aerr := s.admit(); aerr != nil {
-			return cachedResp{}, aerr
-		}
-		defer s.release()
 		defer func() {
 			if p := recover(); p != nil {
 				telemetry.Add("tunerd.panics", 1)
@@ -258,8 +221,6 @@ func (s *Server) cached(endpoint string, req any, compute func() (*api.Envelope,
 	}
 	if err != nil {
 		switch e := err.(type) {
-		case overloadedErr:
-			return cachedResp{}, &api.Error{Code: api.CodeOverloaded, Msg: e.Error()}
 		case *computePanic:
 			return cachedResp{}, &api.Error{Code: api.CodeInternal, Msg: e.Error()}
 		case *api.Error:
@@ -273,24 +234,6 @@ func (s *Server) cached(endpoint string, req any, compute func() (*api.Envelope,
 		}
 	}
 	return cr, nil
-}
-
-// admit acquires a compute slot, rejecting when the admission queue is
-// full. While the queue has room, requests wait their turn on the
-// semaphore rather than stampeding the worker pool.
-func (s *Server) admit() error {
-	if n := s.admitted.Add(1); n > int64(s.opts.maxQueue()) {
-		s.admitted.Add(-1)
-		telemetry.Add("tunerd.rejected", 1)
-		return overloadedErr{}
-	}
-	s.slots <- struct{}{}
-	return nil
-}
-
-func (s *Server) release() {
-	<-s.slots
-	s.admitted.Add(-1)
 }
 
 // enter registers a request as in flight, which Drain waits for, and

@@ -49,25 +49,44 @@ func Source(name string) ([]byte, error) {
 	return benchFS.ReadFile("benchmarks/" + f)
 }
 
-// irCache memoizes the front-ended O0 IR per benchmark. Routing through
-// evalcache gives singleflight semantics: concurrent loaders of the same
-// benchmark block on one front-end run instead of serializing every
-// benchmark behind a single package mutex.
-var irCache evalcache.Cache[*ir.Program]
+// benchmark is one benchmark's loaded state: the hash of its source,
+// which keys its stored cycle counts, and its O0 IR, front-ended at the
+// first build, so a run whose counts all come from the store never
+// front-ends it.
+type benchmark struct {
+	src uint64
+	ir  func() (*ir.Program, error)
+}
 
-// LoadIR front-ends a benchmark once and caches the O0 IR.
-func LoadIR(name string) (*ir.Program, error) {
-	return irCache.Do(name, func() (*ir.Program, error) {
+// benchmarks memoizes each benchmark's state. Routing through evalcache
+// gives singleflight semantics: concurrent loaders of the same benchmark
+// block on one load instead of serializing every benchmark behind a
+// single package mutex.
+var benchmarks evalcache.Cache[string, *benchmark]
+
+func load(name string) (*benchmark, error) {
+	return benchmarks.Do(name, func() (*benchmark, error) {
 		src, err := Source(name)
 		if err != nil {
 			return nil, err
 		}
-		info, err := pipeline.Frontend(name, src)
-		if err != nil {
-			return nil, err
-		}
-		return pipeline.BuildIR(info)
+		return &benchmark{src: resilience.HashBytes(src), ir: sync.OnceValues(func() (*ir.Program, error) {
+			info, err := pipeline.Frontend(name, src)
+			if err != nil {
+				return nil, err
+			}
+			return pipeline.BuildIR(info)
+		})}, nil
 	})
+}
+
+// LoadIR front-ends a benchmark once and caches the O0 IR.
+func LoadIR(name string) (*ir.Program, error) {
+	b, err := load(name)
+	if err != nil {
+		return nil, err
+	}
+	return b.ir()
 }
 
 // Result is one benchmark execution's outcome.
@@ -99,35 +118,25 @@ func RunBinary(name string, bin *vm.Binary) (*Result, error) {
 	return &Result{Name: name, Cycles: m.Cycles, Steps: m.Steps, Output: m.Output()}, nil
 }
 
-// cycleCache content-addresses ref-workload cycle counts by
-// (benchmark, source hash, config fingerprint). The VM is cycle-exact
-// and builds are deterministic, so a configuration's cycle count is a
-// pure function of the key; every table that revisits an Ox-dy config
-// (Fig2, Tables VIII/XI/XII) reuses one execution. When a persistent
-// store is bound (SetDefaultDisk, normally via -cachedir), counts also
-// survive across processes — the source hash in the key is what keeps a
-// shared cache directory honest about benchmark edits.
-var cycleCache evalcache.Cache[int64]
-
-var bindDiskOnce sync.Once
-
-// srcHashCache memoizes per-benchmark source hashes for cache keys.
-var srcHashCache evalcache.Cache[uint64]
-
-func srcHash(name string) uint64 {
-	h, _ := srcHashCache.Do(name, func() (uint64, error) {
-		src, err := Source(name)
-		if err != nil {
-			return 0, nil // unknown names fail later, in Run
-		}
-		return resilience.HashBytes(src), nil
-	})
-	return h
+// cycleKey declares every input of one ref-workload cycle count.
+type cycleKey struct {
+	Bench  string
+	Src    uint64 // source hash
+	Config string // config fingerprint
 }
+
+// cycleCache content-addresses ref-workload cycle counts. The VM is
+// cycle-exact and builds are deterministic, so a configuration's cycle
+// count is a pure function of its key; every table that revisits an
+// Ox-dy config (Fig2, Tables VIII/XI/XII) reuses one execution, and the
+// process store keeps counts across processes. The source hash in the
+// key is what keeps a shared cache directory honest about benchmark
+// edits.
+var cycleCache = evalcache.Cache[cycleKey, int64]{Namespace: "specsuite"}
 
 // Cycles returns the benchmark's ref-workload cycle count under the
 // configuration, cached by content. FDO-carrying configs (no stable
-// fingerprint) are measured uncached and never touch the disk store.
+// fingerprint) are measured uncached and never touch the store.
 func Cycles(name string, cfg pipeline.Config) (int64, error) {
 	run := func() (int64, error) {
 		r, err := Run(name, cfg)
@@ -140,8 +149,11 @@ func Cycles(name string, cfg pipeline.Config) (int64, error) {
 	if !ok {
 		return run()
 	}
-	bindDiskOnce.Do(func() { cycleCache.SetDisk(evalcache.DefaultDisk(), "specsuite") })
-	return cycleCache.Do(fmt.Sprintf("%s#%016x|%s", name, srcHash(name), fp), run)
+	b, err := load(name)
+	if err != nil {
+		return 0, err
+	}
+	return cycleCache.Do(cycleKey{Bench: name, Src: b.src, Config: fp}, run)
 }
 
 // OverO0 is the paper's speedup over O0: the benchmark's O0 cycle count

@@ -9,7 +9,6 @@ import (
 	"embed"
 	"fmt"
 	"sort"
-	"sync"
 
 	"debugtuner/internal/corpus"
 	"debugtuner/internal/dbgtrace"
@@ -79,11 +78,6 @@ type Stats struct {
 	DebugCoveragePct float64
 }
 
-var (
-	loadMu   sync.Mutex
-	loadMemo = map[string]*Subject{}
-)
-
 // corpusKey declares every input of one subject's corpora: the subject
 // and its source, and the corpus options. Everything else the fuzzer,
 // cmin and cover pruning compute from is code, which the store's tool
@@ -96,18 +90,20 @@ type corpusKey struct {
 	Seed       int64
 }
 
-// String is the one constructor of a testsuite.corpus key; the subject
-// memo shares it.
-func (k corpusKey) String() string {
-	return fmt.Sprintf("%s#%016x|e%d|b%d|s%d", k.Name, k.Src, k.Execs, k.StepBudget, k.Seed)
-}
+var (
+	// subjects holds each loaded subject, so concurrent loaders of one
+	// subject share one load.
+	subjects evalcache.Cache[corpusKey, *Subject]
+	// corpora is the store's level of the corpora: a later process
+	// front-ends the subject and installs the stored inputs without
+	// fuzzing.
+	corpora = evalcache.Cache[corpusKey, []HarnessCorpus]{Namespace: "testsuite.corpus"}
+)
 
 // Load builds one subject: front-end the source, grow a corpus per
 // harness, run cmin and trace-cover pruning, and install the final
 // inputs in the tuner.Program. Results are memoized per (name,
-// options). The corpora also persist in the process-wide store under
-// testsuite.corpus: a later process front-ends the subject and installs
-// the stored inputs without fuzzing.
+// options), and the corpora are kept in the process store.
 func Load(name string, opts CorpusOptions) (*Subject, error) {
 	if opts.Execs == 0 {
 		opts.Execs = 600
@@ -120,39 +116,25 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 		return nil, err
 	}
 	key := corpusKey{Name: name, Src: resilience.HashBytes(src),
-		Execs: opts.Execs, StepBudget: opts.StepBudget, Seed: opts.Seed}.String()
-	loadMu.Lock()
-	if s := loadMemo[key]; s != nil {
-		loadMu.Unlock()
-		return s, nil
-	}
-	loadMu.Unlock()
-
-	prog, err := tuner.LoadProgram(name, src, nil)
-	if err != nil {
-		return nil, err
-	}
-	// The memo is the in-process level of the corpora; this cache only
-	// adds the store's level and its diskcache.testsuite.corpus counters.
-	var stored evalcache.Cache[[]HarnessCorpus]
-	stored.SetDisk(evalcache.DefaultDisk(), "testsuite.corpus")
-	corpora, err := stored.Do(key, func() ([]HarnessCorpus, error) {
-		return growCorpora(prog, opts)
+		Execs: opts.Execs, StepBudget: opts.StepBudget, Seed: opts.Seed}
+	return subjects.Do(key, func() (*Subject, error) {
+		prog, err := tuner.LoadProgram(name, src, nil)
+		if err != nil {
+			return nil, err
+		}
+		hcs, err := corpora.Do(key, func() ([]HarnessCorpus, error) {
+			return growCorpora(prog, opts)
+		})
+		if err != nil {
+			return nil, err
+		}
+		inputs := map[string][][]int64{}
+		for _, hc := range hcs {
+			inputs[hc.Harness] = hc.Inputs
+		}
+		prog.Inputs = inputs
+		return &Subject{Program: prog, Corpora: hcs}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	inputs := map[string][][]int64{}
-	for _, hc := range corpora {
-		inputs[hc.Harness] = hc.Inputs
-	}
-	prog.Inputs = inputs
-	subject := &Subject{Program: prog, Corpora: corpora}
-
-	loadMu.Lock()
-	loadMemo[key] = subject
-	loadMu.Unlock()
-	return subject, nil
 }
 
 // growCorpora grows, minimizes and trace-prunes one corpus per harness
@@ -201,7 +183,7 @@ func growCorpora(prog *tuner.Program, opts CorpusOptions) ([]HarnessCorpus, erro
 }
 
 // liteCache memoizes corpus-less subjects per name.
-var liteCache evalcache.Cache[*Subject]
+var liteCache evalcache.Cache[string, *Subject]
 
 // LoadLite front-ends a subject without growing a corpus: no fuzzing,
 // no minimization, no inputs installed. Suitable for consumers that

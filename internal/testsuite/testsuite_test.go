@@ -6,7 +6,6 @@ import (
 
 	"debugtuner/internal/evalcache"
 	"debugtuner/internal/ir"
-	"debugtuner/internal/keytest"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/telemetry"
 	"debugtuner/internal/vm"
@@ -168,10 +167,36 @@ func TestSuiteDebugQualityShape(t *testing.T) {
 	}
 }
 
-// TestCorpusKey: equal inputs give equal keys, and changing any one
-// declared input of a subject's corpora changes its key.
+// TestCorpusKey: Load keys a subject by its effective corpus options.
+// Equal options share one subject, an explicit default shares the
+// defaulted one, and each option that shapes the corpora loads a
+// subject of its own.
 func TestCorpusKey(t *testing.T) {
-	keytest.Perturb(t, corpusKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19, Seed: 0}, corpusKey.String)
+	load := func(o CorpusOptions) *Subject {
+		t.Helper()
+		s, err := Load("zlib", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := CorpusOptions{Execs: 20, StepBudget: 1 << 17, Seed: 1}
+	s := load(base)
+	if load(base) != s {
+		t.Error("equal options loaded two subjects")
+	}
+	if load(CorpusOptions{Execs: 20, Seed: 1}) != load(CorpusOptions{Execs: 20, StepBudget: 1 << 19, Seed: 1}) {
+		t.Error("the default step budget keys apart from an explicit one")
+	}
+	for _, o := range []CorpusOptions{
+		{Execs: 21, StepBudget: 1 << 17, Seed: 1},
+		{Execs: 20, StepBudget: 1<<17 + 1, Seed: 1},
+		{Execs: 20, StepBudget: 1 << 17, Seed: 2},
+	} {
+		if load(o) == s {
+			t.Errorf("options %+v share the subject of %+v", o, base)
+		}
+	}
 }
 
 // TestCorporaFromStore loads every subject cold into a store, forgets
@@ -200,15 +225,8 @@ func TestCorporaFromStore(t *testing.T) {
 	}
 	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
 	cold, coldCounts := loadAll()
-	loadMu.Lock()
-	for k, s := range loadMemo {
-		for _, c := range cold {
-			if s == c {
-				delete(loadMemo, k)
-			}
-		}
-	}
-	loadMu.Unlock()
+	subjects = evalcache.Cache[corpusKey, *Subject]{}
+	corpora = evalcache.Cache[corpusKey, []HarnessCorpus]{Namespace: "testsuite.corpus"}
 	warm, warmCounts := loadAll()
 
 	n := int64(len(Names))

@@ -18,7 +18,7 @@ import (
 func analyzeCold(t *testing.T, j int, profile pipeline.Profile, level string) *LevelAnalysis {
 	t.Helper()
 	workerpool.SetWorkers(j)
-	effectCache = evalcache.Cache[PassEffect]{}
+	effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"}
 	la, err := AnalyzeLevel(loadTunerProgs(t), profile, level)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestAnalyzeLevelForksAcrossWorkers(t *testing.T) {
 func TestForkSetPanicReachesEveryCell(t *testing.T) {
 	defer workerpool.SetWorkers(0)
 	// Without an executor the failed cells stay cached as errors.
-	defer func() { effectCache = evalcache.Cache[PassEffect]{} }()
+	defer func() { effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"} }()
 	defer func(f func(*ir.Program, pipeline.Config, []string) *pipeline.Forks) { newForks = f }(newForks)
 	newForks = func(*ir.Program, pipeline.Config, []string) *pipeline.Forks {
 		time.Sleep(10 * time.Millisecond) // let the program's other cells queue up
@@ -58,7 +58,7 @@ func TestForkSetPanicReachesEveryCell(t *testing.T) {
 		ex := resilience.NewExecutor(resilience.Policy{})
 		defer resilience.Install(resilience.Install(ex))
 		workerpool.SetWorkers(4)
-		effectCache = evalcache.Cache[PassEffect]{}
+		effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"}
 		progs := loadTunerProgs(t)
 		la, err := AnalyzeLevel(progs, pipeline.GCC, "O2")
 		if err != nil {
@@ -81,7 +81,7 @@ func TestForkSetPanicReachesEveryCell(t *testing.T) {
 	})
 	t.Run("unwrapped", func(t *testing.T) {
 		workerpool.SetWorkers(4)
-		effectCache = evalcache.Cache[PassEffect]{}
+		effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"}
 		_, err := AnalyzeLevel(loadTunerProgs(t), pipeline.GCC, "O2")
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("AnalyzeLevel error = %v, want the fork-set panic", err)

@@ -41,11 +41,11 @@ type Program struct {
 	mu       sync.Mutex
 	baseline *dbgtrace.Trace
 	stmt     map[int]bool
-	// scores content-addresses full measurements by cell key (config
-	// fingerprint and step budget), so table generators revisiting the
-	// same Ox-dy configuration reuse one build+trace. Safe because builds are deterministic and the VM
-	// is cycle-exact.
-	scores evalcache.Cache[Measurement]
+	// scores content-addresses full measurements by cell key, so table
+	// generators revisiting the same Ox-dy configuration reuse one
+	// build+trace, in this process and from the store. Safe because
+	// builds are deterministic and the VM is cycle-exact.
+	scores evalcache.Cache[cellKey, Measurement]
 }
 
 // Measurement is one cached build+trace outcome.
@@ -66,17 +66,12 @@ func LoadProgram(name string, src []byte, inputs map[string][][]int64) (*Program
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	p := &Program{
+	return &Program{
 		Name: name, Src: src, Info: info,
 		DR: sema.ComputeDefRanges(info), IR0: ir0,
 		Inputs: inputs, Entry: "main", Budget: 1 << 26,
-	}
-	// Persist measurements across processes when a disk store is bound.
-	// Keys are cell keys (subject, source hash, inputs digest, step
-	// budget, config fingerprint), so a disk entry is valid exactly when
-	// a recompute would reproduce it.
-	p.scores.SetDisk(evalcache.DefaultDisk(), "tuner.scores")
-	return p, nil
+		scores: evalcache.Cache[cellKey, Measurement]{Namespace: "tuner.scores"},
+	}, nil
 }
 
 // Build compiles the program under the configuration.
@@ -175,10 +170,10 @@ func (p *Program) measureBuilt(cfg pipeline.Config, build func() (*vm.Binary, er
 	if !ok {
 		fp = cfg.Name()
 	}
-	key := p.CellKey(fp)
+	key := p.cellKey(fp)
 	cell := func() (Measurement, error) {
 		return resilience.Run(resilience.Active(), context.Background(),
-			key, func(context.Context) (Measurement, error) {
+			key.String(), func(context.Context) (Measurement, error) {
 				return p.measure(build)
 			})
 	}
@@ -190,15 +185,31 @@ func (p *Program) measureBuilt(cfg pipeline.Config, build func() (*vm.Binary, er
 	return p.scores.Do(key, cell)
 }
 
-// CellKey is the cache and quarantine key of one (program, config)
-// measurement: program name and source hash × harness inputs and entry
-// (the corpus budget changes the inputs) × VM step budget (it truncates
-// the traces) × config fingerprint, stable across processes so a rerun
-// addresses the same cells.
-func (p *Program) CellKey(fp string) string {
-	return fmt.Sprintf("tuner|%s#%016x|in%016x|b%d|%s",
-		p.Name, resilience.HashBytes(p.Src), p.inputsDigest(), p.Budget, fp)
+// cellKey declares every input of one (program, config) measurement and
+// of one ranking-matrix cell: the program's name and source, its harness
+// inputs and entry (the corpus budget changes the inputs), the VM step
+// budget (it truncates the traces) and the config fingerprint.
+// Everything else is code, which the store's tool hash covers.
+type cellKey struct {
+	Name   string
+	Src    uint64 // source hash
+	Inputs uint64 // harness inputs and entry (inputsDigest)
+	Budget int64
+	Config string // config fingerprint
 }
+
+// String is the cell's quarantine key, stable across processes so the
+// chaos schedule and a rerun address the same cells.
+func (k cellKey) String() string {
+	return fmt.Sprintf("tuner|%s#%016x|in%016x|b%d|%s", k.Name, k.Src, k.Inputs, k.Budget, k.Config)
+}
+
+func (p *Program) cellKey(fp string) cellKey {
+	return cellKey{Name: p.Name, Src: resilience.HashBytes(p.Src), Inputs: p.inputsDigest(), Budget: p.Budget, Config: fp}
+}
+
+// CellKey is the quarantine key of one (program, config) measurement.
+func (p *Program) CellKey(fp string) string { return p.cellKey(fp).String() }
 
 // inputsDigest hashes what the traces run: the harness names in sorted
 // order, each with its input vectors, then the entry function.

@@ -75,17 +75,14 @@ func (la *LevelAnalysis) Quarantined() int {
 }
 
 // effectCache persists the (program, pass-toggle) ranking-matrix cells.
-// A cell is a pure function of its key — subject source hash × VM step
-// budget × config fingerprint (which carries profile, level, and the
-// disabled pass) × tool identity (added by the disk layer) — because
-// builds are deterministic, the VM is cycle-exact, and the reference
-// measurement the increment is computed against is itself a function of
-// the same source, budget and level. The matrix dominates cold-run time,
-// so persisting cells is what makes warm reruns fast. Quarantined cells
-// surface as errors and are never persisted.
-var effectCache evalcache.Cache[PassEffect]
-
-var effectDiskOnce sync.Once
+// A cell is a pure function of its cellKey, whose config fingerprint
+// carries profile, level and the disabled pass, because builds are
+// deterministic, the VM is cycle-exact, and the reference measurement
+// the increment is computed against is itself a function of the same
+// program, inputs, budget and level. The matrix dominates cold-run
+// time, so storing cells is what makes warm reruns fast. Quarantined
+// cells surface as errors and are never stored.
+var effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"}
 
 // AnalyzeLevel runs DebugTuner stage 1+2 for one profile/level: build the
 // reference, rebuild once per disabled pass (pruning .text-identical
@@ -168,9 +165,6 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 			jobs = append(jobs, matrixJob{pi, xi})
 		}
 	}
-	effectDiskOnce.Do(func() {
-		effectCache.SetDisk(evalcache.DefaultDisk(), "tuner.effect")
-	})
 	cells, err := workerpool.Map(ctx, jobs, func(ctx context.Context, _ int, j matrixJob) (PassEffect, error) {
 		p := live[j.pi]
 		pf := liveForks[j.pi]
@@ -178,9 +172,9 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 		cfg := pipeline.MustConfig(profile, level,
 			pipeline.Disable(passNames[j.xi]))
 		fp, _ := cfg.Fingerprint()
-		key := p.CellKey(fp)
+		key := p.cellKey(fp)
 		eff, err := effectCache.Do(key, func() (PassEffect, error) {
-			return resilience.Run(resilience.Active(), ctx, key,
+			return resilience.Run(resilience.Active(), ctx, key.String(),
 				func(context.Context) (PassEffect, error) {
 					fs, err := pf.get(p.IR0, refCfg, passNames)
 					if err != nil {

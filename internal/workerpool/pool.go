@@ -44,27 +44,6 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// taskTimeout holds the optional per-task deadline, in nanoseconds;
-// 0 disables it.
-var taskTimeout atomic.Int64
-
-// SetTaskTimeout applies a deadline to every individual fn invocation:
-// each task receives a context derived with WithTimeout(d). The deadline
-// is advisory — a task that ignores its context runs to completion — but
-// every evaluation loop in this repo threads ctx through to the VM and
-// interpreter, which poll it. d <= 0 disables the deadline, restoring
-// the exact pre-timeout contexts (including the serial path's pass-through
-// of the caller's ctx).
-func SetTaskTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	taskTimeout.Store(int64(d))
-}
-
-// TaskTimeout returns the per-task deadline, or 0 when disabled.
-func TaskTimeout() time.Duration { return time.Duration(taskTimeout.Load()) }
-
 // PanicError is a panic captured from one Map task. Before this type
 // existed a panicking pass anywhere in the (program × config) matrix
 // unwound through the pool and killed the whole run; now it cancels the
@@ -87,15 +66,8 @@ func (e *PanicError) Error() string {
 // quarantine).
 func (e *PanicError) Transient() bool { return true }
 
-// call invokes fn on one item with the per-task deadline applied and
-// panics converted to *PanicError. With no deadline configured, ctx is
-// passed through untouched.
+// call invokes fn on one item with panics converted to *PanicError.
 func call[T, R any](ctx context.Context, idx int, item T, fn func(ctx context.Context, idx int, item T) (R, error)) (r R, err error) {
-	if d := TaskTimeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			telemetry.Add("workerpool.panics", 1)
@@ -120,11 +92,10 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 	}
 	results := make([]R, len(items))
 	if n <= 1 {
-		// Serial inline path: no goroutine, and (absent a task timeout)
-		// no derived context — fn receives the caller's ctx unchanged and
-		// runs on the calling goroutine, so single-worker runs are
-		// byte-for-byte the serial loop (the determinism baseline -j1 is
-		// compared against).
+		// Serial inline path: no goroutine and no derived context — fn
+		// receives the caller's ctx unchanged and runs on the calling
+		// goroutine, so single-worker runs are byte-for-byte the serial
+		// loop (the determinism baseline -j1 is compared against).
 		for i, item := range items {
 			if err := ctx.Err(); err != nil {
 				return nil, err

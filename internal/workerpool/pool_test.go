@@ -174,36 +174,15 @@ func TestMapPanicCaptured(t *testing.T) {
 	SetWorkers(0)
 }
 
-func TestMapTaskTimeout(t *testing.T) {
-	SetTaskTimeout(10 * time.Millisecond)
-	defer SetTaskTimeout(0)
-	for _, n := range []int{1, 4} {
-		SetWorkers(n)
-		start := time.Now()
-		_, err := Map(context.Background(), []int{0, 1}, func(ctx context.Context, idx int, _ int) (int, error) {
-			if idx != 0 {
-				return 0, nil
-			}
-			<-ctx.Done()
-			return 0, ctx.Err()
-		})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: got %v, want DeadlineExceeded", n, err)
-		}
-		if el := time.Since(start); el > 2*time.Second {
-			t.Fatalf("workers=%d: deadline enforcement took %v", n, el)
-		}
-	}
-	SetWorkers(0)
-}
-
+// TestMapTaskTimeoutDisabledPassesCtxThrough: the pool sets no per-task
+// deadline, so the serial path hands fn the caller's context itself.
 func TestMapTaskTimeoutDisabledPassesCtxThrough(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
 	parent := context.Background()
 	_, err := Map(parent, []int{0}, func(ctx context.Context, _ int, _ int) (int, error) {
 		if ctx != parent {
-			t.Error("serial path derived a context with no task timeout set")
+			t.Error("serial path derived a context")
 		}
 		return 0, nil
 	})
