@@ -68,16 +68,16 @@ go run ./cmd/minicc -profile clang -O 3 -verify-each internal/difftest/testdata/
 go build -o /tmp/ci-experiments ./cmd/experiments
 CHAOSDT='-seeds 6 -suite=false -configs levels'
 # shellcheck disable=SC2086  # CHAOSDT is a word list by construction
-rc=0; /tmp/ci-experiments -j 1 -cachedir off -chaos rate=0.5,seed=21 $CHAOSDT \
+rc=0; /tmp/ci-experiments -j 1 -cachedir off -chaos rate=0.2,seed=21 $CHAOSDT \
     difftest > /tmp/ci-chaos-j1.txt || rc=$?
 test "$rc" -eq 3
-rc=0; /tmp/ci-experiments -j 4 -cachedir off -chaos rate=0.5,seed=21 $CHAOSDT \
+rc=0; /tmp/ci-experiments -j 4 -cachedir off -chaos rate=0.2,seed=21 $CHAOSDT \
     difftest > /tmp/ci-chaos-j4.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt
 grep -q '^QUARANTINED(' /tmp/ci-chaos-j1.txt
 rm -rf /tmp/ci-chaos-store
-rc=0; /tmp/ci-experiments -j 4 -cachedir /tmp/ci-chaos-store -chaos rate=0.5,seed=21 $CHAOSDT \
+rc=0; /tmp/ci-experiments -j 4 -cachedir /tmp/ci-chaos-store -chaos rate=0.2,seed=21 $CHAOSDT \
     difftest > /dev/null || rc=$?
 test "$rc" -eq 3
 /tmp/ci-experiments -j 4 -cachedir off $CHAOSDT difftest > /tmp/ci-chaos-cold.txt
@@ -89,17 +89,30 @@ grep -Eq '"diskcache\.difftest\.hit": [1-9]' /tmp/ci-rerun-metrics.json
 # The suite tables under fault injection: a quarantined cell leaves its
 # subject out of every average of the table (named), so each table
 # completes with gaps, exit 3, and the same bytes at any worker count.
-rc=0; /tmp/ci-experiments -j 1 -quick -cachedir off -chaos rate=0.2,seed=3 \
+rc=0; /tmp/ci-experiments -j 1 -quick -cachedir off -chaos rate=0.08,seed=3 \
     table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j1.txt || rc=$?
 test "$rc" -eq 3
-rc=0; /tmp/ci-experiments -j 2 -quick -cachedir off -chaos rate=0.2,seed=3 \
+rc=0; /tmp/ci-experiments -j 2 -quick -cachedir off -chaos rate=0.08,seed=3 \
     table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j2.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
+# The debugtuner CLI's quarantine path: the tune result, the ranking
+# and the greedy search under fault injection complete with gaps, exit
+# 3, print the QUARANTINED report, and the same bytes at any -j.
+go build -o /tmp/ci-debugtuner ./cmd/debugtuner
+CHAOSTUNE='-cachedir off -execs 20 -level O1 -dy 3 -greedy 2 -chaos rate=0.08,seed=3'
+# shellcheck disable=SC2086  # CHAOSTUNE is a word list by construction
+rc=0; /tmp/ci-debugtuner -j 1 $CHAOSTUNE > /tmp/ci-chaos-tune-j1.txt || rc=$?
+test "$rc" -eq 3
+rc=0; /tmp/ci-debugtuner -j 2 $CHAOSTUNE > /tmp/ci-chaos-tune-j2.txt || rc=$?
+test "$rc" -eq 3
+cmp /tmp/ci-chaos-tune-j1.txt /tmp/ci-chaos-tune-j2.txt
+grep -q 'QUARANTINED' /tmp/ci-chaos-tune-j1.txt
 rm -rf /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
     /tmp/ci-chaos-store /tmp/ci-chaos-cold.txt /tmp/ci-rerun.txt \
     /tmp/ci-rerun-metrics.json \
-    /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
+    /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt \
+    /tmp/ci-debugtuner /tmp/ci-chaos-tune-j1.txt /tmp/ci-chaos-tune-j2.txt
 
 # Persistent-cache smoke: a cold quick-all into a fresh cache directory
 # must reproduce the committed golden (any diff to it is explained in

@@ -14,12 +14,14 @@
 //	-perf                 also measure SPEC speedups per configuration
 //
 // plus the shared runtime flags (-j, -cachedir, -trace, -metrics,
-// -chaos, -cell-timeout, -retries) of internal/options. The tune result is computed by the same function as
-// tunerd's /v1/tune (serve.TunePrograms) and rendered from the same
-// internal/api structs, so CLI output and service responses cannot
-// drift. Every mean, -perf speedups and -greedy steps included, comes
-// from suite.Evaluate: a subject or benchmark with a quarantined
-// measurement is named and left out of the means, and the run exits 3.
+// -chaos) of internal/options. The tune result is computed by the same
+// function as tunerd's /v1/tune (serve.TunePrograms) and rendered from
+// the same internal/api structs, so CLI output and service responses
+// cannot drift. Every cell runs once under the resilience executor, and
+// a panicking or failing one quarantines. Every mean, -perf speedups
+// and -greedy steps included, comes from suite.Evaluate: a subject or
+// benchmark with a quarantined measurement is named and left out of the
+// means, and the run prints a QUARANTINED(n) report and exits 3.
 package main
 
 import (

@@ -48,14 +48,13 @@
 // quarantine gaps (3). A second signal kills the process the default
 // way.
 //
-// The resilience flags (-retries, -cell-timeout, -chaos) wrap every
-// evaluation cell in the fault-tolerant layer of internal/resilience:
-// cells that panic, stall, or fail transiently are retried and, on
-// exhaustion, quarantined rather than fatal. A run that completes with
+// Every evaluation cell runs once under the resilience executor of
+// internal/resilience, with or without flags: a cell that panics or
+// fails is quarantined rather than fatal. A run that completes with
 // quarantined cells prints a QUARANTINED(n) report and exits 3. A
-// result with a quarantine in it is never stored, so a rerun retries
-// those cells. Without these flags nothing is installed and output is
-// byte-identical to the pre-resilience harness.
+// result with a quarantine in it is never stored, so a rerun
+// recomputes those cells. -chaos rate=R,seed=N injects deterministic
+// faults into a fraction R of the cells, to exercise that path.
 package main
 
 import (

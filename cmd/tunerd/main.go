@@ -15,17 +15,17 @@
 //	-budget N             per-run VM step budget
 //
 // plus the shared runtime flags of internal/options (-j, -cachedir,
-// -cell-timeout, ...). On startup it prints "tunerd listening on ADDR"
+// -chaos, ...). On startup it prints "tunerd listening on ADDR"
 // to stdout. SIGTERM/SIGINT starts a graceful drain: in-flight
 // requests finish, new ones get a typed 503 "draining" error for the
 // grace window, then the process exits 0.
 //
 // Responses are cached by canonical request key (memory + the shared
 // disk store when -cachedir is enabled), concurrent identical requests
-// coalesce onto one computation, and every evaluation cell runs under
-// the resilience executor, so a panicking cell quarantines instead of
-// killing the server. Telemetry is always on and served at
-// /debug/metrics; the quarantine list at /debug/quarantine.
+// coalesce onto one computation, and every evaluation cell runs once
+// under the process's resilience executor, so a panicking cell
+// quarantines instead of killing the server. Telemetry is always on and
+// served at /debug/metrics; the quarantine list at /debug/quarantine.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"debugtuner/internal/options"
-	"debugtuner/internal/resilience"
 	"debugtuner/internal/serve"
 	"debugtuner/internal/telemetry"
 )
@@ -60,14 +59,10 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	// A server always runs with telemetry (/debug/metrics must answer)
-	// and a resilience executor (a panicking or stalling cell must
-	// quarantine, not kill the process), whether or not flags asked.
+	// A server always runs with telemetry (/debug/metrics must answer),
+	// whether or not flags asked.
 	if telemetry.Active() == nil {
 		telemetry.Enable()
-	}
-	if resilience.Active() == nil {
-		resilience.Install(resilience.NewExecutor(resilience.DefaultPolicy()))
 	}
 
 	srv := serve.New(serve.Options{
@@ -93,12 +88,7 @@ func main() {
 	}
 	// The shared teardown writes the quarantine report and telemetry
 	// exports; a drained server exits 0 even with quarantined cells —
-	// they were surfaced per-response and via /debug/quarantine. The
-	// always-on executor is only in rt when flags created it, so report
-	// it here when it isn't.
-	if rt.Executor == nil {
-		resilience.Active().WriteReport(os.Stdout)
-	}
+	// they were surfaced per-response and via /debug/quarantine.
 	if _, err := rt.Finish(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tunerd:", err)
 		os.Exit(1)

@@ -257,7 +257,7 @@ type DebugReport struct {
 type QuarantineRecord struct {
 	Key      string `json:"key"`
 	Kind     string `json:"kind"`
-	Attempts int    `json:"attempts"`
+	Attempts int    `json:"attempts"` // always 1: a cell runs once
 	Pass     string `json:"pass,omitempty"`
 	Err      string `json:"err"`
 }

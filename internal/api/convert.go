@@ -70,7 +70,7 @@ func QuarantineRecordsFrom(ces []*resilience.CellError) []QuarantineRecord {
 	out := make([]QuarantineRecord, 0, len(ces))
 	for _, ce := range ces {
 		rec := QuarantineRecord{
-			Key: ce.Key, Kind: string(ce.Kind), Attempts: ce.Attempts, Pass: ce.Pass,
+			Key: ce.Key, Kind: string(ce.Kind), Attempts: 1, Pass: ce.Pass,
 		}
 		if ce.Err != nil {
 			rec.Err = ce.Err.Error()

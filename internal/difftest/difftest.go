@@ -184,7 +184,7 @@ func (o *Oracle) Check(subjects []*Subject) ([]Finding, error) {
 // CheckContext is Check under a cancellation context: once ctx is
 // cancelled no new subject starts and the context error is returned.
 // Each subject's findings are one unit of the store; a unit with a
-// quarantine in it is reported but not kept, so a rerun retries it.
+// quarantine in it is reported but not kept, so a rerun recomputes it.
 func (o *Oracle) CheckContext(ctx context.Context, subjects []*Subject) ([]Finding, error) {
 	matrix, keyed := o.matrixDigest()
 	perSubject, err := workerpool.Map(ctx, subjects,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"debugtuner/internal/dbgtrace"
 	"debugtuner/internal/debuginfo"
@@ -412,12 +411,7 @@ func main() {
 func TestRunChaosQuarantine(t *testing.T) {
 	opts := Options{Seeds: []int64{21, 22, 23}, Spec: "levels"}
 	out := func(jobs int) (string, *Report) {
-		p := resilience.DefaultPolicy()
-		p.BackoffBase = time.Microsecond
-		p.BackoffCap = 10 * time.Microsecond
-		ex := resilience.NewExecutor(p)
-		ex.Chaos = &resilience.Chaos{Rate: 1, Seed: 6}
-		prev := resilience.Install(ex)
+		prev := resilience.Install(resilience.NewExecutor(&resilience.Chaos{Rate: 0.4, Seed: 6}))
 		defer resilience.Install(prev)
 		old := workerpool.Workers()
 		workerpool.SetWorkers(jobs)
@@ -435,7 +429,7 @@ func TestRunChaosQuarantine(t *testing.T) {
 		t.Fatalf("chaos report differs across -j:\n-j1:\n%s\n-j4:\n%s", serial, parallel)
 	}
 	if rep.Quarantined == 0 {
-		t.Fatalf("rate-1 chaos quarantined nothing:\n%s", serial)
+		t.Fatalf("rate-0.4 chaos quarantined nothing:\n%s", serial)
 	}
 	if rep.Mismatches+rep.Violations != 0 {
 		t.Fatalf("chaos must produce gaps, not mismatches:\n%s", serial)
@@ -445,8 +439,9 @@ func TestRunChaosQuarantine(t *testing.T) {
 	}
 }
 
-// TestRunNoExecutorByteCompat checks the fault-free fast path: with no
-// executor installed the report must not mention quarantine at all.
+// TestRunNoExecutorByteCompat checks the fault-free path: under the
+// executor the process starts with, the report must not mention
+// quarantine at all.
 func TestRunNoExecutorByteCompat(t *testing.T) {
 	var buf bytes.Buffer
 	rep, err := Run(&buf, Options{Seeds: []int64{21}, Spec: "gcc-O2"})
@@ -462,9 +457,9 @@ func TestRunNoExecutorByteCompat(t *testing.T) {
 }
 
 // runOnStore renders opts with the store in dir as the process-wide
-// store, as a process started with -cachedir dir does, and ex (nil for
-// none) as the resilience executor.
-func runOnStore(t *testing.T, dir string, ex *resilience.Executor, opts Options) (string, *Report, *telemetry.Sink) {
+// store, as a process started with -cachedir dir does, and a fresh
+// resilience executor injecting chaos (nil for none).
+func runOnStore(t *testing.T, dir string, chaos *resilience.Chaos, opts Options) (string, *Report, *telemetry.Sink) {
 	t.Helper()
 	d, err := evalcache.OpenDisk(dir)
 	if err != nil {
@@ -472,7 +467,7 @@ func runOnStore(t *testing.T, dir string, ex *resilience.Executor, opts Options)
 	}
 	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
 	evalcache.SetDefaultDisk(d)
-	defer resilience.Install(resilience.Install(ex))
+	defer resilience.Install(resilience.Install(resilience.NewExecutor(chaos)))
 	snk := telemetry.NewSink()
 	defer telemetry.Install(telemetry.Install(snk))
 	var buf bytes.Buffer
@@ -494,10 +489,7 @@ func TestChaosRunStoresNoQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ex := resilience.NewExecutor(resilience.Policy{
-		BackoffBase: time.Microsecond, BackoffCap: 10 * time.Microsecond})
-	ex.Chaos = &resilience.Chaos{Rate: 0.5, Seed: 21}
-	if _, rep, _ := runOnStore(t, dir, ex, opts); rep.Quarantined == 0 {
+	if _, rep, _ := runOnStore(t, dir, &resilience.Chaos{Rate: 0.2, Seed: 21}, opts); rep.Quarantined == 0 {
 		t.Fatal("chaos quarantined nothing; the test exercises no policy")
 	}
 	clean, _, snk := runOnStore(t, dir, nil, opts)

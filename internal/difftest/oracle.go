@@ -88,8 +88,8 @@ const (
 	// KindReference is a divergence between the O0 build and the IR
 	// interpreter — the reference itself is not trustworthy.
 	KindReference = "reference"
-	// KindQuarantine is a cell the resilience layer quarantined after
-	// exhausting its retries: the comparison did not run, and the report
+	// KindQuarantine is a cell the resilience layer quarantined because
+	// it panicked or failed: the comparison did not run, and the report
 	// says so explicitly instead of leaving a silently-passing hole.
 	KindQuarantine = "quarantine"
 )
@@ -278,11 +278,11 @@ func (o *Oracle) DiffOne(s *Subject, cfg pipeline.Config) ([]Finding, error) {
 }
 
 // observe builds the subject under the configuration and runs it,
-// memoized per (subject, fingerprint) and — when a resilience executor
-// is installed — isolated, retried, and quarantined per cell.
-// The resilience wrapper sits inside the cache's singleflight so
-// concurrent requests for one cell still coalesce into a single attempt
-// chain; a quarantined result is Uncacheable and evicts itself.
+// memoized per (subject, fingerprint), as one resilience cell that
+// quarantines on a panic or an error. The resilience wrapper sits
+// inside the cache's singleflight so concurrent requests for one cell
+// coalesce into a single run; a quarantined result is Uncacheable and
+// evicts itself.
 func (o *Oracle) observe(s *Subject, cfg pipeline.Config) (*caseResult, error) {
 	compute := func() (*caseResult, error) {
 		ir0, _, err := s.frontend()
@@ -302,13 +302,13 @@ func (o *Oracle) observe(s *Subject, cfg pipeline.Config) (*caseResult, error) {
 		// Uncacheable configurations (FDO payloads outside the fingerprint
 		// domain) still get isolation under a label-derived key; the
 		// difftest matrix itself never produces them.
-		return resilience.Run(resilience.Active(), context.Background(),
+		return resilience.Run(context.Background(),
 			cellKey(s, configLabel(cfg)), func(context.Context) (*caseResult, error) {
 				return compute()
 			})
 	}
 	return o.cache.Do(caseKey{s.Name, fp}, func() (*caseResult, error) {
-		return resilience.Run(resilience.Active(), context.Background(),
+		return resilience.Run(context.Background(),
 			cellKey(s, fp), func(context.Context) (*caseResult, error) {
 				return compute()
 			})

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -147,35 +146,9 @@ func (p *prober) probe(src []byte) bool {
 // violation). Sources that no longer compile do not "fail" — the
 // reducer must not escape into syntax errors.
 func FailsUnder(cfg pipeline.Config) func(src []byte) bool {
-	return FailsUnderTimeout(cfg, 0)
-}
-
-// FailsUnderTimeout is FailsUnder with each probe run as a cell under a
-// private resilience executor with the given deadline: a candidate whose
-// build or execution stalls is abandoned after timeout and counted as
-// not-failing, so ddmin keeps making progress instead of hanging on one
-// probe. A timeout of 0 runs the probe directly.
-func FailsUnderTimeout(cfg pipeline.Config, timeout time.Duration) func(src []byte) bool {
-	var ex *resilience.Executor
-	if timeout > 0 {
-		pol := resilience.DefaultPolicy()
-		pol.Retries = 0
-		pol.CellTimeout = timeout
-		ex = resilience.NewExecutor(pol)
-	}
 	return func(src []byte) bool {
-		probe := func(context.Context) (bool, error) {
-			o := NewOracle(nil)
-			findings, err := o.DiffOne(SourceSubject("reduce", src), cfg)
-			return err == nil && len(findings) > 0, nil
-		}
-		if ex == nil {
-			v, _ := probe(context.Background())
-			return v
-		}
-		key := fmt.Sprintf("reduce|%016x|%s", resilience.HashBytes(src), configLabel(cfg))
-		v, err := resilience.Run(ex, context.Background(), key, probe)
-		return err == nil && v
+		findings, err := NewOracle(nil).DiffOne(SourceSubject("reduce", src), cfg)
+		return err == nil && len(findings) > 0
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"debugtuner/internal/pipeline"
 )
 
 // tenLines is a minimal multi-line failing input for budget tests.
@@ -73,24 +71,6 @@ func TestReduceZeroBudgetUnbounded(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(a)); got != "line" {
 		t.Fatalf("unbounded reduction stopped early: %q", got)
-	}
-}
-
-// TestFailsUnderTimeoutKillsStalledProbe: with an absurdly small cell
-// timeout every probe is abandoned and reports false — the reducer's
-// "cannot make progress" direction — instead of blocking forever.
-func TestFailsUnderTimeoutKillsStalledProbe(t *testing.T) {
-	cfg := pipeline.MustConfig(pipeline.GCC, "O2")
-	pred := FailsUnderTimeout(cfg, time.Nanosecond)
-	done := make(chan bool, 1)
-	go func() { done <- pred([]byte("func main() { print(1); }\n")) }()
-	select {
-	case v := <-done:
-		if v {
-			t.Fatal("timed-out probe reported a failure")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("probe did not respect the cell timeout")
 	}
 }
 

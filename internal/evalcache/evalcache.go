@@ -59,10 +59,19 @@ type Cache[K comparable, V any] struct {
 }
 
 // uncacheable matches errors that must not be memoized. The resilience
-// layer's CellError implements it: a quarantined cell's failure may be
-// environmental, and pinning it in the cache would make a rerun return
-// the stale failure instead of recomputing.
+// layer's CellError implements it: a quarantine is a gap, not a
+// measurement, and pinning it would make a later request in the process
+// (or, on disk, a clean rerun after a chaos run) return the gap instead
+// of measuring the cell.
 type uncacheable interface{ Uncacheable() bool }
+
+// panicked is the error Do hands the requests coalesced on a compute
+// that panicked. It is Uncacheable: the entry is evicted, and the next
+// request computes again.
+type panicked struct{}
+
+func (panicked) Error() string     { return "evalcache: coalesced compute panicked" }
+func (panicked) Uncacheable() bool { return true }
 
 // Unstored carries a value that must be used but never kept: a compute
 // returns it as its error when the value has a quarantine gap inside it
@@ -88,7 +97,9 @@ func (c *Cache[K, V]) lock() {
 // measurement failures as deterministic, so retrying a failed key is
 // not useful. The exception is errors marked Uncacheable() (quarantined
 // cells, Unstored values) — those evict their entry so a later request
-// recomputes.
+// recomputes. A compute that panics leaves no entry either: the panic
+// continues in the computing goroutine, and requests coalesced on it
+// get an Uncacheable error.
 //
 // In a stored cache, a memory miss consults the process store before
 // computing, and a successful compute is written through; errors never
@@ -127,26 +138,39 @@ func (c *Cache[K, V]) Do(k K, compute func() (V, error)) (V, error) {
 		}
 	}
 	e.once.Do(func() {
+		defer func() {
+			if !e.done.Load() {
+				// compute panicked: sync.Once counts that as done, so
+				// leave the waiters an error instead of the zero value.
+				e.err = panicked{}
+				e.done.Store(true)
+				c.evict(k, e)
+			}
+		}()
 		e.val, e.err = c.load(k, compute)
 		e.done.Store(true)
 	})
 	if e.err != nil {
 		var u uncacheable
 		if errors.As(e.err, &u) && u.Uncacheable() {
-			c.lock()
-			// Guard against a racing request that already replaced the
-			// entry: only evict the one we observed.
-			if c.m[k] == e {
-				delete(c.m, k)
-			}
-			c.mu.Unlock()
-			telemetry.Add("evalcache.evicted", 1)
+			c.evict(k, e)
 		}
 		if u, ok := e.err.(Unstored[V]); ok {
 			return u.Value, nil
 		}
 	}
 	return e.val, e.err
+}
+
+// evict drops e from the cache if it is still k's entry: a racing
+// request may already have replaced it.
+func (c *Cache[K, V]) evict(k K, e *entry[V]) {
+	c.lock()
+	if c.m[k] == e {
+		delete(c.m, k)
+	}
+	c.mu.Unlock()
+	telemetry.Add("evalcache.evicted", 1)
 }
 
 // load computes k's value, reading it from the process store instead

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"debugtuner/internal/telemetry"
 )
 
 // testKey is the key type of the tests' stored caches.
@@ -110,6 +113,56 @@ func TestDoEvictsUncacheableErrors(t *testing.T) {
 	})
 	if err != nil || v != 9 {
 		t.Fatalf("v=%d err=%v", v, err)
+	}
+}
+
+// TestDoPanicLeavesNoEntry: a compute that panics must not leave its
+// zero value behind as a result. A request coalesced on it gets an
+// Uncacheable error, not (0, nil), and the next request computes again.
+func TestDoPanicLeavesNoEntry(t *testing.T) {
+	snk := telemetry.NewSink()
+	defer telemetry.Install(telemetry.Install(snk))
+	var c Cache[string, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("build exploded")
+		})
+	}()
+	<-started
+	type result struct {
+		v   int
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		v, err := c.Do("k", func() (int, error) { return 0, errors.New("waiter computed") })
+		waiter <- result{v, err}
+	}()
+	// Once the waiter counts as coalesced it holds the in-flight entry.
+	for snk.Counter("evalcache.coalesced") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if p := <-recovered; p != "build exploded" {
+		t.Fatalf("computing goroutine recovered %v, want the compute's panic", p)
+	}
+	w := <-waiter
+	var u interface{ Uncacheable() bool }
+	if !errors.As(w.err, &u) || !u.Uncacheable() {
+		t.Fatalf("coalesced waiter got (%d, %v), want an uncacheable error", w.v, w.err)
+	}
+	calls := 0
+	v, err := c.Do("k", func() (int, error) {
+		calls++
+		return 42, nil
+	})
+	if err != nil || v != 42 || calls != 1 {
+		t.Fatalf("after the panic Do = (%d, %v) with %d computes, want (42, nil) from one", v, err, calls)
 	}
 }
 

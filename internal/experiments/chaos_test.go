@@ -23,13 +23,11 @@ var chaosRunner = NewRunner(Options{
 })
 
 // underChaos renders one experiment with deterministic fault injection
-// (rate 0.2, seed 3) installed, and fails the test if it errors: a
+// (rate 0.08, seed 3) installed, and fails the test if it errors: a
 // quarantined cell must leave a gap, not abort the table.
 func underChaos(t *testing.T, run func(io.Writer) error) string {
 	t.Helper()
-	ex := resilience.NewExecutor(resilience.DefaultPolicy())
-	ex.Chaos = &resilience.Chaos{Rate: 0.2, Seed: 3}
-	ex.Policy.Seed = 3
+	ex := resilience.NewExecutor(&resilience.Chaos{Rate: 0.08, Seed: 3})
 	prev := resilience.Install(ex)
 	var buf bytes.Buffer
 	err := run(&buf)

@@ -159,7 +159,7 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 			k := debugifyKey{Src: c.srcHash, Config: fp, Verify: opts.Verify}
 			rep, err := reports.Do(k, func() (*pipeline.VerifyReport, error) {
 				qkey := fmt.Sprintf("debugify|%s#%016x|%s", c.subject, c.srcHash, fp)
-				return resilience.Run(resilience.Active(), context.Background(), qkey,
+				return resilience.Run(context.Background(), qkey,
 					func(context.Context) (*pipeline.VerifyReport, error) {
 						if !opts.Verify {
 							pipeline.Build(c.ir0, c.cfg)

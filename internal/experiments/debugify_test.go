@@ -122,8 +122,8 @@ func TestWriteDebugifyDeterministic(t *testing.T) {
 
 // debugifyOnStore renders debugify with the store in dir as the
 // process-wide store, as a process started with -cachedir dir does, and
-// ex (nil for none) as the resilience executor.
-func debugifyOnStore(t *testing.T, dir string, ex *resilience.Executor, opts DebugifyOptions) (string, *DebugifyReport, *telemetry.Sink) {
+// a fresh resilience executor injecting chaos (nil for none).
+func debugifyOnStore(t *testing.T, dir string, chaos *resilience.Chaos, opts DebugifyOptions) (string, *DebugifyReport, *telemetry.Sink) {
 	t.Helper()
 	d, err := evalcache.OpenDisk(dir)
 	if err != nil {
@@ -131,7 +131,7 @@ func debugifyOnStore(t *testing.T, dir string, ex *resilience.Executor, opts Deb
 	}
 	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
 	evalcache.SetDefaultDisk(d)
-	defer resilience.Install(resilience.Install(ex))
+	defer resilience.Install(resilience.Install(resilience.NewExecutor(chaos)))
 	snk := telemetry.NewSink()
 	defer telemetry.Install(telemetry.Install(snk))
 	var buf bytes.Buffer
@@ -178,9 +178,7 @@ func TestDebugifyChaosRunStoresNoQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ex := resilience.NewExecutor(resilience.DefaultPolicy())
-	ex.Chaos = &resilience.Chaos{Rate: 0.5, Seed: 3}
-	if _, rep, _ := debugifyOnStore(t, dir, ex, storeDebugifyOpts); rep.Quarantined == 0 {
+	if _, rep, _ := debugifyOnStore(t, dir, &resilience.Chaos{Rate: 0.5, Seed: 3}, storeDebugifyOpts); rep.Quarantined == 0 {
 		t.Fatal("chaos quarantined nothing; the test exercises no policy")
 	}
 	clean, rep, snk := debugifyOnStore(t, dir, nil, storeDebugifyOpts)

@@ -59,7 +59,7 @@ func (c *campaign) reduceNew() error {
 		rkey := reductionKey{Bucket: key, Kind: b.Kind, Config: b.Config,
 			Src: resilience.HashBytes(src), Campaign: c.fp}
 		reduced, err := c.reductions.Do(rkey, func() (string, error) {
-			r, err := resilience.Run(c.ex, context.Background(), rkey.String(),
+			r, err := resilience.Run(context.Background(), rkey.String(),
 				func(context.Context) (string, error) {
 					return string(difftest.ReduceWith(src, pred, budget)), nil
 				})

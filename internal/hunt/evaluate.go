@@ -188,14 +188,14 @@ func (k candidateKey) String() string {
 }
 
 // runCell evaluates one candidate as a resilience cell, kept in the
-// store and — when the candidate is pathological — retried, timed out,
-// and finally quarantined into an explicit bucket entry instead of
-// killing the run. A result with a quarantine in it (an outer one, or
+// store and — when the candidate panics the compiler or fails — run
+// once and quarantined into an explicit bucket entry instead of killing
+// the run. A result with a quarantine in it (an outer one, or
 // one inside the differential oracle) is never stored.
 func (c *campaign) runCell(cand candidate) (*cellResult, error) {
 	key := candidateKey{Name: cand.Name, Src: resilience.HashBytes(cand.Src), Campaign: c.fp}
 	res, err := c.cells.Do(key, func() (*cellResult, error) {
-		res, err := resilience.Run(c.ex, context.Background(), key.String(),
+		res, err := resilience.Run(context.Background(), key.String(),
 			func(context.Context) (*cellResult, error) {
 				return c.evaluate(cand)
 			})

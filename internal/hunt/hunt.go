@@ -16,10 +16,10 @@
 // in it is never stored. A cancelled Interrupt context stops the
 // campaign between candidates: work in flight finishes into the store,
 // the report covers everything completed, and Report.Interrupted tells
-// the caller to exit with the distinct interrupted code. A pathological
-// candidate (stalling build, crashing pass) degrades into a quarantine
-// bucket entry via the executor's per-cell timeout and bounded retries
-// instead of hanging the campaign.
+// the caller to exit with the distinct interrupted code. A candidate
+// that crashes a pass or fails its build runs once and degrades into a
+// quarantine bucket entry instead of killing the campaign; the VM's
+// step budget bounds one that runs away.
 package hunt
 
 import (
@@ -127,13 +127,6 @@ type campaign struct {
 	plantRule staticdbg.Rule
 	plantPass string
 
-	// ex executes every cell. It is the installed resilience executor
-	// when the command's flags built one (chaos, retries, timeout); with
-	// none installed the campaign still gets a local default executor, so
-	// a panicking candidate quarantines into a bucket entry instead of
-	// killing the run — the degrade-not-die contract must not depend on
-	// resilience flags.
-	ex *resilience.Executor
 	// cells and reductions keep candidate evaluations and witness
 	// reductions in the process store.
 	cells      evalcache.Cache[candidateKey, *cellResult]
@@ -314,10 +307,6 @@ func newCampaign(opts Options) (*campaign, error) {
 	c.state, err = loadState(c.opts.StatePath)
 	if err != nil {
 		return nil, err
-	}
-	c.ex = resilience.Active()
-	if c.ex == nil {
-		c.ex = resilience.NewExecutor(resilience.DefaultPolicy())
 	}
 	c.base = calibrate(c.primary)
 	return c, nil

@@ -34,8 +34,8 @@ const maxHeapWords int64 = 1 << 24
 
 // ErrBudget is the base sentinel for execution-budget exhaustion:
 // errors.Is(err, ErrBudget) matches both step- and heap-budget errors.
-// Budget exhaustion is deterministic for a given program and input, so
-// retry layers must classify it as permanent, never transient.
+// Budget exhaustion is deterministic for a given program and input: a
+// cell that hits it quarantines, and running it again cannot help.
 var ErrBudget = errors.New("ir interp: execution budget exceeded")
 
 // ErrStepLimit is returned when execution exceeds the step budget,

@@ -1,7 +1,7 @@
 // Package options is the one place the shared runtime flags of the
 // DebugTuner commands live: the worker-pool size, telemetry outputs,
 // the persistent evalcache directory, and the resilience layer's
-// retry/timeout/chaos knobs. Before this package each command
+// chaos schedule. Before this package each command
 // re-declared its own copies and they drifted (debugtuner had no
 // -cachedir, minicc no -j); now every command calls Install on its flag
 // set and Build once flags are parsed, and the flags cannot diverge.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"debugtuner/internal/evalcache"
 	"debugtuner/internal/resilience"
@@ -23,13 +22,11 @@ import (
 // Flags holds the parsed-flag storage registered by Install. Values
 // are meaningful only after the owning flag set's Parse.
 type Flags struct {
-	Jobs        *int
-	Trace       *string
-	Metrics     *string
-	Chaos       *string
-	CacheDir    *string
-	CellTimeout *time.Duration
-	Retries     *int
+	Jobs     *int
+	Trace    *string
+	Metrics  *string
+	Chaos    *string
+	CacheDir *string
 }
 
 // Install registers the shared flags on fs and returns their storage.
@@ -46,10 +43,6 @@ func Install(fs *flag.FlagSet) *Flags {
 		CacheDir: fs.String("cachedir", "",
 			"persistent evalcache directory (default $DEBUGTUNER_CACHE_DIR, "+
 				"else the user cache dir); \"off\" disables persistence"),
-		CellTimeout: fs.Duration("cell-timeout", 0,
-			"resilience: per-cell deadline (0 = none); overruns count as transient failures"),
-		Retries: fs.Int("retries", 2,
-			"resilience: extra attempts per cell after the first"),
 	}
 }
 
@@ -67,9 +60,6 @@ func IsUsage(err error) bool {
 
 // Runtime is the shared state Build installed; Finish tears it down.
 type Runtime struct {
-	// Executor is the installed resilience executor, nil when no
-	// resilience flag asked for one (the byte-identical fault-free path).
-	Executor *resilience.Executor
 	// Sink is the telemetry sink, non-nil when -trace or -metrics was
 	// given (commands may enable one themselves for other reasons).
 	Sink *telemetry.Sink
@@ -78,7 +68,7 @@ type Runtime struct {
 }
 
 // Build applies the parsed flags to the process-wide runtime: the
-// persistent evalcache, the worker pool, the resilience executor, and
+// persistent evalcache, the worker pool, the chaos schedule, and
 // telemetry. Diagnostics that are warnings (an unusable cache
 // directory) go to stderr; real failures return an error, marked
 // UsageError when the flags themselves are wrong.
@@ -99,23 +89,14 @@ func (f *Flags) Build() (*Runtime, error) {
 	workerpool.SetWorkers(*f.Jobs)
 
 	rt := &Runtime{trace: *f.Trace, metrics: *f.Metrics}
-	// The resilience layer stays uninstalled (nil executor = direct call,
-	// byte-identical fault-free path) unless a resilience flag asks for it.
-	if *f.Chaos != "" || *f.CellTimeout > 0 || *f.Retries != 2 {
-		pol := resilience.DefaultPolicy()
-		pol.Retries = *f.Retries
-		pol.CellTimeout = *f.CellTimeout
-		ex := resilience.NewExecutor(pol)
-		if *f.Chaos != "" {
-			c, err := resilience.ParseChaos(*f.Chaos)
-			if err != nil {
-				return nil, &UsageError{fmt.Sprintf("-chaos: %v", err)}
-			}
-			ex.Chaos = c
-			ex.Policy.Seed = c.Seed
+	// Every cell always runs under the process's resilience executor;
+	// -chaos only swaps in one that injects faults.
+	if *f.Chaos != "" {
+		c, err := resilience.ParseChaos(*f.Chaos)
+		if err != nil {
+			return nil, &UsageError{fmt.Sprintf("-chaos: %v", err)}
 		}
-		resilience.Install(ex)
-		rt.Executor = ex
+		resilience.Install(resilience.NewExecutor(c))
 	}
 	switch {
 	case *f.Trace != "":
@@ -128,7 +109,7 @@ func (f *Flags) Build() (*Runtime, error) {
 }
 
 // Finish flushes the runtime at the end of a command, interrupted or
-// not: the quarantine gap report (when an executor was installed), the
+// not: the quarantine gap report of the process's executor, the
 // process's one sync of its store segments, and the telemetry exports.
 // It returns the command's exit code — 3 when the run completed but
 // quarantined cells — or an error for IO failures (exit 1 at the
@@ -140,11 +121,10 @@ func (rt *Runtime) Finish(w io.Writer) (int, error) {
 	if err := evalcache.DefaultDisk().Sync(); err != nil {
 		fmt.Fprintf(os.Stderr, "-cachedir: sync: %v\n", err)
 	}
-	if rt.Executor != nil {
-		rt.Executor.WriteReport(w)
-		if len(rt.Executor.Quarantined()) > 0 {
-			code = 3
-		}
+	ex := resilience.Active()
+	ex.WriteReport(w)
+	if len(ex.Quarantined()) > 0 {
+		code = 3
 	}
 	if rt.Sink != nil {
 		if err := telemetry.ExportFiles(rt.Sink, rt.trace, rt.metrics); err != nil {

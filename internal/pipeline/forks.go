@@ -37,8 +37,9 @@ import (
 // from-scratch Build of the toggled configuration bit for bit.
 //
 // A saved state is cloned for each of its users but the last, which gets
-// the state itself; a toggle built again after that (a retried cell)
-// restarts from the O0 module. Forks is safe for concurrent use.
+// the state itself; a toggle built again after that (a cell recomputed
+// after a quarantine evicted it) restarts from the O0 module. Forks is
+// safe for concurrent use.
 type Forks struct {
 	ir0 *ir.Program
 	ref Config

@@ -12,38 +12,17 @@ type FaultKind int
 const (
 	// FaultNone: the cell runs untouched.
 	FaultNone FaultKind = iota
-	// FaultTransient: the attempt fails with a transient error.
-	FaultTransient
-	// FaultPanic: the attempt panics inside the cell goroutine.
+	// FaultError: the cell fails with an injected error.
+	FaultError
+	// FaultPanic: the cell panics.
 	FaultPanic
-	// FaultStall: the attempt stalls past the cell deadline (or, with no
-	// deadline configured, sleeps briefly and fails transiently).
-	FaultStall
 )
 
-func (k FaultKind) String() string {
-	switch k {
-	case FaultTransient:
-		return "transient"
-	case FaultPanic:
-		return "panic"
-	case FaultStall:
-		return "stall"
-	}
-	return "none"
-}
-
 // Chaos is the deterministic fault injector. Whether and how a cell is
-// faulted depends only on (Seed, cell key, attempt) — never on timing,
+// faulted depends only on (Seed, cell key) — never on timing,
 // scheduling, or worker count — so two runs with the same seed produce
-// byte-identical quarantine reports at any -j.
-//
-// A faulted cell draws one of five schedules, uniformly by hash:
-//
-//	transient-once, panic-once, stall-once  fail attempt 0 only, proving
-//	                                        the retry path end to end
-//	transient-always, panic-always          fail every attempt, forcing
-//	                                        the cell into quarantine
+// byte-identical quarantine reports at any -j. A faulted cell panics or
+// returns an error, chosen by a second hash, and quarantines either way.
 type Chaos struct {
 	// Rate is the fraction of cells faulted, in [0, 1].
 	Rate float64
@@ -90,8 +69,9 @@ func (c *Chaos) String() string {
 	return fmt.Sprintf("rate=%g,seed=%d", c.Rate, c.Seed)
 }
 
-// Decide returns the fault to inject into one attempt of one cell.
-func (c *Chaos) Decide(key string, attempt int) FaultKind {
+// Decide returns the fault to inject into one cell; a nil Chaos
+// injects none.
+func (c *Chaos) Decide(key string) FaultKind {
 	if c == nil || c.Rate <= 0 {
 		return FaultNone
 	}
@@ -100,24 +80,8 @@ func (c *Chaos) Decide(key string, attempt int) FaultKind {
 	if float64(h%den)/den >= c.Rate {
 		return FaultNone
 	}
-	once := attempt == 0
-	switch hashParts(c.Seed, "kind", key) % 5 {
-	case 0:
-		if once {
-			return FaultTransient
-		}
-	case 1:
-		if once {
-			return FaultPanic
-		}
-	case 2:
-		if once {
-			return FaultStall
-		}
-	case 3:
-		return FaultTransient
-	case 4:
+	if hashParts(c.Seed, "kind", key)%2 == 0 {
 		return FaultPanic
 	}
-	return FaultNone
+	return FaultError
 }

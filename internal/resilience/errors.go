@@ -2,51 +2,39 @@ package resilience
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-
-	"debugtuner/internal/ir"
-	"debugtuner/internal/vm"
 )
 
-// Kind labels the terminal failure mode of a quarantined cell.
+// Kind labels how a quarantined cell failed.
 type Kind string
 
 const (
-	// KindPanic: the cell's goroutine panicked (captured, not fatal).
+	// KindPanic: the cell panicked (captured, not fatal).
 	KindPanic Kind = "panic"
-	// KindDeadline: the cell overran its per-cell deadline.
-	KindDeadline Kind = "deadline"
-	// KindTransient: the cell kept failing with transiently-classified
-	// errors until its retries ran out.
-	KindTransient Kind = "transient"
-	// KindPermanent: the cell failed with a deterministic error (budget
-	// exhaustion, build/trace failure) that retrying cannot fix.
-	KindPermanent Kind = "permanent"
+	// KindError: the cell returned an error (budget exhaustion, a
+	// build or trace failure, an inner quarantine).
+	KindError Kind = "error"
 )
 
-// CellError is the typed terminal error of a quarantined cell. It
-// implements Uncacheable so content-addressed caches (evalcache) evict
-// it instead of memoizing the failure, letting a resumed run retry.
+// CellError is the typed error of a quarantined cell. It implements
+// Uncacheable so content-addressed caches (evalcache) evict it instead
+// of memoizing the failure, and a rerun recomputes the cell.
 type CellError struct {
 	// Key is the cell's key (config fingerprint × subject hash).
 	Key string
-	// Kind is the failure mode of the final attempt.
+	// Kind is how the cell failed.
 	Kind Kind
-	// Attempts is how many attempts were made before quarantining.
-	Attempts int
 	// Pass is the optimization pass attributed from the panicking
 	// goroutine's stack, when the failure originated inside one.
 	Pass string
-	// Err is the final attempt's underlying error.
+	// Err is the cell's underlying error.
 	Err error
 }
 
 func (e *CellError) Error() string {
-	s := fmt.Sprintf("cell %s quarantined after %d attempt(s): %s: %v",
-		e.Key, e.Attempts, e.Kind, e.Err)
+	s := fmt.Sprintf("cell %s quarantined: %s: %v", e.Key, e.Kind, e.Err)
 	if e.Pass != "" {
 		s += fmt.Sprintf(" [pass %s]", e.Pass)
 	}
@@ -55,9 +43,10 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Uncacheable marks quarantined results as not-memoizable: a cache that
-// stored them would pin the failure for the life of the process, while
-// the whole point of quarantine is that a later resume may succeed.
+// Uncacheable marks quarantined results as not-memoizable: a cache
+// that stored them would pin the gap for the life of the process (or,
+// on disk, for every rerun), while a rerun without the fault — a clean
+// run after a chaos run — must measure the cell.
 func (e *CellError) Uncacheable() bool { return true }
 
 // IsQuarantined reports whether err is (or wraps) a CellError.
@@ -66,80 +55,10 @@ func IsQuarantined(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// Class is the retry classifier's verdict on one attempt's error.
-type Class int
-
-const (
-	// ClassPermanent errors are deterministic: retrying reruns the same
-	// computation to the same failure, so the cell quarantines at once.
-	ClassPermanent Class = iota
-	// ClassTransient errors may be environmental (a stalled machine, an
-	// injected fault, a crashed worker); the cell retries with backoff.
-	ClassTransient
-)
-
-// Classify sorts an attempt error into the retry taxonomy:
-//
-//   - VM and interpreter budget exhaustion (vm.ErrBudget, ir.ErrBudget
-//     via errors.Is) is permanent — the budget is a property of the
-//     (program, config) cell, not of the environment.
-//   - Errors carrying Transient() bool (the Transient wrapper, chaos
-//     faults) are transient.
-//   - Deadline overruns and captured panics are transient: a genuine
-//     environmental stall or crash deserves another attempt, and a
-//     deterministic one simply exhausts its retries into quarantine.
-//   - Everything else (front-end errors, malformed binaries) is
-//     permanent.
-func Classify(err error) Class {
-	if errors.Is(err, vm.ErrBudget) || errors.Is(err, ir.ErrBudget) {
-		return ClassPermanent
-	}
-	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) && tr.Transient() {
-		return ClassTransient
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return ClassTransient
-	}
-	var pe *panicError
-	if errors.As(err, &pe) {
-		return ClassTransient
-	}
-	return ClassPermanent
-}
-
-// kindOf maps a terminal attempt error to its quarantine Kind.
-func kindOf(err error) Kind {
-	var pe *panicError
-	if errors.As(err, &pe) {
-		return KindPanic
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return KindDeadline
-	}
-	if Classify(err) == ClassTransient {
-		return KindTransient
-	}
-	return KindPermanent
-}
-
-// Transient wraps an error so the classifier retries it. The resilience
-// layer itself never invents transient errors outside chaos injection;
-// the wrapper exists for callers whose cells touch genuinely flaky
-// resources.
-func Transient(err error) error { return &transientError{err} }
-
-type transientError struct{ err error }
-
-func (t *transientError) Error() string   { return t.err.Error() }
-func (t *transientError) Unwrap() error   { return t.err }
-func (t *transientError) Transient() bool { return true }
-
 // panicError is a captured cell panic.
 type panicError struct {
-	val   any
-	pass  string
-	stack []byte
+	val  any
+	pass string
 }
 
 func (p *panicError) Error() string {
@@ -192,7 +111,7 @@ func HashString(parts ...string) uint64 {
 }
 
 // hashParts mixes a seed and strings into one FNV-1a hash, the basis of
-// every deterministic decision (chaos schedule, backoff jitter).
+// the deterministic chaos schedule.
 func hashParts(seed uint64, parts ...string) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -174,7 +174,8 @@ func (s *Server) Handler() http.Handler {
 // request), computing and caching it on a miss. Identical concurrent
 // requests coalesce onto one computation (evalcache single-flight);
 // typed compute errors are deterministic verdicts on the body and cache
-// like results; panics are Uncacheable and retriable.
+// like results; panics are Uncacheable, so the next identical request
+// computes again.
 func (s *Server) cached(endpoint string, req any, compute func() (*api.Envelope, error)) (cachedResp, *api.Error) {
 	rk := api.CanonicalKey(endpoint, req)
 	key := respKey{API: api.Version, Budget: s.Svc.budget(), Endpoint: rk.Endpoint, Digest: rk.Digest}
@@ -293,10 +294,7 @@ func (s *Server) serveQuarantine(w http.ResponseWriter, r *http.Request) {
 	if s.enter() {
 		defer s.inflight.Done()
 	}
-	var recs []api.QuarantineRecord
-	if ex := resilience.Active(); ex != nil {
-		recs = api.QuarantineRecordsFrom(ex.Quarantined())
-	}
+	recs := api.QuarantineRecordsFrom(resilience.Active().Quarantined())
 	writeEnvelope(w, http.StatusOK, &api.Envelope{Kind: "quarantine", Quarantine: recs})
 }
 

@@ -9,9 +9,9 @@
 // infrastructure. Each request's (program × pass) matrix fans out over
 // the process-wide worker pool; every measurement cell is content-
 // addressed, so requests overlapping in (source, config) space reuse
-// each other's work; and each cell runs under the installed resilience
-// executor, so a panicking or stalling cell quarantines instead of
-// killing the server.
+// each other's work; and each cell runs once under the process's
+// resilience executor, so a panicking or failing cell quarantines
+// instead of killing the server.
 package serve
 
 import (
@@ -149,7 +149,7 @@ func TunePrograms(progs []*tuner.Program, profile pipeline.Profile, level string
 // unwinding through the server.
 func (sv *Service) cycles(p *tuner.Program, cfg pipeline.Config) (int64, error) {
 	key := fmt.Sprintf("serve.cycles|%s|%s", p.CellKey(cfg.Name()), cfg.Name())
-	return resilience.Run(resilience.Active(), context.Background(), key,
+	return resilience.Run(context.Background(), key,
 		func(context.Context) (int64, error) {
 			bin := pipeline.Build(p.IR0, cfg)
 			m := vm.New(bin)

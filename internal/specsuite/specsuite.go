@@ -177,5 +177,5 @@ func OverO0(name string, cfg pipeline.Config) (float64, error) {
 	if !ok {
 		id = cfg.Name()
 	}
-	return resilience.Run(resilience.Active(), context.Background(), "spec|"+name+"|"+id, compute)
+	return resilience.Run(context.Background(), "spec|"+name+"|"+id, compute)
 }

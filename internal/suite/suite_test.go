@@ -39,8 +39,7 @@ func fake(fail map[string]error) func(int, pipeline.Config) (float64, error) {
 }
 
 func quarantined(key string) error {
-	return &resilience.CellError{Key: key, Kind: resilience.KindPanic, Attempts: 3,
-		Err: errors.New("injected")}
+	return &resilience.CellError{Key: key, Kind: resilience.KindPanic, Err: errors.New("injected")}
 }
 
 func means(t *testing.T, st *Set[float64]) []float64 {

@@ -40,12 +40,10 @@ func TestAnalyzeLevelForksAcrossWorkers(t *testing.T) {
 }
 
 // TestForkSetPanicReachesEveryCell: a panic while building a program's
-// fork set must reach every cell waiting on it as an error — quarantined
-// by each cell's resilience wrapper, or returned without one — never as
-// a nil fork set.
+// fork set must reach every cell waiting on it as an error, which each
+// cell's resilience wrapper quarantines — never as a nil fork set.
 func TestForkSetPanicReachesEveryCell(t *testing.T) {
 	defer workerpool.SetWorkers(0)
-	// Without an executor the failed cells stay cached as errors.
 	defer func() { effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"} }()
 	defer func(f func(*ir.Program, pipeline.Config, []string) *pipeline.Forks) { newForks = f }(newForks)
 	newForks = func(*ir.Program, pipeline.Config, []string) *pipeline.Forks {
@@ -55,7 +53,7 @@ func TestForkSetPanicReachesEveryCell(t *testing.T) {
 	const want = "fork set: panic: planted fork-set failure"
 
 	t.Run("quarantined", func(t *testing.T) {
-		ex := resilience.NewExecutor(resilience.Policy{})
+		ex := resilience.NewExecutor(nil)
 		defer resilience.Install(resilience.Install(ex))
 		workerpool.SetWorkers(4)
 		effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"}
@@ -77,14 +75,6 @@ func TestForkSetPanicReachesEveryCell(t *testing.T) {
 			if !strings.Contains(ce.Error(), want) {
 				t.Errorf("cell %s failed with %v, want the fork-set panic", ce.Key, ce.Err)
 			}
-		}
-	})
-	t.Run("unwrapped", func(t *testing.T) {
-		workerpool.SetWorkers(4)
-		effectCache = evalcache.Cache[cellKey, PassEffect]{Namespace: "tuner.effect"}
-		_, err := AnalyzeLevel(loadTunerProgs(t), pipeline.GCC, "O2")
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("AnalyzeLevel error = %v, want the fork-set panic", err)
 		}
 	})
 }

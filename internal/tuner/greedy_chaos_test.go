@@ -10,7 +10,7 @@ import (
 )
 
 // TestGreedySelectChaosComparesLiveSubjects runs the greedy search under
-// chaos (rate 0.2, seed 3) on fresh suite subjects: no other test here
+// chaos (rate 0.08, seed 3) on fresh suite subjects: no other test here
 // grows corpora of 16 execs, and testsuite.Load memoizes subjects with
 // their measurement caches, which would answer before the chaos layer.
 // Quarantined cells must not abort the search. Each step names the
@@ -30,10 +30,7 @@ func TestGreedySelectChaosComparesLiveSubjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	const minGain = 0.0005
-	ex := resilience.NewExecutor(resilience.DefaultPolicy())
-	ex.Chaos = &resilience.Chaos{Rate: 0.2, Seed: 3}
-	ex.Policy.Seed = 3
-	prev := resilience.Install(ex)
+	prev := resilience.Install(resilience.NewExecutor(&resilience.Chaos{Rate: 0.08, Seed: 3}))
 	steps, _, err := la.GreedySelect(progs, 2, minGain)
 	resilience.Install(prev)
 	if err != nil {

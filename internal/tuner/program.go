@@ -172,7 +172,7 @@ func (p *Program) measureBuilt(cfg pipeline.Config, build func() (*vm.Binary, er
 	}
 	key := p.cellKey(fp)
 	cell := func() (Measurement, error) {
-		return resilience.Run(resilience.Active(), context.Background(),
+		return resilience.Run(context.Background(),
 			key.String(), func(context.Context) (Measurement, error) {
 				return p.measure(build)
 			})

@@ -174,7 +174,7 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 		fp, _ := cfg.Fingerprint()
 		key := p.cellKey(fp)
 		eff, err := effectCache.Do(key, func() (PassEffect, error) {
-			return resilience.Run(resilience.Active(), ctx, key.String(),
+			return resilience.Run(ctx, key.String(),
 				func(context.Context) (PassEffect, error) {
 					fs, err := pf.get(p.IR0, refCfg, passNames)
 					if err != nil {

@@ -33,8 +33,8 @@ const (
 
 // ErrBudget is the base sentinel for execution-budget exhaustion:
 // errors.Is(err, ErrBudget) matches both step- and heap-budget errors.
-// Budget exhaustion is deterministic for a given binary and input, so
-// retry layers must classify it as permanent, never transient.
+// Budget exhaustion is deterministic for a given binary and input: a
+// cell that hits it quarantines, and running it again cannot help.
 var ErrBudget = errors.New("vm: execution budget exceeded")
 
 // ErrStepBudget is returned when execution exceeds the step budget.

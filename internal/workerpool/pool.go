@@ -44,10 +44,11 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PanicError is a panic captured from one Map task. Before this type
-// existed a panicking pass anywhere in the (program × config) matrix
-// unwound through the pool and killed the whole run; now it cancels the
-// pool like any other first error, carrying the task index and stack.
+// PanicError is a panic captured from one Map task outside any
+// resilience cell (a cell's own panic quarantines inside
+// resilience.Run and never reaches the pool). Instead of unwinding
+// through the pool and killing the process, it cancels the pool like
+// any other first error, carrying the task index and stack.
 type PanicError struct {
 	// Index is the input index of the panicking task.
 	Index int
@@ -60,11 +61,6 @@ type PanicError struct {
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("task %d panicked: %v", e.Index, e.Value)
 }
-
-// Transient reports true: under the resilience layer's taxonomy a panic
-// earns a retry (a deterministic one simply exhausts its retries into
-// quarantine).
-func (e *PanicError) Transient() bool { return true }
 
 // call invokes fn on one item with panics converted to *PanicError.
 func call[T, R any](ctx context.Context, idx int, item T, fn func(ctx context.Context, idx int, item T) (R, error)) (r R, err error) {

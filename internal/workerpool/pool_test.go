@@ -167,9 +167,6 @@ func TestMapPanicCaptured(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Fatalf("workers=%d: panic stack not captured", n)
 		}
-		if !pe.Transient() {
-			t.Fatalf("workers=%d: captured panics must classify transient", n)
-		}
 	}
 	SetWorkers(0)
 }
