@@ -25,6 +25,9 @@ go test -race -count=1 \
     ./internal/specsuite/ \
     ./internal/testsuite/ \
     ./internal/difftest/
+# Every config reads the pipeline's shared toggle tables; the rest of
+# the package is too slow under the race detector for this gate.
+go test -race -count=1 -run TestConfigsConcurrent ./internal/pipeline/
 
 # Keep the binary smokes hermetic: the persistent evalcache defaults to
 # the user cache dir, which CI must neither read nor pollute. Every
@@ -68,16 +71,16 @@ go run ./cmd/minicc -profile clang -O 3 -verify-each internal/difftest/testdata/
 go build -o /tmp/ci-experiments ./cmd/experiments
 CHAOSDT='-seeds 6 -suite=false -configs levels'
 # shellcheck disable=SC2086  # CHAOSDT is a word list by construction
-rc=0; /tmp/ci-experiments -j 1 -cachedir off -chaos rate=0.2,seed=21 $CHAOSDT \
+rc=0; /tmp/ci-experiments -j 1 -cachedir off -chaos rate=0.2,seed=5 $CHAOSDT \
     difftest > /tmp/ci-chaos-j1.txt || rc=$?
 test "$rc" -eq 3
-rc=0; /tmp/ci-experiments -j 4 -cachedir off -chaos rate=0.2,seed=21 $CHAOSDT \
+rc=0; /tmp/ci-experiments -j 4 -cachedir off -chaos rate=0.2,seed=5 $CHAOSDT \
     difftest > /tmp/ci-chaos-j4.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt
 grep -q '^QUARANTINED(' /tmp/ci-chaos-j1.txt
 rm -rf /tmp/ci-chaos-store
-rc=0; /tmp/ci-experiments -j 4 -cachedir /tmp/ci-chaos-store -chaos rate=0.2,seed=21 $CHAOSDT \
+rc=0; /tmp/ci-experiments -j 4 -cachedir /tmp/ci-chaos-store -chaos rate=0.2,seed=5 $CHAOSDT \
     difftest > /dev/null || rc=$?
 test "$rc" -eq 3
 /tmp/ci-experiments -j 4 -cachedir off $CHAOSDT difftest > /tmp/ci-chaos-cold.txt
@@ -98,16 +101,18 @@ test "$rc" -eq 3
 cmp /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
 # The debugtuner CLI's quarantine path: the tune result, the ranking
 # and the greedy search under fault injection complete with gaps, exit
-# 3, print the QUARANTINED report, and the same bytes at any -j.
+# 3, print the QUARANTINED report, and the same bytes at any -j. Seed 7
+# drops two tune references (bzip2, libssh), so the report must name at
+# least one subject left out of the tune result.
 go build -o /tmp/ci-debugtuner ./cmd/debugtuner
-CHAOSTUNE='-cachedir off -execs 20 -level O1 -dy 3 -greedy 2 -chaos rate=0.08,seed=3'
+CHAOSTUNE='-cachedir off -execs 20 -level O1 -dy 3 -greedy 2 -chaos rate=0.08,seed=7'
 # shellcheck disable=SC2086  # CHAOSTUNE is a word list by construction
 rc=0; /tmp/ci-debugtuner -j 1 $CHAOSTUNE > /tmp/ci-chaos-tune-j1.txt || rc=$?
 test "$rc" -eq 3
 rc=0; /tmp/ci-debugtuner -j 2 $CHAOSTUNE > /tmp/ci-chaos-tune-j2.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-tune-j1.txt /tmp/ci-chaos-tune-j2.txt
-grep -q 'QUARANTINED' /tmp/ci-chaos-tune-j1.txt
+grep -Eq '^QUARANTINED: [1-9][0-9]* subject' /tmp/ci-chaos-tune-j1.txt
 rm -rf /tmp/ci-experiments /tmp/ci-chaos-j1.txt /tmp/ci-chaos-j4.txt \
     /tmp/ci-chaos-store /tmp/ci-chaos-cold.txt /tmp/ci-rerun.txt \
     /tmp/ci-rerun-metrics.json \
@@ -144,7 +149,8 @@ if grep -Eq '"diskcache\.(miss|write)"' /tmp/ci-warm-metrics.json; then
     echo "warm quick-all recomputed a stored cell"; exit 1
 fi
 for NS in tuner.scores tuner.effect specsuite experiments.fdo \
-    experiments.synth testsuite.corpus; do
+    experiments.synth experiments.synthseeds testsuite.corpus \
+    testsuite.coverage; do
     grep -Eq "\"diskcache\\.$NS\\.hit\": [1-9]" /tmp/ci-warm-metrics.json
 done
 SEG=$(find /tmp/ci-cache -name '*.seg' | head -n 1)
@@ -163,7 +169,8 @@ cmp /tmp/ci-cold.txt /tmp/ci-nocache-j4.txt
 # by a -quick run (smaller fuzz corpus) must not answer a full run.
 # Table III prints the corpus sizes, so a corpus key without the fuzz
 # budget fails here. Likewise a directory filled under another AutoFDO
-# sampling period must not answer Figure 3.
+# sampling period must not answer Figure 3, and one filled with Table
+# I's 20-program selection must not answer a 25-program one.
 rm -rf /tmp/ci-cache
 /tmp/ci-experiments -quick -cachedir /tmp/ci-cache table2 table3 > /dev/null
 /tmp/ci-experiments -cachedir /tmp/ci-cache table2 table3 > /tmp/ci-budget-warm.txt
@@ -174,11 +181,17 @@ rm -rf /tmp/ci-cache
 /tmp/ci-experiments -quick -cachedir /tmp/ci-cache fig3 > /tmp/ci-sample-warm.txt
 /tmp/ci-experiments -quick -cachedir off fig3 > /tmp/ci-sample-cold.txt
 cmp /tmp/ci-sample-cold.txt /tmp/ci-sample-warm.txt
+rm -rf /tmp/ci-cache
+/tmp/ci-experiments -quick -cachedir /tmp/ci-cache table1 > /dev/null
+/tmp/ci-experiments -quick -synth 25 -cachedir /tmp/ci-cache table1 > /tmp/ci-synth-warm.txt
+/tmp/ci-experiments -quick -synth 25 -cachedir off table1 > /tmp/ci-synth-cold.txt
+cmp /tmp/ci-synth-cold.txt /tmp/ci-synth-warm.txt
 rm -rf /tmp/ci-experiments /tmp/ci-cache /tmp/ci-default-cache \
     /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-warm-metrics.json \
     /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt \
     /tmp/ci-budget-warm.txt /tmp/ci-budget-cold.txt \
-    /tmp/ci-sample-warm.txt /tmp/ci-sample-cold.txt
+    /tmp/ci-sample-warm.txt /tmp/ci-sample-cold.txt \
+    /tmp/ci-synth-warm.txt /tmp/ci-synth-cold.txt
 
 # Full-run golden: a cold full `all` must reproduce the committed
 # experiments_output.txt, the numbers EXPERIMENTS.md quotes.

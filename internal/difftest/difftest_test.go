@@ -489,7 +489,7 @@ func TestChaosRunStoresNoQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, rep, _ := runOnStore(t, dir, &resilience.Chaos{Rate: 0.2, Seed: 21}, opts); rep.Quarantined == 0 {
+	if _, rep, _ := runOnStore(t, dir, &resilience.Chaos{Rate: 0.2, Seed: 5}, opts); rep.Quarantined == 0 {
 		t.Fatal("chaos quarantined nothing; the test exercises no policy")
 	}
 	clean, _, snk := runOnStore(t, dir, nil, opts)

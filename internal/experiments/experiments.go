@@ -62,19 +62,21 @@ func DefaultOptions() Options {
 }
 
 // Runner executes and caches the evaluation: the per-level pass
-// analyses, the AutoFDO measurements and the Table I cells. Each is an
-// evalcache.Cache, so concurrent table generators asking for the same
-// intermediate block on one computation instead of duplicating it; the
-// AutoFDO measurements and Table I cells are also kept in the process
-// store. Suite averages are not memoized here: every table evaluates
-// its (subject × config) set through suite.Evaluate, whose cells hit
-// the measurement caches underneath (tuner.Program's scores,
-// specsuite's cycle counts, the synth cells below).
+// analyses, the AutoFDO measurements, Table I's seed selection and its
+// cells. Each is an evalcache.Cache, so concurrent table generators
+// asking for the same intermediate block on one computation instead of
+// duplicating it; the AutoFDO measurements, the seed selection and the
+// Table I cells are also kept in the process store. Suite averages are
+// not memoized here: every table evaluates its (subject × config) set
+// through suite.Evaluate, whose cells hit the measurement caches
+// underneath (tuner.Program's scores, specsuite's cycle counts, the
+// synth cells below).
 type Runner struct {
 	Opts Options
 
 	analyses evalcache.Cache[analysisKey, *tuner.LevelAnalysis]
 	fdo      evalcache.Cache[fdoKey, fdoResult]
+	seeds    evalcache.Cache[synthSelection, []int64]
 	synth    evalcache.Cache[synthCell, methodScores]
 }
 
@@ -89,6 +91,7 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{
 		Opts:  opts,
 		fdo:   evalcache.Cache[fdoKey, fdoResult]{Namespace: "experiments.fdo"},
+		seeds: evalcache.Cache[synthSelection, []int64]{Namespace: "experiments.synthseeds"},
 		synth: evalcache.Cache[synthCell, methodScores]{Namespace: "experiments.synth"},
 	}
 }
@@ -154,17 +157,19 @@ func leftOut(w io.Writer, what string, names []string) {
 // baseline's included.
 const synthTraceBudget = 1 << 22
 
-// synthProgram is one loaded synthetic subject.
+// synthProgram is one selected synthetic subject. Its seed names it and
+// its source hash keys its cells; what a measurement needs beyond them
+// is built at the first cell that misses the caches.
 type synthProgram struct {
+	seed int64
 	src  uint64 // hash of the generated source
-	info *sema.Info
-	dr   *sema.DefRanges
-	ir0  *ir.Program
-	stmt map[int]bool
 
-	baseOnce sync.Once
-	base     *dbgtrace.Trace
-	baseErr  error
+	once sync.Once // runs load
+	ir0  *ir.Program
+	dr   *sema.DefRanges
+	stmt map[int]bool
+	base *dbgtrace.Trace // the O0 baseline trace
+	err  error
 }
 
 // synthOptions keeps synthetic programs small enough to trace quickly.
@@ -173,40 +178,63 @@ var synthOptions = synth.Options{
 	MaxExpr: 4, Arrays: 2, Globals: 3,
 }
 
-// trySynth generates, front-ends, and smoke-runs one seed, returning
-// nil when the program is not runnable.
-func trySynth(seed int64) *synthProgram {
-	src := synth.Generate(seed, synthOptions)
-	info, err := pipeline.Frontend(fmt.Sprintf("synth%d", seed), []byte(src))
+// synthSelection declares the one input of Table I's seed selection
+// that varies, the number of programs. The rest (the candidate limit,
+// the smoke run's step budget, the generator options) is code, which
+// the store's tool hash covers.
+type synthSelection struct{ Count int }
+
+// synthName names seed's program.
+func synthName(seed int64) string { return fmt.Sprintf("synth%d", seed) }
+
+// synthFrontend generates and front-ends seed's program.
+func synthFrontend(seed int64) (*sema.Info, *ir.Program, error) {
+	info, err := pipeline.Frontend(synthName(seed), []byte(synth.Generate(seed, synthOptions)))
 	if err != nil {
-		return nil
+		return nil, nil, err
 	}
 	ir0, err := pipeline.BuildIR(info)
-	if err != nil {
-		return nil
-	}
-	it := ir.NewInterp(ir0, 1<<21)
-	if _, err := it.Call("main"); err != nil {
-		return nil
-	}
-	return &synthProgram{
-		src: resilience.HashBytes([]byte(src)), info: info,
-		dr: sema.ComputeDefRanges(info), ir0: ir0,
-		stmt: sema.StatementLines(info),
-	}
+	return info, ir0, err
 }
 
-// loadSynth deterministically selects the first n runnable synthetic
-// programs. Candidate seeds are evaluated in parallel chunks; the
-// selection — the first n runnable seeds in seed order — is identical
-// to the serial scan's at any worker count.
-func loadSynth(n int) []*synthProgram {
+// trySynth generates, front-ends, and smoke-runs one seed, reporting
+// whether its program is runnable.
+func trySynth(seed int64) bool {
+	_, ir0, err := synthFrontend(seed)
+	if err != nil {
+		return false
+	}
+	_, err = ir.NewInterp(ir0, 1<<21).Call("main")
+	return err == nil
+}
+
+// synthPrograms returns Table I's n programs. The selection is kept in
+// the runner and the process store, so a warm run only regenerates and
+// hashes each selected seed's source, which is all its cell keys need.
+func (r *Runner) synthPrograms(n int) ([]*synthProgram, error) {
+	seeds, err := r.seeds.Do(synthSelection{Count: n}, func() ([]int64, error) { return loadSynth(n), nil })
+	if err != nil {
+		return nil, err
+	}
+	progs := make([]*synthProgram, len(seeds))
+	for i, seed := range seeds {
+		src := synth.Generate(seed, synthOptions)
+		progs[i] = &synthProgram{seed: seed, src: resilience.HashBytes([]byte(src))}
+	}
+	return progs, nil
+}
+
+// loadSynth deterministically selects the seeds of the first n runnable
+// synthetic programs. Candidate seeds are evaluated in parallel chunks;
+// the selection — the first n runnable seeds in seed order — is
+// identical to the serial scan's at any worker count.
+func loadSynth(n int) []int64 {
 	limit := int64(n) * 30
 	chunk := int64(workerpool.Workers()) * 8
 	if chunk < 8 {
 		chunk = 8
 	}
-	var out []*synthProgram
+	var out []int64
 	for lo := int64(0); int64(len(out)) < int64(n) && lo < limit; lo += chunk {
 		hi := lo + chunk
 		if hi > limit {
@@ -216,13 +244,13 @@ func loadSynth(n int) []*synthProgram {
 		for s := lo; s < hi; s++ {
 			seeds = append(seeds, s)
 		}
-		batch, _ := workerpool.Map(context.Background(), seeds,
-			func(_ context.Context, _ int, seed int64) (*synthProgram, error) {
+		ok, _ := workerpool.Map(context.Background(), seeds,
+			func(_ context.Context, _ int, seed int64) (bool, error) {
 				return trySynth(seed), nil
 			})
-		for _, sp := range batch {
-			if sp != nil && len(out) < n {
-				out = append(out, sp)
+		for i, seed := range seeds {
+			if ok[i] && len(out) < n {
+				out = append(out, seed)
 			}
 		}
 	}
@@ -260,8 +288,7 @@ func (r *Runner) synthScores(sp *synthProgram, cfg pipeline.Config) (methodScore
 // measure builds sp under cfg and scores it against its O0 baseline.
 func (sp *synthProgram) measure(cfg pipeline.Config) (methodScores, error) {
 	var ms methodScores
-	base, err := sp.baseline()
-	if err != nil {
+	if err := sp.load(); err != nil {
 		return ms, err
 	}
 	bin := pipeline.Build(sp.ir0, cfg)
@@ -277,25 +304,34 @@ func (sp *synthProgram) measure(cfg pipeline.Config) (methodScores, error) {
 	if err != nil {
 		return ms, err
 	}
-	ms.Dynamic = metrics.Dynamic(tr, base)
-	ms.Hybrid = metrics.Hybrid(tr, base, sp.dr)
+	ms.Dynamic = metrics.Dynamic(tr, sp.base)
+	ms.Hybrid = metrics.Hybrid(tr, sp.base, sp.dr)
 	ms.Static = metrics.Static(table, sp.stmt, sp.dr)
-	ms.StaticDbg = metrics.StaticDbg(table, base, sp.dr)
+	ms.StaticDbg = metrics.StaticDbg(table, sp.base, sp.dr)
 	ms.StaticProven = metrics.StaticProven(bin, table, sp.stmt, sp.dr)
 	return ms, nil
 }
 
-func (sp *synthProgram) baseline() (*dbgtrace.Trace, error) {
-	sp.baseOnce.Do(func() {
-		bin := pipeline.Build(sp.ir0, pipeline.MustConfig(pipeline.GCC, "O0"))
-		sess, err := debugger.NewSession(bin)
-		if err != nil {
-			sp.baseErr = err
+// load builds, once, what measuring sp needs: the front end and IR,
+// the def ranges, the statement lines and the O0 baseline trace.
+// Concurrent cells share one load.
+func (sp *synthProgram) load() error {
+	sp.once.Do(func() {
+		var info *sema.Info
+		info, sp.ir0, sp.err = synthFrontend(sp.seed)
+		if sp.err != nil {
 			return
 		}
-		sp.base, sp.baseErr = sess.TraceMain("main", synthTraceBudget)
+		sp.dr = sema.ComputeDefRanges(info)
+		sp.stmt = sema.StatementLines(info)
+		sess, err := debugger.NewSession(pipeline.Build(sp.ir0, pipeline.MustConfig(pipeline.GCC, "O0")))
+		if err != nil {
+			sp.err = err
+			return
+		}
+		sp.base, sp.err = sess.TraceMain("main", synthTraceBudget)
 	})
-	return sp.base, sp.baseErr
+	return sp.err
 }
 
 // levelsUnderTest enumerates the (profile, level) pairs the paper

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,13 +84,8 @@ func TestRunnerCaching(t *testing.T) {
 func TestLoadSynthDeterministic(t *testing.T) {
 	a := loadSynth(5)
 	b := loadSynth(5)
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatalf("loaded %d and %d programs", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].info.Program.File.Name != b[i].info.Program.File.Name {
-			t.Fatal("different programs selected")
-		}
+	if len(a) != 5 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("selected %v, then %v", a, b)
 	}
 }
 
@@ -98,7 +94,10 @@ func TestLoadSynthDeterministic(t *testing.T) {
 // configs are separate cells; a repeated pair is the same cell.
 func TestSynthCellKey(t *testing.T) {
 	r := NewRunner(Options{})
-	sps := loadSynth(2)
+	sps, err := r.synthPrograms(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o1, o2 := pipeline.MustConfig(pipeline.GCC, "O1"), pipeline.MustConfig(pipeline.GCC, "O2")
 	for _, c := range []struct {
 		sp  *synthProgram
@@ -129,7 +128,10 @@ func TestDebugifyKey(t *testing.T) {
 
 // TestTable1FromStore renders Table I cold into a store, then again from
 // a fresh runner on a second handle of that store, as a warm process
-// does: the bytes must match, and every cell must come from the store.
+// does: the bytes must match, and the seed selection and every cell
+// must come from the store, so the warm render front-ends nothing:
+// neither a candidate seed (vetting one front-ends it) nor a selected
+// program.
 func TestTable1FromStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -163,5 +165,88 @@ func TestTable1FromStore(t *testing.T) {
 	}
 	if hit, miss := warmCounts["diskcache.experiments.synth.hit"], warmCounts["diskcache.experiments.synth.miss"]; hit != cells || miss != 0 {
 		t.Errorf("warm render: %d hits and %d misses, want %d and 0", hit, miss, cells)
+	}
+	if got := coldCounts["diskcache.experiments.synthseeds.write"]; got != 1 {
+		t.Errorf("cold render wrote %d seed selections, want 1", got)
+	}
+	if got := warmCounts["diskcache.experiments.synthseeds.hit"]; got != 1 {
+		t.Errorf("warm render read %d seed selections, want 1", got)
+	}
+	if got := coldCounts["pipeline.frontend"]; got < int64(opts.SynthCount) {
+		t.Errorf("cold render front-ended %d sources for %d programs", got, opts.SynthCount)
+	}
+	if got := warmCounts["pipeline.frontend"]; got != 0 {
+		t.Errorf("warm render front-ended %d sources, want 0", got)
+	}
+}
+
+// TestTable1SelectionFromStore: a store that holds Table I's seed
+// selection but none of its cells (the cells of a selection under
+// another trace budget, say) makes a fresh runner front-end each
+// selected program at its first cell, concurrently from the cell set,
+// and measure exactly what a run without a store does.
+func TestTable1SelectionFromStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	opts := Options{SynthCount: 3, SampleEvery: 997}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(nil)
+	var cold bytes.Buffer
+	if err := NewRunner(opts).Table1(&cold); err != nil {
+		t.Fatal(err)
+	}
+	d, err := evalcache.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalcache.SetDefaultDisk(d)
+	if _, err := NewRunner(opts).synthPrograms(opts.SynthCount); err != nil {
+		t.Fatal(err)
+	}
+	snk := telemetry.NewSink()
+	defer telemetry.Install(telemetry.Install(snk))
+	var warm bytes.Buffer
+	if err := NewRunner(opts).Table1(&warm); err != nil {
+		t.Fatal(err)
+	}
+	if warm.String() != cold.String() {
+		t.Fatalf("Table I from a stored selection differs from a storeless run:\n%s\nwant:\n%s", warm.String(), cold.String())
+	}
+	if hit, fe := snk.Counter("diskcache.experiments.synthseeds.hit"), snk.Counter("pipeline.frontend"); hit != 1 || fe != int64(opts.SynthCount) {
+		t.Errorf("%d selection hits and %d front ends, want 1 and %d", hit, fe, opts.SynthCount)
+	}
+}
+
+// TestSynthSelectionKey: every field of Table I's selection key reaches
+// its store key, so a stored selection answers only the selection it
+// was scanned for.
+func TestSynthSelectionKey(t *testing.T) {
+	d, err := evalcache.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(d)
+	const ns = "experiments.synthseeds"
+	base := synthSelection{Count: 20}
+	stored := evalcache.Cache[synthSelection, []int64]{Namespace: ns}
+	stored.Do(base, func() ([]int64, error) { return []int64{1}, nil })
+	computes := func(k synthSelection) bool {
+		computed := false
+		fresh := evalcache.Cache[synthSelection, []int64]{Namespace: ns}
+		fresh.Do(k, func() ([]int64, error) { computed = true; return nil, nil })
+		return computed
+	}
+	if computes(base) {
+		t.Fatal("the stored selection was not read back")
+	}
+	for i := 0; i < reflect.TypeFor[synthSelection]().NumField(); i++ {
+		k := base
+		f := reflect.ValueOf(&k).Elem().Field(i)
+		f.SetInt(f.Int() + 1)
+		if !computes(k) {
+			t.Errorf("changing %s leaves the store key unchanged", reflect.TypeFor[synthSelection]().Field(i).Name)
+		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 // measured once; every row and the gcc-O1 spread read it in program
 // order.
 func (r *Runner) Table1(w io.Writer) error {
-	progs := loadSynth(r.Opts.SynthCount)
+	progs, err := r.synthPrograms(r.Opts.SynthCount)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "Table I — methods on %d synthetic programs (geomean)\n", len(progs))
 	fmt.Fprintf(w, "%-6s %-4s | %8s %10s %8s %8s | %8s %10s %8s | %8s %10s %8s %8s\n",
 		"comp", "opt", "av.stat", "av.statdbg", "av.dyn", "av.hyb",
@@ -26,7 +29,7 @@ func (r *Runner) Table1(w io.Writer) error {
 
 	names := make([]string, len(progs))
 	for i, sp := range progs {
-		names[i] = sp.info.Program.File.Name
+		names[i] = synthName(sp.seed)
 	}
 	cfgs := levelsUnderTest()
 	set, err := suite.Evaluate(names, cfgs, func(s int, cfg pipeline.Config) (methodScores, error) {

@@ -224,7 +224,7 @@ func TestChaosRunStoresNoQuarantine(t *testing.T) {
 	cold, _ := runCampaign(t, opts)
 
 	dir := t.TempDir()
-	ex := resilience.NewExecutor(&resilience.Chaos{Rate: 0.12, Seed: 1})
+	ex := resilience.NewExecutor(&resilience.Chaos{Rate: 0.12, Seed: 4})
 	prev := resilience.Install(ex)
 	chaos, _ := runOnStore(t, dir, opts)
 	resilience.Install(prev)

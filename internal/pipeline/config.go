@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"debugtuner/internal/autofdo"
@@ -85,18 +86,13 @@ func NewConfig(p Profile, level string, opts ...Option) (Config, error) {
 		o(&cfg)
 	}
 	if len(cfg.Disabled) > 0 {
-		valid := map[string]bool{}
-		for _, n := range EnabledPasses(p, level) {
-			valid[n] = true
-		}
-		// The called-once inliner is a fine-grained gcc knob consulted
-		// by configureInliner but absent from the pipeline tables.
-		if p == GCC && level != "O0" && level != "Og" {
-			valid["inline-fncs-called-once"] = true
-		}
+		toggles := EnabledPasses(p, level)
 		var bad []string
 		for n := range cfg.Disabled {
-			if !valid[n] {
+			// The called-once inliner is a fine-grained gcc knob consulted
+			// by configureInliner but absent from the pipeline tables.
+			knob := n == "inline-fncs-called-once" && p == GCC && level != "O0" && level != "Og"
+			if !knob && !slices.Contains(toggles, n) {
 				bad = append(bad, n)
 			}
 		}

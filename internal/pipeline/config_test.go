@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -84,4 +86,43 @@ func TestMustConfigPanics(t *testing.T) {
 		}
 	}()
 	MustConfig(GCC, "O2", Disable("no-such-pass"))
+}
+
+// TestConfigsConcurrent: NewConfig and EnabledPasses read one toggle
+// table per pipeline, built once and shared. Concurrent callers (run
+// under -race) must not race on it, and an append to EnabledPasses's
+// slice must copy instead of writing into the shared one.
+func TestConfigsConcurrent(t *testing.T) {
+	type level struct {
+		p Profile
+		l string
+	}
+	want := map[level][]string{}
+	for _, p := range []Profile{GCC, Clang} {
+		for _, l := range append([]string{"O0"}, Levels(p)...) {
+			want[level{p, l}] = slices.Clone(EnabledPasses(p, l))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lv := range want {
+				names := EnabledPasses(lv.p, lv.l)
+				_ = append(names, "inline-fncs-called-once")
+				for _, n := range names {
+					if _, err := NewConfig(lv.p, lv.l, Disable(n)); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for lv, w := range want {
+		if got := EnabledPasses(lv.p, lv.l); !slices.Equal(got, w) {
+			t.Errorf("%s-%s: toggles %v after concurrent use, want %v", lv.p, lv.l, got, w)
+		}
+	}
 }

@@ -21,6 +21,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -312,8 +313,34 @@ func (c Config) Fingerprint() (key string, ok bool) {
 
 // EnabledPasses returns the distinct user-visible toggle names of a
 // profile/level pipeline, in first-occurrence order, including gcc's
-// group toggle.
+// group toggle. The slice is built once per process and shared by every
+// caller, so it must not be modified; it is clipped, so an append to it
+// copies.
 func EnabledPasses(p Profile, level string) []string {
+	return levelToggles[levelKey{p, level}]
+}
+
+// levelKey names one profile/level pipeline.
+type levelKey struct {
+	profile Profile
+	level   string
+}
+
+// levelToggles holds EnabledPasses of every pipeline the profiles
+// define. The pipeline tables are static, so the toggles are derived
+// once, at start-up, instead of for every config NewConfig validates.
+var levelToggles = func() map[levelKey][]string {
+	m := map[levelKey][]string{}
+	for _, p := range []Profile{GCC, Clang} {
+		for _, level := range append([]string{"O0"}, Levels(p)...) {
+			m[levelKey{p, level}] = slices.Clip(enabledPasses(p, level))
+		}
+	}
+	return m
+}()
+
+// enabledPasses derives EnabledPasses from the pipeline table.
+func enabledPasses(p Profile, level string) []string {
 	var names []string
 	seen := map[string]bool{}
 	hasExpensive := false
@@ -337,7 +364,10 @@ func EnabledPasses(p Profile, level string) []string {
 }
 
 // Frontend parses and checks a source file, returning the semantic info.
+// Each call counts as pipeline.frontend, so a run's metrics show how
+// many sources it front-ended.
 func Frontend(name string, src []byte) (*sema.Info, error) {
+	telemetry.Add("pipeline.frontend", 1)
 	prog, err := parser.Parse(source.NewFile(name, src))
 	if err != nil {
 		return nil, err

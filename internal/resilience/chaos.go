@@ -76,12 +76,25 @@ func (c *Chaos) Decide(key string) FaultKind {
 		return FaultNone
 	}
 	const den = 1 << 20
-	h := hashParts(c.Seed, "cell", key)
+	h := avalanche(hashParts(c.Seed, "cell", key))
 	if float64(h%den)/den >= c.Rate {
 		return FaultNone
 	}
-	if hashParts(c.Seed, "kind", key)%2 == 0 {
+	if avalanche(hashParts(c.Seed, "kind", key))%2 == 0 {
 		return FaultPanic
 	}
 	return FaultError
+}
+
+// avalanche is murmur3's 64-bit finalizer. FNV-1a's low bits barely
+// depend on a key's last byte, so keys differing only there would share
+// a decision; after the finalizer every input bit reaches every output
+// bit.
+func avalanche(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb3f99e1b1a85
+	h ^= h >> 33
+	return h
 }

@@ -199,6 +199,41 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// TestChaosKeysIndependent: keys that differ only in their last
+// character get independent decisions. Over cell-00..cell-99 at rate
+// 0.5, no block of ten keys sharing a prefix is faulted (or spared) as
+// a whole, and the fault kinds of neighbouring faulted keys do not
+// alternate with the last digit.
+func TestChaosKeysIndependent(t *testing.T) {
+	for _, seed := range []uint64{1, 3, 8} {
+		c := &Chaos{Rate: 0.5, Seed: seed}
+		pairs, alternating := 0, 0
+		for tens := 0; tens < 10; tens++ {
+			var d [10]FaultKind
+			faulted := 0
+			for ones := range d {
+				if d[ones] = c.Decide(fmt.Sprintf("cell-%d%d", tens, ones)); d[ones] != FaultNone {
+					faulted++
+				}
+			}
+			if faulted == 0 || faulted == 10 {
+				t.Errorf("seed %d: cell-%d0..cell-%d9 share one decision (%d of 10 faulted)", seed, tens, tens, faulted)
+			}
+			for ones := 0; ones < 9; ones++ {
+				if d[ones] != FaultNone && d[ones+1] != FaultNone {
+					pairs++
+					if d[ones] != d[ones+1] {
+						alternating++
+					}
+				}
+			}
+		}
+		if pairs == 0 || alternating == pairs {
+			t.Errorf("seed %d: kinds differ in %d of %d neighbouring faulted pairs, want some alike", seed, alternating, pairs)
+		}
+	}
+}
+
 func TestParseChaos(t *testing.T) {
 	c, err := ParseChaos("rate=0.25,seed=7")
 	if err != nil || c.Rate != 0.25 || c.Seed != 7 {

@@ -8,7 +8,6 @@ import (
 	"context"
 	"embed"
 	"fmt"
-	"sort"
 
 	"debugtuner/internal/corpus"
 	"debugtuner/internal/dbgtrace"
@@ -60,6 +59,7 @@ type HarnessCorpus struct {
 type Subject struct {
 	*tuner.Program
 	Corpora []HarnessCorpus
+	key     corpusKey // the subject and the options it was loaded under
 }
 
 // Stats reproduces the Table III row for the subject.
@@ -90,6 +90,22 @@ type corpusKey struct {
 	Seed       int64
 }
 
+// coverageKey declares every input of a subject's O0 debug coverage:
+// the corpusKey fields, which fix the inputs traced, and the trace step
+// budget.
+type coverageKey struct {
+	Name       string
+	Src        uint64
+	Execs      int
+	StepBudget int64
+	Seed       int64
+	Budget     int64 // trace step budget (tuner.Program.Budget)
+}
+
+// coverage is a subject's O0 debug coverage: its steppable lines and
+// the distinct lines its final inputs step.
+type coverage struct{ Steppable, Stepped int }
+
 var (
 	// subjects holds each loaded subject, so concurrent loaders of one
 	// subject share one load.
@@ -98,6 +114,9 @@ var (
 	// front-ends the subject and installs the stored inputs without
 	// fuzzing.
 	corpora = evalcache.Cache[corpusKey, []HarnessCorpus]{Namespace: "testsuite.corpus"}
+	// coverages is the store's level of Table III's coverage columns: a
+	// later process prints them without building or tracing at O0.
+	coverages = evalcache.Cache[coverageKey, coverage]{Namespace: "testsuite.coverage"}
 )
 
 // Load builds one subject: front-end the source, grow a corpus per
@@ -133,7 +152,7 @@ func Load(name string, opts CorpusOptions) (*Subject, error) {
 			inputs[hc.Harness] = hc.Inputs
 		}
 		prog.Inputs = inputs
-		return &Subject{Program: prog, Corpora: hcs}, nil
+		return &Subject{Program: prog, Corpora: hcs, key: key}, nil
 	})
 }
 
@@ -222,16 +241,25 @@ func Programs(subjects []*Subject) []*tuner.Program {
 	return out
 }
 
-// ComputeStats builds the Table III row: input counts, reductions, and
-// debug coverage at -O0.
+// ComputeStats builds the Table III row of a subject from Load (a
+// LoadLite subject has no corpora and no corpus key): input counts,
+// reductions, and debug coverage at -O0. The coverage is kept in the
+// process store; the input columns come from the corpora.
 func (s *Subject) ComputeStats() (Stats, error) {
 	st := Stats{Name: s.Name}
-	base, err := s.Baseline()
+	k := s.key
+	cov, err := coverages.Do(coverageKey{Name: k.Name, Src: k.Src, Execs: k.Execs,
+		StepBudget: k.StepBudget, Seed: k.Seed, Budget: s.Budget}, func() (coverage, error) {
+		base, err := s.Baseline()
+		if err != nil {
+			return coverage{}, err
+		}
+		return coverage{Steppable: base.Steppable, Stepped: len(base.Stepped)}, nil
+	})
 	if err != nil {
 		return st, err
 	}
-	st.SteppableLines = base.Steppable
-	st.SteppedLines = len(s.BaselineSteppedLines(base))
+	st.SteppableLines, st.SteppedLines = cov.Steppable, cov.Stepped
 	if st.SteppableLines > 0 {
 		st.DebugCoveragePct = 100 * float64(st.SteppedLines) / float64(st.SteppableLines)
 	}
@@ -247,13 +275,6 @@ func (s *Subject) ComputeStats() (Stats, error) {
 		st.ReductionPct = sumQueue / n
 	}
 	return st, nil
-}
-
-// BaselineSteppedLines lists the distinct lines stepped at -O0.
-func (s *Subject) BaselineSteppedLines(base *dbgtrace.Trace) []int {
-	lines := base.Lines()
-	sort.Ints(lines)
-	return lines
 }
 
 // hash gives a stable per-name seed component.

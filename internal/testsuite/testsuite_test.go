@@ -199,16 +199,18 @@ func TestCorpusKey(t *testing.T) {
 	}
 }
 
-// TestCorporaFromStore loads every subject cold into a store, forgets
-// it, and loads it again from a second handle of that store, as a warm
-// process does. The stored corpora must come back equal, and so must
-// every level's cell key: an input vector that came back as [] where it
-// was nil (or the reverse) and changed the key would make every warm
-// tuner cell miss.
+// TestCorporaFromStore loads every subject cold into a store and
+// computes its Table III row, forgets both, and does it again from a
+// second handle of that store, as a warm process does. The stored
+// corpora and rows must come back equal, and so must every level's cell
+// key: an input vector that came back as [] where it was nil (or the
+// reverse) and changed the key would make every warm tuner cell miss.
+// The warm pass builds nothing: neither a fuzzing binary nor the O0
+// binary that Table III's coverage traces.
 func TestCorporaFromStore(t *testing.T) {
 	opts := CorpusOptions{Execs: 40, StepBudget: 1 << 17, Seed: 3}
 	dir := t.TempDir()
-	loadAll := func() ([]*Subject, map[string]int64) {
+	loadAll := func() ([]*Subject, []Stats, *telemetry.Sink) {
 		t.Helper()
 		d, err := evalcache.OpenDisk(dir)
 		if err != nil {
@@ -221,20 +223,39 @@ func TestCorporaFromStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return subjects, snk.Counters()
+		stats := make([]Stats, len(subjects))
+		for i, s := range subjects {
+			if stats[i], err = s.ComputeStats(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return subjects, stats, snk
 	}
 	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
-	cold, coldCounts := loadAll()
+	cold, coldStats, coldSnk := loadAll()
 	subjects = evalcache.Cache[corpusKey, *Subject]{}
 	corpora = evalcache.Cache[corpusKey, []HarnessCorpus]{Namespace: "testsuite.corpus"}
-	warm, warmCounts := loadAll()
+	coverages = evalcache.Cache[coverageKey, coverage]{Namespace: "testsuite.coverage"}
+	warm, warmStats, warmSnk := loadAll()
+	coldCounts, warmCounts := coldSnk.Counters(), warmSnk.Counters()
 
 	n := int64(len(Names))
-	if got := coldCounts["diskcache.testsuite.corpus.write"]; got != n {
-		t.Errorf("cold load wrote %d corpora, want %d", got, n)
+	for _, ns := range []string{"testsuite.corpus", "testsuite.coverage"} {
+		if got := coldCounts["diskcache."+ns+".write"]; got != n {
+			t.Errorf("cold load wrote %d %s records, want %d", got, ns, n)
+		}
+		if hit, miss := warmCounts["diskcache."+ns+".hit"], warmCounts["diskcache."+ns+".miss"]; hit != n || miss != 0 {
+			t.Errorf("warm load: %d %s hits and %d misses, want %d and 0", hit, ns, miss, n)
+		}
 	}
-	if hit, miss := warmCounts["diskcache.testsuite.corpus.hit"], warmCounts["diskcache.testsuite.corpus.miss"]; hit != n || miss != 0 {
-		t.Errorf("warm load: %d hits and %d misses, want %d and 0", hit, miss, n)
+	if !reflect.DeepEqual(warmStats, coldStats) {
+		t.Errorf("Table III rows from the store %+v, want the cold %+v", warmStats, coldStats)
+	}
+	if coldSnk.SpanCount() == 0 {
+		t.Error("the cold load counted no build spans; the check below sees nothing")
+	}
+	if got := warmSnk.SpanCount(); got != 0 {
+		t.Errorf("the warm load ran %d build spans, want none", got)
 	}
 	for i, name := range Names {
 		c, w := cold[i], warm[i]
@@ -251,6 +272,45 @@ func TestCorporaFromStore(t *testing.T) {
 					t.Errorf("%s %s-%s: cell key %s from the store, %s cold", name, p, l, wk, ck)
 				}
 			}
+		}
+	}
+}
+
+// TestCoverageKey: every field of a coverage key reaches its store key,
+// so a stored coverage answers only the corpus and budget it traced.
+func TestCoverageKey(t *testing.T) {
+	d, err := evalcache.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evalcache.SetDefaultDisk(evalcache.DefaultDisk())
+	evalcache.SetDefaultDisk(d)
+	const ns = "testsuite.coverage"
+	base := coverageKey{Name: "zlib", Src: 0x5eed, Execs: 120, StepBudget: 1 << 19, Seed: 1, Budget: 1 << 26}
+	stored := evalcache.Cache[coverageKey, coverage]{Namespace: ns}
+	stored.Do(base, func() (coverage, error) { return coverage{Steppable: 2, Stepped: 1}, nil })
+	computes := func(k coverageKey) bool {
+		computed := false
+		fresh := evalcache.Cache[coverageKey, coverage]{Namespace: ns}
+		fresh.Do(k, func() (coverage, error) { computed = true; return coverage{}, nil })
+		return computed
+	}
+	if computes(base) {
+		t.Fatal("the stored coverage was not read back")
+	}
+	typ := reflect.TypeFor[coverageKey]()
+	for i := 0; i < typ.NumField(); i++ {
+		k := base
+		switch f := reflect.ValueOf(&k).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			f.SetInt(f.Int() + 1)
+		}
+		if !computes(k) {
+			t.Errorf("changing %s leaves the store key unchanged", typ.Field(i).Name)
 		}
 	}
 }

@@ -33,14 +33,22 @@ type Program struct {
 	DR   *sema.DefRanges
 	IR0  *ir.Program
 	// Inputs per harness. Empty map (or empty Entry harnesses) means a
-	// main-style program traced via its entry function.
+	// main-style program traced via its entry function. Inputs and Entry
+	// are fixed once the program is first measured or keyed: its cell
+	// keys digest them, with Src, once per process.
 	Inputs map[string][][]int64
 	Entry  string // used when no harnesses exist; default "main"
-	Budget int64  // VM step budget per trace
+	// Budget is the VM step budget per trace. Unlike the inputs it is
+	// read at every measurement, so it may be set after loading.
+	Budget int64
 
 	mu       sync.Mutex
 	baseline *dbgtrace.Trace
 	stmt     map[int]bool
+	// keyOnce computes srcHash and inDigest, the digests of Src and of
+	// Inputs and Entry that every cell key carries, at the first key.
+	keyOnce           sync.Once
+	srcHash, inDigest uint64
 	// scores content-addresses full measurements by cell key, so table
 	// generators revisiting the same Ox-dy configuration reuse one
 	// build+trace, in this process and from the store. Safe because
@@ -205,7 +213,8 @@ func (k cellKey) String() string {
 }
 
 func (p *Program) cellKey(fp string) cellKey {
-	return cellKey{Name: p.Name, Src: resilience.HashBytes(p.Src), Inputs: p.inputsDigest(), Budget: p.Budget, Config: fp}
+	p.keyOnce.Do(func() { p.srcHash, p.inDigest = resilience.HashBytes(p.Src), p.inputsDigest() })
+	return cellKey{Name: p.Name, Src: p.srcHash, Inputs: p.inDigest, Budget: p.Budget, Config: fp}
 }
 
 // CellKey is the quarantine key of one (program, config) measurement.
