@@ -9,6 +9,10 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark harness is a module of its own (perfbench/go.mod), which
+# the root `go build ./...` skips; it compiles against this tree's
+# internal packages, so a deleted or changed API must fail here.
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 # Repo-local lint: raw pipeline.Config literals and map-order-dependent
 # output are build failures (see internal/lint).
@@ -90,15 +94,17 @@ cmp /tmp/ci-chaos-cold.txt /tmp/ci-rerun.txt
 grep -q '^PASS$' /tmp/ci-rerun.txt
 grep -Eq '"diskcache\.difftest\.hit": [1-9]' /tmp/ci-rerun-metrics.json
 # The suite tables under fault injection: a quarantined cell leaves its
-# subject out of every average of the table (named), so each table
-# completes with gaps, exit 3, and the same bytes at any worker count.
+# subject (or Table I program) out of every average of the table
+# (named), so each table completes with gaps, exit 3, and the same bytes
+# at any worker count.
 rc=0; /tmp/ci-experiments -j 1 -quick -cachedir off -chaos rate=0.08,seed=3 \
-    table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j1.txt || rc=$?
+    table1 table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j1.txt || rc=$?
 test "$rc" -eq 3
 rc=0; /tmp/ci-experiments -j 2 -quick -cachedir off -chaos rate=0.08,seed=3 \
-    table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j2.txt || rc=$?
+    table1 table2 table4 fig2 table9 > /tmp/ci-chaos-tables-j2.txt || rc=$?
 test "$rc" -eq 3
 cmp /tmp/ci-chaos-tables-j1.txt /tmp/ci-chaos-tables-j2.txt
+grep -q '^QUARANTINED: [1-9][0-9]* subject(s) \[synth' /tmp/ci-chaos-tables-j1.txt
 # The debugtuner CLI's quarantine path: the tune result, the ranking
 # and the greedy search under fault injection complete with gaps, exit
 # 3, print the QUARANTINED report, and the same bytes at any -j. Seed 7
@@ -165,6 +171,19 @@ cmp /tmp/ci-cold.txt /tmp/ci-heal.txt
 if grep -qs garbage /tmp/ci-cache/*.seg; then echo "corrupt record survived"; exit 1; fi
 /tmp/ci-experiments -quick -j 4 -cachedir off all > /tmp/ci-nocache-j4.txt
 cmp /tmp/ci-cold.txt /tmp/ci-nocache-j4.txt
+# Interrupt drill for the tables: SIGINT a cold quick-all into a fresh
+# store after about 3 s. The table in flight finishes into the store, no
+# further experiment starts, the store is synced and the run exits 4; a
+# rerun on that store prints the golden.
+rm -rf /tmp/ci-int-cache
+/tmp/ci-experiments -quick -cachedir /tmp/ci-int-cache all > /tmp/ci-int.txt &
+INT_PID=$!
+sleep 3
+kill -INT "$INT_PID"
+rc=0; wait "$INT_PID" || rc=$?
+test "$rc" -eq 4
+/tmp/ci-experiments -quick -cachedir /tmp/ci-int-cache all > /tmp/ci-int-rerun.txt
+cmp /tmp/ci-int-rerun.txt testdata/golden/quick-all.txt
 # Cache keys must cover every input a flag can change: a directory filled
 # by a -quick run (smaller fuzz corpus) must not answer a full run.
 # Table III prints the corpus sizes, so a corpus key without the fuzz
@@ -189,6 +208,7 @@ cmp /tmp/ci-synth-cold.txt /tmp/ci-synth-warm.txt
 rm -rf /tmp/ci-experiments /tmp/ci-cache /tmp/ci-default-cache \
     /tmp/ci-cold.txt /tmp/ci-warm.txt /tmp/ci-warm-metrics.json \
     /tmp/ci-heal.txt /tmp/ci-nocache-j4.txt \
+    /tmp/ci-int-cache /tmp/ci-int.txt /tmp/ci-int-rerun.txt \
     /tmp/ci-budget-warm.txt /tmp/ci-budget-cold.txt \
     /tmp/ci-sample-warm.txt /tmp/ci-sample-cold.txt \
     /tmp/ci-synth-warm.txt /tmp/ci-synth-cold.txt

@@ -33,7 +33,8 @@
 // the telemetry damage ledger and past findings, runs each through the
 // differential oracle and the verify-each analyzer, buckets findings by
 // (rule, pass), ddmin-reduces one witness per new bucket, and maintains
-// a regression corpus (-hunt-corpus) with a cross-run trend report.
+// a regression corpus (-hunt-corpus) with a cross-run trend report, kept
+// in the corpus as hunt-state.json.
 // Scale with -hunt-seed/-hunt-epochs/-hunt-candidates/-hunt-configs;
 // -hunt-plant rule@pass arms the planted-bug self-test. Findings are
 // the campaign's product, not an error: a fruitful hunt exits 0.
@@ -43,10 +44,10 @@
 // same store: completed cells are read back and only the rest is
 // computed, and the rerun prints the bytes an uninterrupted run would.
 // SIGINT/SIGTERM stops difftest, debugify and hunt between units of
-// work: work in flight finishes into the store, the store is synced,
-// and the run exits 4 — distinct from failure (1), usage (2), and
-// quarantine gaps (3). A second signal kills the process the default
-// way.
+// work, and a table run before its next requested experiment: work in
+// flight finishes into the store, the store is synced, and the run
+// exits 4 — distinct from failure (1), usage (2), and quarantine gaps
+// (3). A second signal kills the process the default way.
 //
 // Every evaluation cell runs once under the resilience executor of
 // internal/resilience, with or without flags: a cell that panics or
@@ -106,12 +107,11 @@ type cli struct {
 	huntDenom        *string
 	huntPlant        *string
 	huntCorpus       *string
-	huntState        *string
 	huntReduceProbes *int
 
-	// interrupt is cancelled by the first SIGINT/SIGTERM; difftest,
-	// debugify and hunt stop between cells and the command exits
-	// ExitInterrupted.
+	// interrupt is cancelled by the first SIGINT/SIGTERM: difftest,
+	// debugify and hunt stop between cells, no further experiment
+	// starts, and the command exits ExitInterrupted.
 	interrupt context.Context
 }
 
@@ -163,9 +163,7 @@ func newCLI() *cli {
 	c.huntPlant = c.fs.String("hunt-plant", "",
 		"hunt: planted-bug drill, rule@pass (e.g. scope-nesting@dse)")
 	c.huntCorpus = c.fs.String("hunt-corpus", "",
-		"hunt: regression corpus directory; enables fixture and trend-state commits")
-	c.huntState = c.fs.String("hunt-state", "",
-		"hunt: trend state file (default <hunt-corpus>/hunt-state.json)")
+		"hunt: regression corpus directory; enables fixture and trend-state (hunt-state.json) commits")
 	c.huntReduceProbes = c.fs.Int("hunt-reduce-probes", hd.ReduceProbes,
 		"hunt: ddmin probe budget per witness reduction")
 	c.shared = options.Install(c.fs)
@@ -357,7 +355,6 @@ func runMain(argv []string) int {
 		hopts.Denom = metrics.Denom(*c.huntDenom)
 		hopts.Plant = *c.huntPlant
 		hopts.CorpusDir = *c.huntCorpus
-		hopts.StatePath = *c.huntState
 		hopts.ReduceProbes = *c.huntReduceProbes
 		hopts.Interrupt = c.interrupt
 		rep, err := hunt.Run(w, hopts)
@@ -369,26 +366,33 @@ func runMain(argv []string) int {
 		}
 		return nil
 	}}
+	// interrupted syncs the store and prints the quarantine report, so a
+	// rerun on the same -cachedir resumes from the work completed so far,
+	// and returns the distinct interrupted exit code.
+	interrupted := func(name string) int {
+		fmt.Fprintf(os.Stderr, "%s: interrupted; rerun on the same -cachedir to resume\n", name)
+		if _, ferr := rt.Finish(os.Stdout); ferr != nil {
+			fmt.Fprintln(os.Stderr, ferr)
+			return 1
+		}
+		return options.ExitInterrupted
+	}
 	for _, name := range want {
 		e, ok := byName[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			return 2
 		}
+		// A table does not read the interrupt: the signal takes effect
+		// here, before the next experiment starts.
+		if c.interrupt.Err() != nil {
+			return interrupted(e.name)
+		}
 		fmt.Printf("==== %s ====\n", e.name)
 		start := time.Now()
 		if err := e.run(os.Stdout); err != nil {
 			if errors.Is(err, options.ErrInterrupted) {
-				// Sync the store and print the quarantine report before
-				// exiting, so a rerun on the same -cachedir resumes from
-				// the work completed so far; then exit with the distinct
-				// interrupted code.
-				fmt.Fprintf(os.Stderr, "%s: interrupted; rerun on the same -cachedir to resume\n", e.name)
-				if _, ferr := rt.Finish(os.Stdout); ferr != nil {
-					fmt.Fprintln(os.Stderr, ferr)
-					return 1
-				}
-				return options.ExitInterrupted
+				return interrupted(e.name)
 			}
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			return 1

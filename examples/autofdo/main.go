@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fdo, err := specsuite.RunBinary(bench,
-		pipeline.Build(ir0, pipeline.MustConfig(pipeline.Clang, "O2", pipeline.WithFDO(prof))))
+		pipeline.BuildFDO(ir0, pipeline.MustConfig(pipeline.Clang, "O2"), prof))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dyFdo, err := specsuite.RunBinary(bench,
-		pipeline.Build(ir0, pipeline.MustConfig(pipeline.Clang, "O2", pipeline.WithFDO(dyProf))))
+		pipeline.BuildFDO(ir0, pipeline.MustConfig(pipeline.Clang, "O2"), dyProf))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestFDOPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := pipeline.Build(ir0, pipeline.MustConfig(pipeline.Clang, "O2"))
-	fdo := pipeline.Build(ir0, pipeline.MustConfig(pipeline.Clang, "O2", pipeline.WithFDO(prof)))
+	fdo := pipeline.BuildFDO(ir0, pipeline.MustConfig(pipeline.Clang, "O2"), prof)
 	run := func(bin *vm.Binary) []int64 {
 		m := vm.New(bin)
 		m.StepBudget = 1 << 33
@@ -102,7 +102,7 @@ func TestFDOHelpsOnAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		fdo, err := specsuite.RunBinary(bench,
-			pipeline.Build(ir0, pipeline.MustConfig(pipeline.Clang, "O2", pipeline.WithFDO(prof))))
+			pipeline.BuildFDO(ir0, pipeline.MustConfig(pipeline.Clang, "O2"), prof))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,15 +69,6 @@ func bucket(n int64) uint64 {
 	return 7
 }
 
-// Inputs extracts the raw input vectors.
-func (c *Corpus) Inputs() [][]int64 {
-	out := make([][]int64, len(c.Entries))
-	for i, e := range c.Entries {
-		out[i] = e.Input
-	}
-	return out
-}
-
 // run executes one input and returns its edge set and bucketed
 // signature.
 func (f *Fuzzer) run(input []int64) (map[uint64]bool, map[uint64]bool) {
@@ -248,22 +239,4 @@ func CMin(c *Corpus) []int {
 	}
 	sort.Ints(kept)
 	return kept
-}
-
-// Stats summarizes a harness's corpus pipeline for Table III.
-type Stats struct {
-	QueueSize    int     // inputs in the full grown queue
-	AfterCMin    int     // after coverage-preserving minimization
-	AfterCover   int     // after debug-trace set-cover pruning
-	ReductionPct float64 // 100 * (1 - AfterCover/QueueSize)
-	UniqueEdges  int
-}
-
-// ComputeStats fills the reduction columns.
-func ComputeStats(queue, afterCMin, afterCover, edges int) Stats {
-	s := Stats{QueueSize: queue, AfterCMin: afterCMin, AfterCover: afterCover, UniqueEdges: edges}
-	if queue > 0 {
-		s.ReductionPct = 100 * (1 - float64(afterCover)/float64(queue))
-	}
-	return s
 }

@@ -116,16 +116,6 @@ func TestBuckets(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	s := ComputeStats(200, 40, 6, 123)
-	if s.ReductionPct < 96.9 || s.ReductionPct > 97.1 {
-		t.Errorf("reduction = %.2f, want 97", s.ReductionPct)
-	}
-	if ComputeStats(0, 0, 0, 0).ReductionPct != 0 {
-		t.Error("zero queue should yield zero reduction")
-	}
-}
-
 func TestMutateBounded(t *testing.T) {
 	fz := buildTarget(t)
 	c := fz.Run()

@@ -4,7 +4,7 @@
 // for must-problems), with CFG construction over both the SSA IR
 // (IRCFG) and the emitted register-machine code (BinCFG).
 //
-// Three concrete analyses live on top of it:
+// Two concrete analyses live on top of it:
 //
 //   - OwnerFacts: register/slot reaching-definitions with owner-tag
 //     tracking — for every address and storage location, the set of
@@ -14,8 +14,9 @@
 //   - must-prologue-done: a one-bit intersection problem deciding
 //     whether every path to an address has executed the prologue
 //     (slot and spill reads require it).
-//   - Liveness: backward may-analysis of registers read before
-//     written, the framework's backward instance.
+//
+// The framework's backward user is codegen's register allocator, which
+// solves virtual-register liveness over the machine IR.
 //
 // The analyses mirror internal/vm's reference semantics exactly; the
 // staticdbg soundness test locks the correspondence dynamically.

@@ -249,31 +249,6 @@ func TestOwnerFactsSlotsAndCalls(t *testing.T) {
 	}
 }
 
-func TestLivenessBackward(t *testing.T) {
-	code := []vm.Instr{
-		{Op: vm.OpBr, A: 5, Imm: 3},
-		{Op: vm.OpMov, D: 6, A: 1},
-		{Op: vm.OpJmp, Imm: 4},
-		{Op: vm.OpMov, D: 6, A: 2},
-		{Op: vm.OpRet, Sub: 1, A: 6},
-	}
-	lv := NewLiveness(code, 0, len(code))
-	for _, r := range []int{5, 1, 2} {
-		if !lv.LiveIn(0, r) {
-			t.Errorf("r%d should be live at entry", r)
-		}
-	}
-	if lv.LiveIn(0, 6) {
-		t.Errorf("r6 is defined on every path before use; not live at entry")
-	}
-	if !lv.LiveIn(4, 6) {
-		t.Errorf("r6 live at the return")
-	}
-	if lv.LiveIn(3, 1) {
-		t.Errorf("r1 not live on the taken path")
-	}
-}
-
 func TestEmptyAndCorruptInput(t *testing.T) {
 	of := NewOwnerFacts(&vm.Binary{}, 0)
 	if of.MayOwn(0, RegStorage(0), 0) || of.Reachable(0) || of.MustPrologueDone(0) {

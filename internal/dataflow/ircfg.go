@@ -5,7 +5,6 @@ import "debugtuner/internal/ir"
 // IRCFG adapts an SSA IR function to the solver's Graph interface.
 // Nodes are positions in f.Blocks; node 0 is the entry block.
 type IRCFG struct {
-	f     *ir.Func
 	succs [][]int
 	preds [][]int
 }
@@ -18,7 +17,6 @@ func NewIRCFG(f *ir.Func) *IRCFG {
 		idx[b] = i
 	}
 	g := &IRCFG{
-		f:     f,
 		succs: make([][]int, len(f.Blocks)),
 		preds: make([][]int, len(f.Blocks)),
 	}
@@ -45,9 +43,6 @@ func (g *IRCFG) Succs(n int) []int { return g.succs[n] }
 
 // Preds implements Graph.
 func (g *IRCFG) Preds(n int) []int { return g.preds[n] }
-
-// Block returns the ir.Block at node n.
-func (g *IRCFG) Block(n int) *ir.Block { return g.f.Blocks[n] }
 
 // ReachableBlocks returns the set of IR blocks reachable from the
 // entry, computed on the adapter (the dataflow twin of ir.Reachable).

@@ -278,9 +278,6 @@ func (of *OwnerFacts) stateAt(addr int) *BitSet {
 	return of.cur
 }
 
-// CFG returns the function's recovered control-flow graph.
-func (of *OwnerFacts) CFG() *BinCFG { return of.cfg }
-
 // Reachable reports whether addr is statically reachable from the
 // function entry.
 func (of *OwnerFacts) Reachable(addr int) bool {

@@ -160,17 +160,6 @@ func (t *Table) BreakAddrs() map[int][]uint32 {
 	return addrs
 }
 
-// VarsInFunc returns the variables scoped to function index fi.
-func (t *Table) VarsInFunc(fi int) []*Variable {
-	var out []*Variable
-	for i := range t.Vars {
-		if t.Vars[i].FuncIdx == int32(fi) {
-			out = append(out, &t.Vars[i])
-		}
-	}
-	return out
-}
-
 // LocAt returns the variable's location entry covering the address, or
 // nil. When ranges overlap the last-emitted entry wins, matching how the
 // emitter appends refinements.

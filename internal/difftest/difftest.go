@@ -22,14 +22,14 @@
 //     the hybrid metric depends on (§II);
 //
 //   - a delta-debugging reducer (reduce.go) that shrinks a failing MiniC
-//     program to a 1-minimal line set, for checking in as a regression
-//     fixture under testdata/.
+//     program to a 1-minimal line set under a probe budget; the hunt
+//     campaign reduces its witnesses with it.
 //
-// Builds fan out over internal/workerpool and are memoized per
-// (subject, config fingerprint) via internal/evalcache; each subject's
-// findings over the matrix are kept in the persistent store, so a rerun
-// on the same store resumes an interrupted run. The report is
-// byte-identical at any worker count and any store state.
+// Subjects fan out over internal/workerpool, and each (subject, config)
+// build runs once as a resilience cell. Each subject's findings over
+// the matrix are kept in the persistent store via internal/evalcache,
+// so a rerun on the same store resumes an interrupted run. The report
+// is byte-identical at any worker count and any store state.
 package difftest
 
 import (
@@ -53,12 +53,6 @@ type Options struct {
 	// Testsuite lists test-suite program names to include as subjects
 	// (nil = none; testsuite.Names = the full suite).
 	Testsuite []string
-	// CorpusExecs > 0 grows real fuzzing corpora for the test-suite
-	// subjects (testsuite.Load); 0 uses deterministic pseudo-corpus
-	// inputs, which keep the smoke run bounded.
-	CorpusExecs int
-	// Budget is the per-run VM step budget (0 = DefaultBudget).
-	Budget int64
 	// Interrupt, when non-nil, stops the run between subjects once the
 	// context is cancelled (a SIGINT/SIGTERM drain): subjects already in
 	// flight finish into the store, no new subject starts, and Run
@@ -110,7 +104,7 @@ func Run(w io.Writer, opts Options) (*Report, error) {
 		subjects = append(subjects, SynthSubject(seed))
 	}
 	for _, name := range opts.Testsuite {
-		s, err := SuiteSubject(name, opts.CorpusExecs)
+		s, err := SuiteSubject(name)
 		if err != nil {
 			return nil, err
 		}
@@ -118,9 +112,6 @@ func Run(w io.Writer, opts Options) (*Report, error) {
 	}
 
 	o := NewOracle(configs)
-	if opts.Budget > 0 {
-		o.Budget = opts.Budget
-	}
 	ctx := opts.Interrupt
 	if ctx == nil {
 		ctx = context.Background()
@@ -175,23 +166,16 @@ func Run(w io.Writer, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// Check runs every subject against every configuration on the worker
-// pool and returns the findings sorted by (subject, config, kind).
-func (o *Oracle) Check(subjects []*Subject) ([]Finding, error) {
-	return o.CheckContext(context.Background(), subjects)
-}
-
-// CheckContext is Check under a cancellation context: once ctx is
-// cancelled no new subject starts and the context error is returned.
-// Each subject's findings are one unit of the store; a unit with a
-// quarantine in it is reported but not kept, so a rerun recomputes it.
+// CheckContext runs every subject against every configuration on the
+// worker pool and returns the findings sorted by (subject, config,
+// kind). Once ctx is cancelled no new subject starts and the context
+// error is returned. Each subject's findings are one unit of the store;
+// a unit with a quarantine in it is reported but not kept, so a rerun
+// recomputes it.
 func (o *Oracle) CheckContext(ctx context.Context, subjects []*Subject) ([]Finding, error) {
-	matrix, keyed := o.matrixDigest()
+	matrix := o.matrixDigest()
 	perSubject, err := workerpool.Map(ctx, subjects,
 		func(_ context.Context, _ int, s *Subject) ([]Finding, error) {
-			if !keyed {
-				return o.CheckSubject(s)
-			}
 			return o.units.Do(o.unit(s, matrix), func() ([]Finding, error) {
 				fs, err := o.CheckSubject(s)
 				for _, f := range fs {
@@ -225,30 +209,17 @@ func (o *Oracle) CheckContext(ctx context.Context, subjects []*Subject) ([]Findi
 	return findings, nil
 }
 
-// SuiteSubject wraps a test-suite program as a differential subject.
-// With execs > 0 the real corpus pipeline supplies the inputs; otherwise
-// each harness gets a small deterministic pseudo-corpus. A subject whose
-// source cannot be loaded is an error, not a panic: the lookup races
-// with nothing, but an embedded-suite rename (or a caller passing a name
-// LoadLite accepted under a different spelling) must surface as a
-// harness failure the runner can report, not a crash that kills every
-// other subject in the matrix.
-func SuiteSubject(name string, execs int) (*Subject, error) {
+// SuiteSubject wraps a test-suite program as a differential subject;
+// each harness gets a small deterministic pseudo-corpus, which keeps the
+// run bounded. A subject whose source cannot be loaded is an error, not
+// a panic: an embedded-suite rename (or a caller passing a name LoadLite
+// accepted under a different spelling) must surface as a harness
+// failure the runner can report, not a crash that kills every other
+// subject in the matrix.
+func SuiteSubject(name string) (*Subject, error) {
 	src, err := testsuite.Source(name)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: subject %s: %w", name, err)
-	}
-	if execs > 0 {
-		ts, err := testsuite.Load(name, testsuite.CorpusOptions{Execs: execs})
-		if err != nil {
-			return nil, err
-		}
-		return &Subject{
-			Name:      name,
-			Src:       src,
-			Harnesses: ts.Program.Info.Harnesses,
-			Inputs:    ts.Program.Inputs,
-		}, nil
 	}
 	ts, err := testsuite.LoadLite(name)
 	if err != nil {

@@ -37,10 +37,7 @@ func TestMatrixShape(t *testing.T) {
 	// Every config must be unique by fingerprint.
 	fps := map[string]bool{}
 	for _, cfg := range m {
-		fp, ok := cfg.Fingerprint()
-		if !ok {
-			t.Fatalf("config %s not fingerprintable", cfg.Name())
-		}
+		fp := cfg.Fingerprint()
 		if fps[fp] {
 			t.Errorf("duplicate config in matrix: %s", fp)
 		}
@@ -126,7 +123,7 @@ func TestOracleCleanOnSynth(t *testing.T) {
 }
 
 func TestOracleCleanOnSuiteSubject(t *testing.T) {
-	s, err := SuiteSubject("zlib", 0)
+	s, err := SuiteSubject("zlib")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +343,12 @@ func TestReduceMinimizes(t *testing.T) {
 		str := string(s)
 		return strings.Contains(str, "c") && strings.Contains(str, "f")
 	}
-	got := string(Reduce(src, fails))
+	got := string(Reduce(src, fails, 0))
 	if got != "c\nf\n" {
 		t.Fatalf("Reduce = %q, want %q", got, "c\nf\n")
 	}
 	// A non-failing input comes back unchanged.
-	if got := Reduce([]byte("x\ny\n"), fails); string(got) != "x\ny\n" {
+	if got := Reduce([]byte("x\ny\n"), fails, 0); string(got) != "x\ny\n" {
 		t.Fatalf("non-failing input mutated: %q", got)
 	}
 }
@@ -392,7 +389,7 @@ func main() {
 		}
 		return false
 	}
-	red := Reduce(src, fails)
+	red := Reduce(src, fails, 0)
 	if !fails(red) {
 		t.Fatal("reduced program no longer fails")
 	}
@@ -514,11 +511,7 @@ func TestSubjectUnitKey(t *testing.T) {
 		o, s := NewOracle(configs), SynthSubject(1)
 		s.Harnesses, s.Inputs = []string{"fuzz"}, map[string][][]int64{"fuzz": {{1, 2}}}
 		edit(o, s)
-		matrix, ok := o.matrixDigest()
-		if !ok {
-			t.Fatal("matrix has no digest")
-		}
-		return o.unit(s, matrix)
+		return o.unit(s, o.matrixDigest())
 	}
 	base := unit(func(*Oracle, *Subject) {})
 	for name, edit := range map[string]func(o *Oracle, s *Subject){
@@ -530,7 +523,6 @@ func TestSubjectUnitKey(t *testing.T) {
 		"matrix":       func(o *Oracle, _ *Subject) { o.Configs = o.Configs[1:] },
 		"budget":       func(o *Oracle, _ *Subject) { o.Budget++ },
 		"trace budget": func(o *Oracle, _ *Subject) { o.TraceBudget++ },
-		"check debug":  func(o *Oracle, _ *Subject) { o.CheckDebug = false },
 	} {
 		if unit(edit) == base {
 			t.Errorf("changing the %s leaves the unit key at %+v", name, base)

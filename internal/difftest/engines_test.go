@@ -213,7 +213,7 @@ func TestBlockCoreVsReferenceOverCorpus(t *testing.T) {
 	}
 	var subjects []*Subject
 	for _, name := range testsuite.Names {
-		s, err := SuiteSubject(name, 0)
+		s, err := SuiteSubject(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestBlockCoreVsReferenceOverCorpus(t *testing.T) {
 // corpus run, so the budget expires inside blocks, on their last
 // instruction and inside callees.
 func TestBlockCoreStepBudgetSweep(t *testing.T) {
-	s, err := SuiteSubject(testsuite.Names[0], 0)
+	s, err := SuiteSubject(testsuite.Names[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,8 +116,8 @@ type Observation struct {
 	Budget bool
 }
 
-// caseResult memoizes one (subject, config) evaluation in memory. Raw
-// observations are never stored: the store holds a subject's findings.
+// caseResult is one (subject, config) evaluation. Raw observations are
+// never stored: the store holds a subject's findings.
 type caseResult struct {
 	Obs        Observation
 	Violations []string
@@ -131,11 +131,7 @@ type Oracle struct {
 	// TraceBudget is the step budget for the (slower) debug-trace
 	// session behind the dynamic invariant check.
 	TraceBudget int64
-	// CheckDebug enables the debug-info invariant checker (on by
-	// default via NewOracle).
-	CheckDebug bool
 
-	cache evalcache.Cache[caseKey, *caseResult]
 	// units holds each subject's findings over the whole matrix:
 	// CheckContext's unit of work, the unit an interrupt stops between,
 	// and, in an oracle from NewOracle, what a rerun reads back from the
@@ -143,18 +139,13 @@ type Oracle struct {
 	units evalcache.Cache[subjectUnit, []Finding]
 }
 
-// caseKey names one (subject, config fingerprint) case in memory.
-type caseKey struct{ Subject, Config string }
-
 // NewOracle returns an oracle over the configuration set with the
-// default budget and the invariant checker enabled, its subject units
-// kept in the process store.
+// default budgets, its subject units kept in the process store.
 func NewOracle(configs []pipeline.Config) *Oracle {
 	return &Oracle{
 		Configs:     configs,
 		Budget:      DefaultBudget,
 		TraceBudget: DefaultTraceBudget,
-		CheckDebug:  true,
 		units:       evalcache.Cache[subjectUnit, []Finding]{Namespace: "difftest"},
 	}
 }
@@ -169,22 +160,15 @@ type subjectUnit struct {
 	Matrix      uint64 // label and fingerprint of every config, in order
 	Budget      int64
 	TraceBudget int64
-	CheckDebug  bool
 }
 
-// matrixDigest hashes the configs' labels and fingerprints, in order;
-// ok is false when a config has no fingerprint (an FDO payload), so
-// the matrix cannot be keyed.
-func (o *Oracle) matrixDigest() (uint64, bool) {
+// matrixDigest hashes the configs' labels and fingerprints, in order.
+func (o *Oracle) matrixDigest() uint64 {
 	parts := make([]string, 0, 2*len(o.Configs))
 	for _, cfg := range o.Configs {
-		fp, ok := cfg.Fingerprint()
-		if !ok {
-			return 0, false
-		}
-		parts = append(parts, configLabel(cfg), fp)
+		parts = append(parts, configLabel(cfg), cfg.Fingerprint())
 	}
-	return resilience.HashString(parts...), true
+	return resilience.HashString(parts...)
 }
 
 // unit declares subject s's unit under the oracle's current settings.
@@ -193,7 +177,7 @@ func (o *Oracle) unit(s *Subject, matrix uint64) subjectUnit {
 	in, _ := json.Marshal([]any{s.Harnesses, s.Inputs, s.entry()})
 	return subjectUnit{
 		Name: s.Name, Src: resilience.HashBytes(s.Src), Inputs: resilience.HashBytes(in),
-		Matrix: matrix, Budget: o.Budget, TraceBudget: o.TraceBudget, CheckDebug: o.CheckDebug,
+		Matrix: matrix, Budget: o.Budget, TraceBudget: o.TraceBudget,
 	}
 }
 
@@ -277,42 +261,21 @@ func (o *Oracle) DiffOne(s *Subject, cfg pipeline.Config) ([]Finding, error) {
 	return findings, err
 }
 
-// observe builds the subject under the configuration and runs it,
-// memoized per (subject, fingerprint), as one resilience cell that
-// quarantines on a panic or an error. The resilience wrapper sits
-// inside the cache's singleflight so concurrent requests for one cell
-// coalesce into a single run; a quarantined result is Uncacheable and
-// evicts itself.
+// observe builds the subject under the configuration, runs it and
+// checks the binary's debug information, as one resilience cell that
+// quarantines on a panic or an error.
 func (o *Oracle) observe(s *Subject, cfg pipeline.Config) (*caseResult, error) {
-	compute := func() (*caseResult, error) {
-		ir0, _, err := s.frontend()
-		if err != nil {
-			return nil, err
-		}
-		bin := pipeline.Build(ir0, cfg)
-		res := &caseResult{Obs: o.execute(s, bin)}
-		if o.CheckDebug {
-			res.Violations = CheckBinary(bin)
+	return resilience.Run(context.Background(), cellKey(s, cfg.Fingerprint()),
+		func(context.Context) (*caseResult, error) {
+			ir0, _, err := s.frontend()
+			if err != nil {
+				return nil, err
+			}
+			bin := pipeline.Build(ir0, cfg)
+			res := &caseResult{Obs: o.execute(s, bin), Violations: CheckBinary(bin)}
 			res.Violations = append(res.Violations, o.checkDynamic(s, bin)...)
-		}
-		return res, nil
-	}
-	fp, cacheable := cfg.Fingerprint()
-	if !cacheable {
-		// Uncacheable configurations (FDO payloads outside the fingerprint
-		// domain) still get isolation under a label-derived key; the
-		// difftest matrix itself never produces them.
-		return resilience.Run(context.Background(),
-			cellKey(s, configLabel(cfg)), func(context.Context) (*caseResult, error) {
-				return compute()
-			})
-	}
-	return o.cache.Do(caseKey{s.Name, fp}, func() (*caseResult, error) {
-		return resilience.Run(context.Background(),
-			cellKey(s, fp), func(context.Context) (*caseResult, error) {
-				return compute()
-			})
-	})
+			return res, nil
+		})
 }
 
 // cellKey is the quarantine key of one (subject, config) cell: subject

@@ -1,28 +1,11 @@
 package difftest
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
-	"debugtuner/internal/pipeline"
 	"debugtuner/internal/resilience"
 )
-
-// Budget bounds one reduction. The zero value is unbounded, matching
-// the historical Reduce behavior; the hunt campaign always sets
-// MaxProbes so a pathological witness can never hang a run.
-type Budget struct {
-	// MaxProbes caps predicate evaluations (0 = unlimited).
-	MaxProbes int
-	// MaxWall caps wall-clock (0 = unlimited). Wall budgets make the
-	// reduction outcome timing-dependent, so deterministic campaigns use
-	// MaxProbes and leave this for interactive use.
-	MaxWall time.Duration
-}
 
 // Reduce shrinks a failing MiniC source with line-granular delta
 // debugging (Zeller's ddmin over complements): it repeatedly removes
@@ -35,21 +18,15 @@ type Budget struct {
 // empty function body leaves "header {" and "}" lines that only vanish
 // together). The input source is returned unchanged when it does not
 // satisfy the predicate.
-func Reduce(src []byte, fails func(src []byte) bool) []byte {
-	return ReduceWith(src, fails, Budget{})
-}
-
-// ReduceWith is Reduce under a budget: once the probe or wall limit is
+//
+// maxProbes caps the predicate evaluations (0 = unbounded): once it is
 // reached every further probe reports false, so the algorithm unwinds
-// and returns the best (smallest) failing source found so far instead
-// of hanging on a stalling or slow-diverging mutant.
-func ReduceWith(src []byte, fails func(src []byte) bool, budget Budget) []byte {
+// and returns the best (smallest) failing source found so far. A probe
+// cap, unlike a wall-clock one, keeps the outcome deterministic.
+func Reduce(src []byte, fails func(src []byte) bool, maxProbes int) []byte {
 	p := &prober{fails: fails, left: -1}
-	if budget.MaxProbes > 0 {
-		p.left = budget.MaxProbes
-	}
-	if budget.MaxWall > 0 {
-		p.deadline = time.Now().Add(budget.MaxWall)
+	if maxProbes > 0 {
+		p.left = maxProbes
 	}
 	if !p.probe(src) {
 		return src
@@ -116,55 +93,23 @@ func ReduceWith(src []byte, fails func(src []byte) bool, budget Budget) []byte {
 	return join(lines)
 }
 
-// prober wraps the failure predicate with the budget: past the limit it
-// answers false without calling the predicate, which the ddmin loops
-// read as "no further reduction" and terminate with the best-so-far.
+// prober wraps the failure predicate with the probe cap: past the
+// limit it answers false without calling the predicate, which the ddmin
+// loops read as "no further reduction" and terminate with the
+// best-so-far.
 type prober struct {
-	fails     func([]byte) bool
-	left      int // remaining probes, -1 = unlimited
-	deadline  time.Time
-	exhausted bool
+	fails func([]byte) bool
+	left  int // remaining probes, -1 = unlimited
 }
 
 func (p *prober) probe(src []byte) bool {
-	if p.exhausted {
-		return false
-	}
-	if p.left == 0 || (!p.deadline.IsZero() && time.Now().After(p.deadline)) {
-		p.exhausted = true
+	if p.left == 0 {
 		return false
 	}
 	if p.left > 0 {
 		p.left--
 	}
 	return p.fails(src)
-}
-
-// FailsUnder builds a reduction predicate: the source still front-ends
-// and the oracle still reports at least one finding for the
-// configuration (behavior mismatch, reference divergence, or invariant
-// violation). Sources that no longer compile do not "fail" — the
-// reducer must not escape into syntax errors.
-func FailsUnder(cfg pipeline.Config) func(src []byte) bool {
-	return func(src []byte) bool {
-		findings, err := NewOracle(nil).DiffOne(SourceSubject("reduce", src), cfg)
-		return err == nil && len(findings) > 0
-	}
-}
-
-// WriteFixture stores a reduced reproducer under dir, named after the
-// subject and the configuration that exposed it, with a header comment
-// recording the finding. Returns the written path.
-func WriteFixture(dir string, f Finding, reduced []byte) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, FixtureName(f.Subject, f.Config))
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "// difftest reproducer: %s\n// finding: [%s] %s\n",
-		f.Subject, f.Kind, f.Detail)
-	buf.Write(reduced)
-	return path, os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // FixtureName derives the fixture filename from the subject and config

@@ -1,10 +1,8 @@
 package evalcache_test
 
 import (
-	"path/filepath"
 	"testing"
 
-	"debugtuner/internal/autofdo"
 	"debugtuner/internal/evalcache"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/specsuite"
@@ -14,13 +12,12 @@ import (
 
 // bypassRuns counts TestDiskUnfingerprintableBypass's runs in this
 // process (-count): specsuite keeps cycle counts in process memory, so
-// each run measures a plain config no earlier run did.
+// each run measures a config no earlier run did.
 var bypassRuns int
 
-// TestDiskUnfingerprintableBypass: an FDO config has no fingerprint, so
-// tuner.Program.Measure and specsuite.Cycles measure it uncached and
-// write nothing to the process store; the plain config's same calls
-// write one record each.
+// TestDiskUnfingerprintableBypass: every config has a fingerprint, so
+// nothing bypasses the process store: a config's
+// tuner.Program.Measure and specsuite.Cycles write one record each.
 func TestDiskUnfingerprintableBypass(t *testing.T) {
 	dir := t.TempDir()
 	d, err := evalcache.OpenDisk(dir)
@@ -47,10 +44,6 @@ func TestDiskUnfingerprintableBypass(t *testing.T) {
 		}
 	}
 
-	measure(pipeline.MustConfig(pipeline.Clang, "O2", pipeline.WithFDO(&autofdo.Profile{})))
-	if segs, _ := filepath.Glob(filepath.Join(dir, "*.seg")); len(segs) != 0 || snk.Counter("diskcache.write") != 0 {
-		t.Fatalf("FDO measurements wrote %d records into %d segments", snk.Counter("diskcache.write"), len(segs))
-	}
 	plain := pipeline.MustConfig(pipeline.Clang, "O2")
 	if bypassRuns > 0 {
 		passes := pipeline.EnabledPasses(pipeline.Clang, "O2")

@@ -15,8 +15,11 @@ import (
 // fdoCycles builds the final binary at cfg with the given profile and
 // runs the benchmark.
 func fdoCycles(bench string, cfg pipeline.Config, p *autofdo.Profile) (int64, error) {
-	cfg.FDO = p
-	res, err := specsuite.Run(bench, cfg)
+	ir0, err := specsuite.LoadIR(bench)
+	if err != nil {
+		return 0, err
+	}
+	res, err := specsuite.RunBinary(bench, pipeline.BuildFDO(ir0, cfg, p))
 	if err != nil {
 		return 0, err
 	}
@@ -68,12 +71,10 @@ type fdoKey struct {
 // fdoMeasure caches the profile-collect + FDO-rebuild + run pipeline per
 // (benchmark, final config, profiling config, sampling period). Fig3
 // and Table15 print the same measurements at different verbosity; the
-// cache makes the second of the two free. The configs are plain levels
-// or Ox-dy configs, which always have a fingerprint.
+// cache makes the second of the two free.
 func (r *Runner) fdoMeasure(bench string, final, profiling pipeline.Config) (fdoResult, error) {
-	ffp, _ := final.Fingerprint()
-	pfp, _ := profiling.Fingerprint()
-	key := fdoKey{Bench: bench, Final: ffp, Profiling: pfp, Sample: r.Opts.SampleEvery}
+	key := fdoKey{Bench: bench, Final: final.Fingerprint(), Profiling: profiling.Fingerprint(),
+		Sample: r.Opts.SampleEvery}
 	return r.fdo.Do(key, func() (fdoResult, error) {
 		prof, step, err := r.collectProfile(bench, profiling)
 		if err != nil {

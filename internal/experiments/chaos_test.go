@@ -176,3 +176,76 @@ func TestFig2ChaosPointsShareSubjects(t *testing.T) {
 		}
 	}
 }
+
+// TestTable1ChaosLeavesOutPrograms: Table I's cells run under the
+// resilience executor like every other table's, so under chaos the
+// table completes, names the programs it left out, and its rows are
+// the geometric means over the other programs.
+func TestTable1ChaosLeavesOutPrograms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	r := NewRunner(Options{SynthCount: 8})
+	out := underChaos(t, r.Table1)
+	dead := leftOutIn(out)
+	if len(dead) == 0 {
+		t.Fatalf("Table I names no left-out program:\n%s", out)
+	}
+	progs, err := r.synthPrograms(r.Opts.SynthCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gccO1 := pipeline.MustConfig(pipeline.GCC, "O1")
+	var live []float64
+	for _, sp := range progs {
+		if dead[synthName(sp.seed)] {
+			continue
+		}
+		ms, err := r.synthScores(sp, gccO1)
+		if err != nil {
+			t.Fatalf("live program %s: %v", synthName(sp.seed), err)
+		}
+		live = append(live, ms.Hybrid.Product)
+	}
+	if len(live) == 0 {
+		t.Fatal("no live program")
+	}
+	row := line(t, out, fmt.Sprintf("%-6s %-4s |", "gcc", "O1"))
+	if want := fmt.Sprintf("%8.4f", geo(live)); !strings.HasSuffix(row, want) {
+		t.Errorf("gcc O1 row %q: hybrid product is not the live programs' geomean %s", row, want)
+	}
+}
+
+// TestTable1NoLiveProgram: with every cell quarantined no program is
+// live, and every Table I figure is a QUAR gap, not a mean over
+// nothing.
+func TestTable1NoLiveProgram(t *testing.T) {
+	r := NewRunner(Options{SynthCount: 2})
+	defer resilience.Install(resilience.Install(resilience.NewExecutor(&resilience.Chaos{Rate: 1})))
+	var buf bytes.Buffer
+	if err := r.Table1(&buf); err != nil {
+		t.Fatalf("a quarantined cell aborted the table: %v", err)
+	}
+	out := buf.String()
+	if len(leftOutIn(out)) != 2 {
+		t.Fatalf("Table I does not name both programs:\n%s", out)
+	}
+	rows := 0
+	for _, l := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(l, "gcc ") && !strings.HasPrefix(l, "clang ") {
+			continue
+		}
+		rows++
+		for _, f := range strings.Fields(strings.ReplaceAll(l, "|", " "))[2:] {
+			if f != "QUAR" {
+				t.Errorf("row %q has figure %s, want only QUAR gaps", l, f)
+			}
+		}
+	}
+	if want := 2 * len(levelsUnderTest()); rows != want {
+		t.Errorf("%d rows, want %d", rows, want)
+	}
+	if !strings.Contains(out, "gcc-O1: QUAR") {
+		t.Errorf("the gcc-O1 spread is not a gap:\n%s", out)
+	}
+}

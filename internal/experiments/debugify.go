@@ -155,7 +155,7 @@ func Debugify(opts DebugifyOptions) (*DebugifyReport, error) {
 	}
 	results, err := workerpool.Map(mctx, cells,
 		func(_ context.Context, _ int, c debugifyCell) (*debugifyCellResult, error) {
-			fp, _ := c.cfg.Fingerprint()
+			fp := c.cfg.Fingerprint()
 			k := debugifyKey{Src: c.srcHash, Config: fp, Verify: opts.Verify}
 			rep, err := reports.Do(k, func() (*pipeline.VerifyReport, error) {
 				qkey := fmt.Sprintf("debugify|%s#%016x|%s", c.subject, c.srcHash, fp)

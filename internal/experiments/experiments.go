@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -277,12 +276,17 @@ type synthCell struct {
 }
 
 // synthScores returns program sp's Table I cell under cfg, from the
-// runner's cache when it holds the cell. Table I's configs are plain
-// levels, which always have a fingerprint.
+// runner's cache when it holds the cell. A miss runs as one resilience
+// cell, so a build that panics or fails quarantines this (program,
+// config) cell alone.
 func (r *Runner) synthScores(sp *synthProgram, cfg pipeline.Config) (methodScores, error) {
-	fp, _ := cfg.Fingerprint()
-	cell := synthCell{Src: sp.src, Config: fp, Budget: synthTraceBudget}
-	return r.synth.Do(cell, func() (methodScores, error) { return sp.measure(cfg) })
+	fp := cfg.Fingerprint()
+	return r.synth.Do(synthCell{Src: sp.src, Config: fp, Budget: synthTraceBudget}, func() (methodScores, error) {
+		key := fmt.Sprintf("synth|%s#%016x|%s", synthName(sp.seed), sp.src, fp)
+		return resilience.Run(context.Background(), key, func(context.Context) (methodScores, error) {
+			return sp.measure(cfg)
+		})
+	})
 }
 
 // measure builds sp under cfg and scores it against its O0 baseline.
@@ -349,16 +353,6 @@ func levelsUnderTest() []pipeline.Config {
 
 // geo folds per-program scores into the geometric mean the paper uses.
 func geo(vals []float64) float64 { return metrics.GeoMean(vals) }
-
-// sortedKeys returns map keys sorted for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // hr prints a horizontal rule.
 func hr(w io.Writer, n int) {

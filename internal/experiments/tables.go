@@ -14,8 +14,10 @@ import (
 // (paper Table I): availability of variables, line coverage, and the
 // product, per compiler profile and level, aggregated by geometric mean.
 // The (program × level) cells are one suite.Evaluate set, so each is
-// measured once; every row and the gcc-O1 spread read it in program
-// order.
+// measured once; every row and the gcc-O1 spread read its live programs
+// in program order, and a program with a quarantined cell is named and
+// left out of all of them. With no live program every figure is a QUAR
+// gap.
 func (r *Runner) Table1(w io.Writer) error {
 	progs, err := r.synthPrograms(r.Opts.SynthCount)
 	if err != nil {
@@ -42,11 +44,21 @@ func (r *Runner) Table1(w io.Writer) error {
 		avS, avSD, avD, avH, lcS, lcSD, lcD, prS, prSD, prD, prH []float64
 		avP, prP                                                 []float64
 	}
+	// mean renders a column's geometric mean over the live programs.
+	mean := func(vals []float64) string {
+		if len(vals) == 0 {
+			return "QUAR"
+		}
+		return fmt.Sprintf("%.4f", geo(vals))
+	}
 	var provenRows []string
 	var gccO1 []float64
 	for c, cfg := range cfgs {
 		var a agg
 		for s := range progs {
+			if !set.Live(s) {
+				continue
+			}
 			ms := set.Cells[s][c].Value
 			a.avS = append(a.avS, ms.Static.Avail)
 			a.avSD = append(a.avSD, ms.StaticDbg.Avail)
@@ -65,15 +77,15 @@ func (r *Runner) Table1(w io.Writer) error {
 		if cfg.Profile == pipeline.GCC && cfg.Level == "O1" {
 			gccO1 = a.prH
 		}
-		fmt.Fprintf(w, "%-6s %-4s | %8.4f %10.4f %8.4f %8.4f | %8.4f %10.4f %8.4f | %8.4f %10.4f %8.4f %8.4f\n",
+		fmt.Fprintf(w, "%-6s %-4s | %8s %10s %8s %8s | %8s %10s %8s | %8s %10s %8s %8s\n",
 			cfg.Profile, cfg.Level,
-			geo(a.avS), geo(a.avSD), geo(a.avD), geo(a.avH),
-			geo(a.lcS), geo(a.lcSD), geo(a.lcD),
-			geo(a.prS), geo(a.prSD), geo(a.prD), geo(a.prH))
+			mean(a.avS), mean(a.avSD), mean(a.avD), mean(a.avH),
+			mean(a.lcS), mean(a.lcSD), mean(a.lcD),
+			mean(a.prS), mean(a.prSD), mean(a.prD), mean(a.prH))
 		provenRows = append(provenRows, fmt.Sprintf(
-			"%-6s %-4s | %8.4f %9.4f | %8.4f %9.4f",
+			"%-6s %-4s | %8s %9s | %8s %9s",
 			cfg.Profile, cfg.Level,
-			geo(a.avS), geo(a.avP), geo(a.prS), geo(a.prP)))
+			mean(a.avS), mean(a.avP), mean(a.prS), mean(a.prP)))
 	}
 	// Dataflow-proven static claims: the numerator keeps only locations
 	// the owner analysis guarantees materialize, so plain-static minus
@@ -88,8 +100,12 @@ func (r *Runner) Table1(w io.Writer) error {
 	}
 	// Geometric standard deviation of the hybrid product at gcc O1, the
 	// paper's per-program variability check.
-	fmt.Fprintf(w, "geometric std dev of hybrid product at gcc-O1: %.3f\n",
-		metrics.GeoStdDev(gccO1))
+	sd := "QUAR"
+	if len(gccO1) > 0 {
+		sd = fmt.Sprintf("%.3f", metrics.GeoStdDev(gccO1))
+	}
+	fmt.Fprintf(w, "geometric std dev of hybrid product at gcc-O1: %s\n", sd)
+	leftOut(w, "row", set.Quarantined)
 	return nil
 }
 

@@ -55,13 +55,12 @@ func (c *campaign) reduceNew() error {
 			continue
 		}
 		src := b.WitnessSrc
-		budget := difftest.Budget{MaxProbes: c.opts.ReduceProbes}
 		rkey := reductionKey{Bucket: key, Kind: b.Kind, Config: b.Config,
 			Src: resilience.HashBytes(src), Campaign: c.fp}
 		reduced, err := c.reductions.Do(rkey, func() (string, error) {
 			r, err := resilience.Run(context.Background(), rkey.String(),
 				func(context.Context) (string, error) {
-					return string(difftest.ReduceWith(src, pred, budget)), nil
+					return string(difftest.Reduce(src, pred, c.opts.ReduceProbes)), nil
 				})
 			if err == nil && gaps.Load() {
 				return "", evalcache.Unstored[string]{Value: r}
@@ -151,19 +150,17 @@ func (c *campaign) verifyPredicate(rule, pass string) func([]byte) bool {
 // (temp + rename), so a kill mid-commit leaves the previous state
 // intact rather than a torn file.
 func (c *campaign) commit(rep *Report) error {
-	if c.opts.CorpusDir != "" {
-		for _, key := range c.order {
-			b := c.buckets[key]
-			if c.known(key) || b.Reduced == nil {
-				continue
-			}
-			if err := writeFixture(c.opts.CorpusDir, b, c.opts.Seed, c.fp, c.opts.Plant); err != nil {
-				return err
-			}
-		}
-	}
-	if c.opts.StatePath == "" {
+	if c.opts.CorpusDir == "" {
 		return nil
+	}
+	for _, key := range c.order {
+		b := c.buckets[key]
+		if c.known(key) || b.Reduced == nil {
+			continue
+		}
+		if err := writeFixture(c.opts.CorpusDir, b, c.opts.Seed, c.fp, c.opts.Plant); err != nil {
+			return err
+		}
 	}
 	run := len(c.state.Runs) + 1
 	c.state.Runs = append(c.state.Runs, stateRun{
@@ -179,7 +176,7 @@ func (c *campaign) commit(rep *Report) error {
 		}
 		sb.Count += b.Count
 	}
-	return saveState(c.opts.StatePath, c.state)
+	return saveState(statePath(c.opts.CorpusDir), c.state)
 }
 
 // writeFixture stores one reduced witness with a provenance header. The
@@ -222,18 +219,20 @@ type stateBucket struct {
 	Fixture  string `json:"fixture"`
 }
 
-func defaultStatePath(corpusDir string) string {
+// statePath is where a corpus keeps its trend state.
+func statePath(corpusDir string) string {
 	return filepath.Join(corpusDir, "hunt-state.json")
 }
 
-// loadState reads the trend state; a missing file (or empty path) is an
-// empty history, a corrupt file is an error — silently restarting the
-// trend would hide corpus history loss.
-func loadState(path string) (*stateFile, error) {
+// loadState reads the trend state of the corpus in corpusDir; no corpus
+// or a missing file is an empty history, a corrupt file is an error —
+// silently restarting the trend would hide corpus history loss.
+func loadState(corpusDir string) (*stateFile, error) {
 	st := &stateFile{V: 1, Buckets: map[string]*stateBucket{}}
-	if path == "" {
+	if corpusDir == "" {
 		return st, nil
 	}
+	path := statePath(corpusDir)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return st, nil

@@ -59,12 +59,10 @@ type Options struct {
 	// pass runs, end-to-end testing that the campaign finds it, buckets
 	// it under exactly (rule, pass), and reduces a witness.
 	Plant string
-	// CorpusDir is the committed regression corpus; "" disables fixture
-	// and state writing.
+	// CorpusDir is the committed regression corpus, which keeps its
+	// cross-run trend state in hunt-state.json; "" disables fixture and
+	// state writing.
 	CorpusDir string
-	// StatePath is the cross-run trend state file (default
-	// CorpusDir/hunt-state.json; "" with no CorpusDir = stateless).
-	StatePath string
 	// ReduceProbes caps ddmin predicate evaluations per witness. Wall
 	// budgets would make reduction timing-dependent; the probe cap keeps
 	// it deterministic.
@@ -110,8 +108,6 @@ type bucket struct {
 	Reduced    []byte // nil until reduction ran
 	Fixture    string // corpus filename (printed even when not committed)
 }
-
-func (b *bucket) key() string { return b.Rule + "@" + b.Pass }
 
 // campaign is the in-flight run state.
 type campaign struct {
@@ -301,10 +297,7 @@ func newCampaign(opts Options) (*campaign, error) {
 		fmt.Sprint(opts.Candidates), opts.Spec, string(opts.Denom),
 		opts.Plant, fmt.Sprint(opts.ReduceProbes)))
 
-	if opts.StatePath == "" && opts.CorpusDir != "" {
-		c.opts.StatePath = defaultStatePath(opts.CorpusDir)
-	}
-	c.state, err = loadState(c.opts.StatePath)
+	c.state, err = loadState(opts.CorpusDir)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +359,7 @@ func (c *campaign) render(w io.Writer, rep *Report) {
 			fmt.Fprintln(w, line)
 		}
 	}
-	if c.opts.StatePath != "" && !c.interrupted {
+	if c.opts.CorpusDir != "" && !c.interrupted {
 		fmt.Fprintln(w, "trend:")
 		for _, r := range c.trendRuns(rep) {
 			fmt.Fprintf(w, "  run %d: %d candidates, %d findings, %d new buckets\n",

@@ -86,32 +86,6 @@ func InsertBefore(pos, v *Value) {
 	b.Instrs = append(b.Instrs, v)
 }
 
-// ReplaceAllUses rewrites every use of old in the function to new.
-func ReplaceAllUses(f *Func, old, new_ *Value) {
-	for _, b := range f.Blocks {
-		for _, v := range b.Instrs {
-			for i, a := range v.Args {
-				if a == old {
-					v.Args[i] = new_
-				}
-			}
-		}
-	}
-}
-
-// UseCounts returns the number of uses of each value, indexed by ID.
-func UseCounts(f *Func) []int {
-	uses := make([]int, f.NumValueIDs())
-	for _, b := range f.Blocks {
-		for _, v := range b.Instrs {
-			for _, a := range v.Args {
-				uses[a.ID]++
-			}
-		}
-	}
-	return uses
-}
-
 // Reachable returns the set of blocks reachable from the entry.
 func Reachable(f *Func) map[*Block]bool {
 	seen := map[*Block]bool{}

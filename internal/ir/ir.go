@@ -26,9 +26,6 @@ type Value struct {
 	Var *ast.Symbol
 }
 
-// NumArgs returns len(v.Args).
-func (v *Value) NumArgs() int { return len(v.Args) }
-
 func (v *Value) String() string {
 	if v == nil {
 		return "<nil>"

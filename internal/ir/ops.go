@@ -140,15 +140,6 @@ func (o Op) IsMemRead() bool {
 	return false
 }
 
-// IsMemWrite reports whether the op mutates memory or emits output.
-func (o Op) IsMemWrite() bool {
-	switch o {
-	case OpSlotStore, OpGStore, OpAStore, OpVStore2, OpPrint, OpNewArray:
-		return true
-	}
-	return false
-}
-
 // IsCommutative reports whether operand order is irrelevant.
 func (o Op) IsCommutative() bool {
 	switch o {

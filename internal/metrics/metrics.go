@@ -251,15 +251,3 @@ func GeoStdDev(vals []float64) float64 {
 	}
 	return math.Exp(math.Sqrt(sum / float64(len(vals)-1)))
 }
-
-// Mean is the arithmetic mean.
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}

@@ -211,9 +211,6 @@ func TestAggregates(t *testing.T) {
 	if s := GeoStdDev([]float64{0.5, 0.5, 0.5}); s != 1 {
 		t.Fatalf("GeoStdDev of constants = %v, want 1", s)
 	}
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Fatalf("Mean = %v", m)
-	}
 }
 
 // TestStaticProvenLowerBoundsStatic: the proven variant restricts the

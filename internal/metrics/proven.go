@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"debugtuner/internal/dataflow"
-	"debugtuner/internal/dbgtrace"
 	"debugtuner/internal/debuginfo"
 	"debugtuner/internal/sema"
 	"debugtuner/internal/vm"
@@ -31,18 +30,6 @@ func StaticProven(bin *vm.Binary, table *debuginfo.Table, stmtLines map[int]bool
 	dr *sema.DefRanges) Scores {
 	pc := &provenChecker{bin: bin, table: table}
 	return staticScoresVis(table, stmtLines, dr, pc.visible)
-}
-
-// StaticProvenWith is StaticProven under an explicit line-coverage
-// denominator, mirroring StaticWith.
-func StaticProvenWith(bin *vm.Binary, table *debuginfo.Table, d Denom,
-	stmtLines map[int]bool, baseO0 *dbgtrace.Trace, dr *sema.DefRanges) (Scores, error) {
-	lines, err := BaselineLines(d, stmtLines, baseO0, dr)
-	if err != nil {
-		return Scores{}, err
-	}
-	pc := &provenChecker{bin: bin, table: table}
-	return staticScoresVis(table, lines, dr, pc.visible), nil
 }
 
 // provenChecker memoizes one solved OwnerFacts per function across the

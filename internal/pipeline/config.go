@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"debugtuner/internal/autofdo"
 )
 
 // Option mutates a Config under construction. Options are applied in
@@ -42,11 +40,6 @@ func DisableSet(set map[string]bool) Option {
 			c.Disabled[n] = true
 		}
 	}
-}
-
-// WithFDO attaches an AutoFDO sample profile.
-func WithFDO(p *autofdo.Profile) Option {
-	return func(c *Config) { c.FDO = p }
 }
 
 // WithProfiling sets -fdebug-info-for-profiling behavior.

@@ -251,10 +251,6 @@ type Config struct {
 	Disabled map[string]bool
 	// ForProfiling mirrors -fdebug-info-for-profiling.
 	ForProfiling bool
-	// FDO, when set, enables AutoFDO: the sample profile steers the
-	// inliner and replaces static branch probabilities before code
-	// generation.
-	FDO *autofdo.Profile
 	// SalvageOverride forces the debug salvage policy independent of
 	// the profile, for ablation studies of the gcc/clang divergence.
 	SalvageOverride *bool
@@ -275,13 +271,10 @@ func (c Config) Name() string {
 // that influences the build: profile, level, the sorted disabled set,
 // and the flag/override fields. Unlike Name (which collapses every
 // same-size disabled set to "-dN"), two configs share a fingerprint only
-// if they produce identical binaries from identical IR. ok is false when
-// the config carries an FDO profile, whose sample data has no stable
-// identity — such builds must not be cached.
-func (c Config) Fingerprint() (key string, ok bool) {
-	if c.FDO != nil {
-		return "", false
-	}
+// if they produce identical binaries from identical IR. An AutoFDO
+// sample profile is not part of a Config but an argument of BuildFDO,
+// so every config has a fingerprint and no keyed path builds with one.
+func (c Config) Fingerprint() string {
 	var sb strings.Builder
 	sb.WriteString(string(c.Profile))
 	sb.WriteByte('/')
@@ -308,7 +301,7 @@ func (c Config) Fingerprint() (key string, ok bool) {
 	if c.OptimisticOverride != nil {
 		fmt.Fprintf(&sb, "/optimistic=%t", *c.OptimisticOverride)
 	}
-	return sb.String(), true
+	return sb.String()
 }
 
 // EnabledPasses returns the distinct user-visible toggle names of a
@@ -383,14 +376,34 @@ func BuildIR(info *sema.Info) (*ir.Program, error) {
 // Build compiles O0 IR under the configuration. The input program is not
 // modified: optimization runs on a private clone.
 func Build(ir0 *ir.Program, cfg Config) *vm.Binary {
-	var span *telemetry.Span
-	if telemetry.Enabled() {
-		span = telemetry.Begin("pipeline", "build/"+cfg.Name())
-	}
+	span := buildSpan(cfg)
 	prog, opts := OptimizeIR(ir0, cfg)
 	bin := codegen.Compile(prog, opts)
 	span.End()
 	return bin
+}
+
+// BuildFDO is Build with an AutoFDO sample profile (§V.C): the
+// profile's line samples steer the inliner, and its branch counts
+// replace the static branch probabilities before code generation.
+func BuildFDO(ir0 *ir.Program, cfg Config, prof *autofdo.Profile) *vm.Binary {
+	span := buildSpan(cfg)
+	ctx := newContext(ir0.Clone(), cfg)
+	ctx.SampleLines, ctx.SampleMax = prof.LineSamples, prof.MaxLine()
+	runPasses(ctx, cfg, 0, nil, nil)
+	autofdo.ApplyToIR(ctx.Prog, prof)
+	bin := codegen.Compile(ctx.Prog, backendOptions(cfg, backendToggles(cfg)))
+	span.End()
+	return bin
+}
+
+// buildSpan opens the telemetry span of one build; its label is built
+// only when telemetry is on.
+func buildSpan(cfg Config) *telemetry.Span {
+	if !telemetry.Enabled() {
+		return nil
+	}
+	return telemetry.Begin("pipeline", "build/"+cfg.Name())
 }
 
 // OptimizeIR runs the configuration's middle-end pipeline on a private
@@ -419,10 +432,6 @@ func newContext(prog *ir.Program, cfg Config) *passes.Context {
 	if cfg.SalvageOverride != nil {
 		ctx.Salvage = *cfg.SalvageOverride
 	}
-	if cfg.FDO != nil {
-		ctx.SampleLines = cfg.FDO.LineSamples
-		ctx.SampleMax = cfg.FDO.MaxLine()
-	}
 	if cfg.Level != "O0" {
 		configureInliner(ctx, cfg)
 	}
@@ -431,14 +440,12 @@ func newContext(prog *ir.Program, cfg Config) *passes.Context {
 
 // runPasses is the middle end's one pass loop. It runs cfg's enabled
 // middle-end entries from index from to the end of the pipeline on
-// ctx.Prog, then applies the FDO profile. at, when set, sees the state
-// ahead of every entry i >= from, run or skipped, and the final state
-// (i == len(pipeline)) ahead of the FDO profile; ran reports whether
-// entry i-1 ran. If at returns true the loop stops there, the FDO
-// profile is not applied, and runPasses returns true. hook, when set,
-// is called after every executed pass with the ledger-style label
-// ("cleanup/<name>" for always-on runs) and the program in its
-// post-pass state.
+// ctx.Prog. at, when set, sees the state ahead of every entry i >= from,
+// run or skipped, and the final state (i == len(pipeline)); ran reports
+// whether entry i-1 ran. If at returns true the loop stops there and
+// runPasses returns true. hook, when set, is called after every
+// executed pass with the ledger-style label ("cleanup/<name>" for
+// always-on runs) and the program in its post-pass state.
 func runPasses(ctx *passes.Context, cfg Config, from int,
 	at func(i int, ran bool) bool, hook func(label string, prog *ir.Program)) (stopped bool) {
 	es := pipelines(cfg.Profile, cfg.Level)
@@ -476,13 +483,7 @@ func runPasses(ctx *passes.Context, cfg Config, from int,
 			hook(hl, ctx.Prog)
 		}
 	}
-	if at != nil && at(len(es), ran) {
-		return true
-	}
-	if cfg.FDO != nil {
-		autofdo.ApplyToIR(ctx.Prog, cfg.FDO)
-	}
-	return false
+	return at != nil && at(len(es), ran)
 }
 
 // enabled reports whether the entry runs under cfg: a disabled toggle

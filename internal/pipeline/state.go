@@ -28,8 +28,8 @@ import (
 //     written by no pass. They differ from the reference only under an
 //     inliner-knob toggle, and such a build is compared only past the
 //     last inline entry, their only reader.
-//   - Context.SampleLines: the read-only FDO profile, the same map for
-//     the reference and every toggle.
+//   - Context.SampleLines: the read-only FDO profile, which only
+//     BuildFDO sets; forked builds never carry one.
 //   - Program.Symbols: sema's symbol table, shared by every clone.
 //   - Func.Prog, Block.Func: back pointers to the owner.
 //

@@ -107,10 +107,6 @@ func (d *DefRanges) InRange(symID, line int) bool {
 // sorted ascending.
 func (d *DefRanges) ExpectedAt(line int) []int { return d.byLine[line] }
 
-// Range returns the availability range for a symbol; the zero Range means
-// the symbol is never expected (declared but never assigned).
-func (d *DefRanges) Range(symID int) source.Range { return d.avail[symID] }
-
 // StatementLines returns the set of source lines carrying a statement —
 // the static method's notion of "lines that should be steppable",
 // including dead and unreachable code (which is exactly why the static

@@ -21,6 +21,7 @@ import (
 	"debugtuner/internal/resilience"
 	"debugtuner/internal/telemetry"
 	"debugtuner/internal/testsuite"
+	"debugtuner/internal/tuner"
 )
 
 const testSource = `func fib(n: int): int {
@@ -474,5 +475,31 @@ func TestParetoQuarantinePolicy(t *testing.T) {
 		if pt.Quarantined {
 			t.Errorf("point %s is a gap though units are left on both axes", pt.Label)
 		}
+	}
+}
+
+// TestCyclesKeyedByFingerprint: two configs of one unit that share a
+// Name ("gcc-O2-d3") but disable different passes are two timing
+// cells, so under a chaos rate of 1 both quarantine.
+func TestCyclesKeyedByFingerprint(t *testing.T) {
+	p, err := tuner.LoadProgram("fib", []byte(testSource), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pipeline.EnabledPasses(pipeline.GCC, "O2")
+	a := pipeline.MustConfig(pipeline.GCC, "O2", pipeline.Disable(ps[0], ps[1], ps[2]))
+	b := pipeline.MustConfig(pipeline.GCC, "O2", pipeline.Disable(ps[0], ps[1], ps[3]))
+	if a.Name() != b.Name() {
+		t.Fatalf("names %s and %s differ; the test needs one shared name", a.Name(), b.Name())
+	}
+	ex := resilience.NewExecutor(&resilience.Chaos{Rate: 1})
+	defer resilience.Install(resilience.Install(ex))
+	for _, cfg := range []pipeline.Config{a, b} {
+		if _, err := (&Service{}).cycles(p, cfg); !resilience.IsQuarantined(err) {
+			t.Fatalf("%s %v: err %v, want a quarantine", cfg.Name(), cfg.Disabled, err)
+		}
+	}
+	if n := len(ex.Quarantined()); n != 2 {
+		t.Errorf("%d quarantined timing cells, want 2", n)
 	}
 }

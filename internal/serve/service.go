@@ -146,10 +146,10 @@ func TunePrograms(progs []*tuner.Program, profile pipeline.Profile, level string
 
 // cycles measures one (program, config) timing run on the cycle-exact
 // VM, as a resilience cell so a panicking build quarantines instead of
-// unwinding through the server.
+// unwinding through the server. The cell is keyed by the config's
+// fingerprint: its Name collapses every same-size disabled set.
 func (sv *Service) cycles(p *tuner.Program, cfg pipeline.Config) (int64, error) {
-	key := fmt.Sprintf("serve.cycles|%s|%s", p.CellKey(cfg.Name()), cfg.Name())
-	return resilience.Run(context.Background(), key,
+	return resilience.Run(context.Background(), "serve.cycles|"+p.CellKey(cfg.Fingerprint()),
 		func(context.Context) (int64, error) {
 			bin := pipeline.Build(p.IR0, cfg)
 			m := vm.New(bin)

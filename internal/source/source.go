@@ -93,22 +93,6 @@ func (f *File) PosFor(offset int) Pos {
 	return Pos{Line: i + 1, Col: offset - f.lineStart[i] + 1}
 }
 
-// LineText returns the text of the 1-based line, without the newline.
-func (f *File) LineText(line int) string {
-	if line < 1 || line > len(f.lineStart) {
-		return ""
-	}
-	start := f.lineStart[line-1]
-	end := len(f.Content)
-	if line < len(f.lineStart) {
-		end = f.lineStart[line] - 1
-	}
-	if end < start {
-		end = start
-	}
-	return string(f.Content[start:end])
-}
-
 // Error is a front-end diagnostic attached to a position.
 type Error struct {
 	File string

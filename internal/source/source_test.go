@@ -28,23 +28,11 @@ func TestPosForBasics(t *testing.T) {
 	}
 }
 
-func TestLineText(t *testing.T) {
-	f := NewFile("t", []byte("first\nsecond\nthird"))
-	for i, want := range []string{"first", "second", "third"} {
-		if got := f.LineText(i + 1); got != want {
-			t.Errorf("LineText(%d) = %q, want %q", i+1, got, want)
-		}
-	}
-	if f.LineText(0) != "" || f.LineText(99) != "" {
-		t.Error("out-of-range lines should be empty")
-	}
-}
-
 // TestPosForRoundTrip (property): the position of every offset lands on
 // a line whose text actually contains that offset's byte.
 func TestPosForRoundTrip(t *testing.T) {
 	check := func(raw []byte) bool {
-		// Normalize to printable + newlines so LineText comparison holds.
+		// Normalize to printable + newlines so the line comparison holds.
 		content := make([]byte, len(raw))
 		for i, b := range raw {
 			if b%7 == 0 {
@@ -54,6 +42,7 @@ func TestPosForRoundTrip(t *testing.T) {
 			}
 		}
 		f := NewFile("q", content)
+		lines := strings.Split(string(content), "\n")
 		for off := 0; off < len(content); off++ {
 			p := f.PosFor(off)
 			if !p.IsValid() {
@@ -62,7 +51,7 @@ func TestPosForRoundTrip(t *testing.T) {
 			if content[off] == '\n' {
 				continue // the newline terminates its line
 			}
-			line := f.LineText(p.Line)
+			line := lines[p.Line-1]
 			if p.Col-1 >= len(line)+1 {
 				return false
 			}

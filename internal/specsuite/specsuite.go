@@ -135,32 +135,25 @@ type cycleKey struct {
 var cycleCache = evalcache.Cache[cycleKey, int64]{Namespace: "specsuite"}
 
 // Cycles returns the benchmark's ref-workload cycle count under the
-// configuration, cached by content. FDO-carrying configs (no stable
-// fingerprint) are measured uncached and never touch the store.
+// configuration, cached by content.
 func Cycles(name string, cfg pipeline.Config) (int64, error) {
-	run := func() (int64, error) {
+	b, err := load(name)
+	if err != nil {
+		return 0, err
+	}
+	return cycleCache.Do(cycleKey{Bench: name, Src: b.src, Config: cfg.Fingerprint()}, func() (int64, error) {
 		r, err := Run(name, cfg)
 		if err != nil {
 			return 0, err
 		}
 		return r.Cycles, nil
-	}
-	fp, ok := cfg.Fingerprint()
-	if !ok {
-		return run()
-	}
-	b, err := load(name)
-	if err != nil {
-		return 0, err
-	}
-	return cycleCache.Do(cycleKey{Bench: name, Src: b.src, Config: fp}, run)
+	})
 }
 
 // OverO0 is the paper's speedup over O0: the benchmark's O0 cycle count
 // under cfg's profile over its count under cfg. It runs as one
 // resilience cell, spec|<name>|<fingerprint>, so a panicking or runaway
-// build quarantines this (benchmark, config) measurement alone. FDO
-// configurations have no fingerprint and run under their display name.
+// build quarantines this (benchmark, config) measurement alone.
 func OverO0(name string, cfg pipeline.Config) (float64, error) {
 	compute := func(context.Context) (float64, error) {
 		base, err := Cycles(name, pipeline.MustConfig(cfg.Profile, "O0"))
@@ -173,9 +166,5 @@ func OverO0(name string, cfg pipeline.Config) (float64, error) {
 		}
 		return float64(base) / float64(opt), nil
 	}
-	id, ok := cfg.Fingerprint()
-	if !ok {
-		id = cfg.Name()
-	}
-	return resilience.Run(context.Background(), "spec|"+name+"|"+id, compute)
+	return resilience.Run(context.Background(), "spec|"+name+"|"+cfg.Fingerprint(), compute)
 }

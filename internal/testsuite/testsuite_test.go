@@ -267,7 +267,7 @@ func TestCorporaFromStore(t *testing.T) {
 		}
 		for _, p := range []pipeline.Profile{pipeline.GCC, pipeline.Clang} {
 			for _, l := range append([]string{"O0"}, pipeline.Levels(p)...) {
-				fp, _ := pipeline.MustConfig(p, l).Fingerprint()
+				fp := pipeline.MustConfig(p, l).Fingerprint()
 				if wk, ck := w.CellKey(fp), c.CellKey(fp); wk != ck {
 					t.Errorf("%s %s-%s: cell key %s from the store, %s cold", name, p, l, wk, ck)
 				}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"debugtuner/internal/autofdo"
 	"debugtuner/internal/pipeline"
 	"debugtuner/internal/workerpool"
 )
@@ -134,18 +133,5 @@ func TestMeasureCachesByFingerprint(t *testing.T) {
 	}
 	if n := p.scores.Len(); n != 2 {
 		t.Fatalf("distinct disabled sets collided: %d entries, want 2", n)
-	}
-}
-
-// TestFingerprintRejectsFDO: FDO-carrying configs have no stable
-// content identity and must bypass the cache.
-func TestFingerprintRejectsFDO(t *testing.T) {
-	cfg := pipeline.MustConfig(pipeline.Clang, "O2")
-	if _, ok := cfg.Fingerprint(); !ok {
-		t.Fatal("plain config must be fingerprintable")
-	}
-	cfg.FDO = &autofdo.Profile{}
-	if _, ok := cfg.Fingerprint(); ok {
-		t.Fatal("FDO config must not be fingerprintable")
 	}
 }

@@ -44,7 +44,6 @@ type Program struct {
 
 	mu       sync.Mutex
 	baseline *dbgtrace.Trace
-	stmt     map[int]bool
 	// keyOnce computes srcHash and inDigest, the digests of Src and of
 	// Inputs and Entry that every cell key carries, at the first key.
 	keyOnce           sync.Once
@@ -134,16 +133,6 @@ func (p *Program) Baseline() (*dbgtrace.Trace, error) {
 	return p.baseline, nil
 }
 
-// StatementLines caches the static-baseline statement lines.
-func (p *Program) StatementLines() map[int]bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stmt == nil {
-		p.stmt = sema.StatementLines(p.Info)
-	}
-	return p.stmt
-}
-
 // Product computes the hybrid product metric of a build against the -O0
 // baseline — the paper's headline quality score.
 func (p *Program) Product(cfg pipeline.Config) (float64, error) {
@@ -161,12 +150,10 @@ func (p *Program) Scores(cfg pipeline.Config) (metrics.Scores, error) {
 }
 
 // Measure builds, traces, and scores the configuration. Results are
-// content-addressed by the config fingerprint; un-fingerprintable
-// configurations (FDO) are measured uncached. When a resilience executor
-// is installed, each measurement runs as an isolated, retried cell; the
-// wrapper sits inside the cache's singleflight so concurrent requests
-// coalesce, and a quarantined result (Uncacheable) evicts itself
-// instead of pinning the failure.
+// content-addressed by the config fingerprint. Each measurement runs as
+// one resilience cell; the wrapper sits inside the cache's singleflight
+// so concurrent requests coalesce, and a quarantined result
+// (Uncacheable) evicts itself instead of pinning the failure.
 func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
 	return p.measureBuilt(cfg, func() (*vm.Binary, error) { return p.Build(cfg), nil })
 }
@@ -174,23 +161,13 @@ func (p *Program) Measure(cfg pipeline.Config) (Measurement, error) {
 // measureBuilt is Measure with the binary, on a miss, from build, which
 // must return the binary Build(cfg) does.
 func (p *Program) measureBuilt(cfg pipeline.Config, build func() (*vm.Binary, error)) (Measurement, error) {
-	fp, ok := cfg.Fingerprint()
-	if !ok {
-		fp = cfg.Name()
-	}
-	key := p.cellKey(fp)
-	cell := func() (Measurement, error) {
+	key := p.cellKey(cfg.Fingerprint())
+	return p.scores.Do(key, func() (Measurement, error) {
 		return resilience.Run(context.Background(),
 			key.String(), func(context.Context) (Measurement, error) {
 				return p.measure(build)
 			})
-	}
-	if !ok {
-		// FDO payloads fall outside the fingerprint domain, so their
-		// results cannot be stored — isolate them uncached.
-		return cell()
-	}
-	return p.scores.Do(key, cell)
+	})
 }
 
 // cellKey declares every input of one (program, config) measurement and

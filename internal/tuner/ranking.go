@@ -171,8 +171,7 @@ func AnalyzeLevel(progs []*Program, profile pipeline.Profile, level string) (*Le
 		defer pf.cellDone()
 		cfg := pipeline.MustConfig(profile, level,
 			pipeline.Disable(passNames[j.xi]))
-		fp, _ := cfg.Fingerprint()
-		key := p.cellKey(fp)
+		key := p.cellKey(cfg.Fingerprint())
 		eff, err := effectCache.Do(key, func() (PassEffect, error) {
 			return resilience.Run(ctx, key.String(),
 				func(context.Context) (PassEffect, error) {

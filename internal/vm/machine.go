@@ -235,9 +235,6 @@ func (m *Machine) Frame() *Frame {
 	return m.frames[len(m.frames)-1]
 }
 
-// PC returns the current program counter.
-func (m *Machine) PC() int { return m.pc }
-
 // Heap returns the array object for a handle, or nil.
 func (m *Machine) Heap(h int64) []int64 {
 	if h < 0 || h >= int64(len(m.heap)) {

@@ -167,11 +167,3 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 	}
 	return results, nil
 }
-
-// ForEach is Map without per-item results.
-func ForEach[T any](ctx context.Context, items []T, fn func(ctx context.Context, idx int, item T) error) error {
-	_, err := Map(ctx, items, func(ctx context.Context, idx int, item T) (struct{}, error) {
-		return struct{}{}, fn(ctx, idx, item)
-	})
-	return err
-}

@@ -124,15 +124,6 @@ func TestMapSerialFallback(t *testing.T) {
 	}
 }
 
-func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(context.Background(), nil, func(context.Context, int, int) error {
-		t.Fatal("fn called on empty input")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSetWorkers(t *testing.T) {
 	SetWorkers(7)
 	if Workers() != 7 {

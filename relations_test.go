@@ -142,6 +142,60 @@ func TestPinnedTableVIIIRelations(t *testing.T) {
 	}
 }
 
+// TestPinnedTableVVIRelations checks the paper's §V claims on the
+// pinned Tables V (gcc) and VI (clang) of both files: the inliner
+// ("inline", "Inliner") is the #1 critical pass at every level except
+// gcc-Og, and every level's top 10 lists a back-end pass (marked *).
+func TestPinnedTableVVIRelations(t *testing.T) {
+	for _, path := range pinnedFiles {
+		for _, tc := range []struct{ table, profile, inliner string }{
+			{"table5", "gcc", "inline"}, {"table6", "clang", "Inliner"},
+		} {
+			var levels []string
+			var ranks [][]string // ranks[i][l]: the pass ranked i+1 at levels[l]
+			for _, line := range strings.Split(experiment(t, path, tc.table), "\n") {
+				cells := strings.Split(line, "|")
+				first := strings.TrimSpace(cells[0])
+				if first == "#" {
+					for _, c := range cells[1:] {
+						levels = append(levels, strings.TrimSpace(c))
+					}
+					continue
+				}
+				if _, err := strconv.Atoi(first); err != nil || len(cells) != len(levels)+1 {
+					continue
+				}
+				var row []string
+				for _, c := range cells[1:] {
+					// A cell is the pass name, possibly of several words,
+					// then its improvement.
+					fields := strings.Fields(c)
+					if len(fields) < 2 {
+						t.Fatalf("%s: %s row %q has a cell without a pass", path, tc.table, line)
+					}
+					row = append(row, strings.Join(fields[:len(fields)-1], " "))
+				}
+				ranks = append(ranks, row)
+			}
+			if len(levels) == 0 || len(ranks) != 10 {
+				t.Fatalf("%s: %s has %d levels and %d ranks, want 10 ranks", path, tc.table, len(levels), len(ranks))
+			}
+			for l, level := range levels {
+				if first := ranks[0][l]; first != tc.inliner && (tc.profile != "gcc" || level != "Og") {
+					t.Errorf("%s: %s-%s ranks %q first, want %q", path, tc.profile, level, first, tc.inliner)
+				}
+				backend := false
+				for _, row := range ranks {
+					backend = backend || strings.HasSuffix(row[l], " *")
+				}
+				if !backend {
+					t.Errorf("%s: %s-%s top 10 lists no back-end pass", path, tc.profile, level)
+				}
+			}
+		}
+	}
+}
+
 // TestSuiteO0IsPerfect: every suite subject measured at O0 against its
 // own O0 baseline scores exactly (1, 1, 1), under both profiles.
 func TestSuiteO0IsPerfect(t *testing.T) {
